@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +86,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_scenario(args.scenario, args.set)
-    if args.trials is not None:
-        cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "trials": args.trials})
-    if args.seed is not None:
-        cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "base_seed": args.seed})
-    if args.mode is not None:
-        cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "feedback_mode": args.mode})
+    flags = {"trials": args.trials, "base_seed": args.seed, "feedback_mode": args.mode}
+    cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -137,10 +134,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             2.576 * np.sqrt(ctx.estimator.voltage_variance())
         ).tolist()
     if cfg.verify_bound:
-        report = verify_error_bound(cfg, context=ctx)
+        report = verify_error_bound(cfg, traces, context=ctx)
         summary["bound_report"] = report.to_dict()
     if cfg.tighten_ci is not None:
-        tight = tightened_bound_experiment(cfg, cfg.tighten_ci, context=ctx)
+        tight = tightened_bound_experiment(cfg, cfg.tighten_ci, traces[0], context=ctx)
         summary["tightening"] = {
             "confidence": tight.confidence,
             "halfwidth": tight.halfwidth,

@@ -28,7 +28,7 @@ def resolve_network(name_or_path: str | Path) -> Path:
 
 
 def ieee33() -> NetworkModel:
-    """The 33-bus radial test feeder (12.66 kV, 1 MVA base), loads as negative
+    """The 33-bus radial test feeder (12.66 kV, 10 MVA base), loads as negative
     injections, each node able to curtail up to half of its nominal load."""
     return load_network(builtin_network_path("ieee33"))
 

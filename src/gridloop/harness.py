@@ -10,6 +10,7 @@ given the scenario seeds; trials differ only through their measurement seed.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -293,6 +294,8 @@ class SimulationTrace:
     q: np.ndarray
     v_true: np.ndarray
     r_hat: np.ndarray
+    mu_lower: np.ndarray
+    mu_upper: np.ndarray
     mu_lower_norm: np.ndarray
     mu_upper_norm: np.ndarray
     cost_local: np.ndarray
@@ -416,6 +419,8 @@ def run_closed_loop(
     q = np.empty((k_iter, n))
     v_true = np.empty((k_iter, n))
     r_hat_arr = np.empty((k_iter, n))
+    mu_l = np.empty((k_iter, n))
+    mu_u = np.empty((k_iter, n))
     mu_l_norm = np.empty(k_iter)
     mu_u_norm = np.empty(k_iter)
     cost_local = np.empty(k_iter)
@@ -436,6 +441,8 @@ def run_closed_loop(
         q[k] = state.q
         v_true[k] = r_true
         r_hat_arr[k] = r_hat
+        mu_l[k] = state.mu_lower
+        mu_u[k] = state.mu_upper
         mu_l_norm[k] = np.linalg.norm(state.mu_lower)
         mu_u_norm[k] = np.linalg.norm(state.mu_upper)
         cost_local[k] = ctx.cost.local_cost(state.p, state.q)
@@ -475,6 +482,8 @@ def run_closed_loop(
         q=q,
         v_true=v_true,
         r_hat=r_hat_arr,
+        mu_lower=mu_l,
+        mu_upper=mu_u,
         mu_lower_norm=mu_l_norm,
         mu_upper_norm=mu_u_norm,
         cost_local=cost_local,
@@ -638,10 +647,7 @@ def _kkt_polish(z, G, d_l, d_u, eta, wz, z_ref, cost, lo, hi, n, rounds: int = 4
 
 def _fixed_point_residual(state: ControllerState, ctx: RunContext, eps: float) -> float:
     """Distance moved by one exact primal-dual step from the candidate point."""
-    cfgc = ctx.cfg.controller
-    single = ControllerConfig(
-        eps_primal=eps, eps_dual=eps, eta=cfgc.eta, v_min=cfgc.v_min, v_max=cfgc.v_max
-    )
+    single = replace(ctx.cfg.controller, eps_primal=eps, eps_dual=eps)
     grads = primal_grad(state, ctx.cost, ctx.model, single)
     stepped = primal_step(state, grads, ctx.net, single)
     r_lin = eval_linear(ctx.model, state.p, state.q)
@@ -699,18 +705,22 @@ class BoundReport:
 
 def verify_error_bound(
     cfg: ScenarioConfig,
+    traces: Iterable[SimulationTrace] | None = None,
     x_star: ControllerState | None = None,
-    trials: int | None = None,
     context: RunContext | None = None,
 ) -> BoundReport:
     """Measure the stochastic-feedback error terms and audit the bound.
 
-    Per iteration and trial the three gradient maps differ only in the voltage
-    vector entering the dual ascent, so the squared map gaps reduce to
-    2 ||r_a - r_b||^2 of the corresponding voltage vectors.
+    The terms are read off the realized trajectories ``traces`` (one per
+    trial, as returned by ``run_trials``); without them every trial is run
+    here, one at a time. Per iteration and trial the three gradient maps
+    differ only in the voltage vector entering the dual ascent, so the
+    squared map gaps reduce to 2 ||r_a - r_b||^2 of the corresponding
+    voltage vectors.
     """
     ctx = context if context is not None else prepare(cfg)
-    n_trials = cfg.trials if trials is None else trials
+    if traces is None:
+        traces = (run_closed_loop(cfg, trial=t, context=ctx) for t in range(cfg.trials))
     if x_star is None:
         x_star = ctx.x_star if ctx.x_star is not None else saddle_oracle(cfg, context=ctx)
     x_star_vec = x_star.as_vector()
@@ -724,14 +734,10 @@ def verify_error_bound(
         )
 
     k_iter = cfg.iterations
-    d_alpha = np.zeros((n_trials, k_iter))
-    d_rho = np.zeros((n_trials, k_iter))
-    dist_sq = np.zeros((n_trials, k_iter))
-    for t in range(n_trials):
-        trace = _instrumented_trial(cfg, ctx, trial=t, x_star_vec=x_star_vec)
-        d_alpha[t] = trace["d_alpha"]
-        d_rho[t] = trace["d_rho"]
-        dist_sq[t] = trace["dist_sq"]
+    terms = [_bound_terms(trace, ctx.model, x_star_vec) for trace in traces]
+    if not terms or any(gaps.size != k_iter for gaps, _, _ in terms):
+        raise HarnessError(f"bound audit needs one trace of {k_iter} iterations per trial")
+    d_alpha, d_rho, dist_sq = (np.array(series) for series in zip(*terms))
 
     alpha_hat = float(d_alpha.mean(axis=0).max())
     rho_hat = float(d_rho.max())
@@ -748,40 +754,25 @@ def verify_error_bound(
         eps=eps,
         M=cert.M,
         L=cert.L,
-        trials=n_trials,
+        trials=len(terms),
         iterations=k_iter,
         mean_dist_sq=mean_dist_sq,
     )
 
 
-def _instrumented_trial(
-    cfg: ScenarioConfig, ctx: RunContext, trial: int, x_star_vec: np.ndarray
-) -> dict:
-    """Closed-loop trial that also records the gradient-map gaps."""
-    plan = ctx.plan.with_seed(cfg.base_seed + trial)
-    k_iter = cfg.iterations
-    state = initial_state(ctx.net)
-    cfgc = cfg.controller
+def _bound_terms(trace: SimulationTrace, model: LinearFlowModel, x_star_vec: np.ndarray):
+    """Per-iteration gradient-map gaps and squared saddle distance of one trace."""
+    k_iter = trace.iterations
     d_alpha = np.empty(k_iter)
     d_rho = np.empty(k_iter)
     dist_sq = np.empty(k_iter)
     for k in range(k_iter):
-        r_true, _ = _plant_truth(ctx, state.p, state.q, k)
-        r_hat = _feedback(ctx, plan, r_true, state.p, state.q, k)
-        r_lin = eval_linear(ctx.model, state.p, state.q)
-        d_alpha[k] = 2.0 * float(np.sum((r_lin - r_hat) ** 2))
-        d_rho[k] = 2.0 * float(np.sum((r_hat - r_true) ** 2))
-        dist_sq[k] = float(np.sum((state.as_vector() - x_star_vec) ** 2))
-        grads = primal_grad(state, ctx.cost, ctx.model, cfgc)
-        new_primal = primal_step(state, grads, ctx.net, cfgc)
-        new_dual = dual_step(state, r_hat, cfgc)
-        state = ControllerState(
-            p=new_primal.p,
-            q=new_primal.q,
-            mu_lower=new_dual.mu_lower,
-            mu_upper=new_dual.mu_upper,
-        )
-    return {"d_alpha": d_alpha, "d_rho": d_rho, "dist_sq": dist_sq}
+        r_lin = eval_linear(model, trace.p[k], trace.q[k])
+        d_alpha[k] = 2.0 * float(np.sum((r_lin - trace.r_hat[k]) ** 2))
+        d_rho[k] = 2.0 * float(np.sum((trace.r_hat[k] - trace.v_true[k]) ** 2))
+        x = np.concatenate([trace.p[k], trace.q[k], trace.mu_lower[k], trace.mu_upper[k]])
+        dist_sq[k] = float(np.sum((x - x_star_vec) ** 2))
+    return d_alpha, d_rho, dist_sq
 
 
 # ---------------------------------------------------------------------------
@@ -860,11 +851,15 @@ class TighteningReport:
 
 
 def tightened_bound_experiment(
-    cfg: ScenarioConfig, c: float, context: RunContext | None = None
+    cfg: ScenarioConfig,
+    c: float,
+    base: SimulationTrace | None = None,
+    context: RunContext | None = None,
 ) -> TighteningReport:
     """Re-run with the lower voltage bound raised by the worst analytic
     confidence halfwidth of the reconstructed voltages, and compare true
-    violations of the original bound plus cost."""
+    violations of the original bound plus cost against ``base``, the
+    trial-0 trace of the untightened scenario (run here when not given)."""
     ctx = context if context is not None else prepare(cfg)
     if ctx.estimator is None:
         raise HarnessError("bound tightening requires an estimating feedback mode")
@@ -874,18 +869,9 @@ def tightened_bound_experiment(
         raise HarnessError(
             f"tightened lower bound {v_min_new:.4f} reaches v_max {cfg.controller.v_max:.4f}"
         )
-    base = run_closed_loop(cfg, context=ctx)
-    tight_cfg = replace(
-        cfg,
-        controller=ControllerConfig(
-            eps_primal=cfg.controller.eps_primal,
-            eps_dual=cfg.controller.eps_dual,
-            eta=cfg.controller.eta,
-            v_min=v_min_new,
-            v_max=cfg.controller.v_max,
-        ),
-    )
-    tight = run_closed_loop(tight_cfg)
+    if base is None:
+        base = run_closed_loop(cfg, context=ctx)
+    tight = run_closed_loop(replace(cfg, controller=replace(cfg.controller, v_min=v_min_new)))
     v_min0 = cfg.controller.v_min
     return TighteningReport(
         confidence=c,

@@ -74,17 +74,14 @@ class MeasurementPlan:
 class MeasurementBatch:
     """One sampled measurement vector with per-channel deviations.
 
-    ``channel_map[i]`` is ("v"|"p"|"q", node). ``sigma`` carries the absolute
-    standard deviations the sampler used (floored to stay positive), which is
-    what the estimator's weights and variance analytics consume.
+    ``y`` stacks the sensor voltages, then the pseudo p and pseudo q of every
+    node. ``sigma`` carries the absolute standard deviations the sampler used
+    (floored to stay positive), which is what the estimator's weights and
+    variance analytics consume.
     """
 
     y: np.ndarray
     sigma: np.ndarray
-    channel_map: tuple[tuple[str, int], ...]
-
-    def sensor_values(self, n_sensors: int) -> np.ndarray:
-        return self.y[:n_sensors]
 
 
 def make_plan(
@@ -167,15 +164,9 @@ def sample_measurements(
     xi_z = _normals(plan.seed, 1, k_pseudo, 2 * n)
     y_z = np.concatenate([base_p, base_q]) + pseudo_std * xi_z
 
-    channel_map = tuple(
-        [("v", int(s)) for s in sensors]
-        + [("p", i) for i in range(1, n + 1)]
-        + [("q", i) for i in range(1, n + 1)]
-    )
     return MeasurementBatch(
         y=np.concatenate([y_v, y_z]),
         sigma=np.maximum(np.concatenate([sensor_std, pseudo_std]), SIGMA_FLOOR),
-        channel_map=channel_map,
     )
 
 

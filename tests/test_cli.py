@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridloop import harness
 from gridloop.cli import main
 
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
@@ -29,6 +30,24 @@ def test_run_twobus_success(tmp_path):
     for name, digest in manifest["outputs"].items():
         data = (out / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_run_bound_audit_solves_plant_once_per_iteration(tmp_path, monkeypatch):
+    # The bound audit reads the run's traces instead of re-running the trials.
+    monkeypatch.delenv("GRIDLOOP_THREADS", raising=False)
+    solves = []
+    real = harness.solve_power_flow
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_power_flow", counting)
+    extra = ["--trials", "2", "--set", "iterations=50", "--set", "verify_bound=true"]
+    assert main(_twobus_args(tmp_path, extra=extra)) == 0
+    assert len(solves) == 50 * 2
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["bound_report"]["trials"] == 2
 
 
 def test_run_uncertified_step_exits_2(tmp_path, capsys):

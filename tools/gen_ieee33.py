@@ -1,7 +1,7 @@
 """Generate src/gridloop/data/ieee33.json from the published Baran-Wu tables.
 
 Branch impedances are in ohms, loads in kW/kVAr at the receiving bus; the file
-is written per-unit on 12.66 kV / 1 MVA with loads as negative injections.
+is written per-unit on 12.66 kV / 10 MVA with loads as negative injections.
 Buses are renumbered 0..32 (substation 0). DER curtailment boxes allow shedding
 up to half of each nominal load.
 """
