@@ -15,13 +15,7 @@ from .controller import (
     primal_grad,
     primal_step,
 )
-from .estimator import (
-    EstimationResult,
-    WlsEstimator,
-    confidence_interval,
-    estimate_voltages,
-    wls_solve,
-)
+from .estimator import WlsEstimator, estimate_voltages, wls_solve
 from .feeders import ieee33, resolve_network, synthetic_feeder
 from .harness import (
     BoundReport,
@@ -52,9 +46,8 @@ from .netmodel import (
     load_network,
     project_feasible,
 )
-from .plant import PowerFlowError, PowerFlowSolution, solve_power_flow, true_quantities
+from .plant import PowerFlowSolution, solve_power_flow
 from .sensing import (
-    MeasurementBatch,
     MeasurementPlan,
     build_linear_measurement_model,
     make_plan,

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    FEEDBACK_MODES,
     CertificateError,
     HarnessError,
     ScenarioConfig,
@@ -35,6 +36,8 @@ from .harness import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CERTIFICATE = 2
+# Failures reported as an exit code instead of a traceback.
+FAILURES = (HarnessError, OSError, ValueError, KeyError)
 
 
 def load_scenario(path: str | Path, overrides: list[str] | None = None) -> ScenarioConfig:
@@ -42,6 +45,7 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
 
     A network given as a relative path is resolved against the scenario
     file's directory (builtin aliases like "ieee33" pass through untouched).
+    An override may only set a key the scenario schema has.
     """
     path = Path(path)
     raw = json.loads(path.read_text())
@@ -50,10 +54,11 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
             raise ValueError(f"override {item!r} must look like key.path=value")
         key, _, value = item.partition("=")
         _set_dotted(raw, key.strip(), _parse_value(value.strip()))
-    network = raw.get("network", "")
-    candidate = path.parent / str(network)
-    if not str(network).startswith("/") and candidate.exists():
-        raw["network"] = str(candidate)
+    network = raw.get("network")
+    if isinstance(network, str) and not network.startswith("/"):
+        candidate = path.parent / network
+        if candidate.exists():
+            raw["network"] = str(candidate)
     return ScenarioConfig.from_dict(raw)
 
 
@@ -65,13 +70,15 @@ def _parse_value(text: str):
 
 
 def _set_dotted(raw: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+    """Set ``value`` at a dotted path; the schema check in ``from_dict``
+    rejects paths that name no scenario key."""
+    *sections, leaf = dotted.split(".")
     node = raw
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
+    for part in sections:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ValueError(f"override {dotted!r}: scenario key {part!r} is not a section")
+    node[leaf] = value
 
 
 def _sha256(path: Path) -> str:
@@ -104,17 +111,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_json(manifest_path, manifest)
 
     try:
-        ctx = prepare(cfg)
-    except CertificateError as exc:
-        print(f"certificate violation: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        names = _run_scenario(cfg, out)
+    except FAILURES as exc:
+        manifest.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        _write_json(manifest_path, manifest)
+        raise
+    manifest.update(
+        status="done",
+        outputs={name: _sha256(out / name) for name in names},
+        duration_s=time.time() - started,
+    )
+    _write_json(manifest_path, manifest)
+    return EXIT_OK
 
+
+def _run_scenario(cfg: ScenarioConfig, out: Path) -> list[str]:
+    """Run every trial and the configured audits, write the traces and the
+    summary into ``out``, and return the names of the files written."""
+    ctx = prepare(cfg)
     traces = run_trials(cfg, context=ctx)
-    outputs: dict[str, str] = {}
+    names = []
     for t, trace in enumerate(traces):
         name = "trace.csv" if cfg.trials == 1 else f"trace_{t:03d}.csv"
         trace.to_csv(out / name)
-        outputs[name] = ""
+        names.append(name)
 
     summary = {
         "config": cfg.to_dict(),
@@ -149,17 +169,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "tightened_cost": tight.tightened_cost,
         }
     _write_json(out / "summary.json", summary)
-    outputs["summary.json"] = ""
-
-    for name in outputs:
-        outputs[name] = _sha256(out / name)
-    manifest.update(
-        status="done",
-        outputs=outputs,
-        duration_s=time.time() - started,
-    )
-    _write_json(manifest_path, manifest)
-    return EXIT_OK
+    return names + ["summary.json"]
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -258,11 +268,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = load_scenario(args.scenario, args.set)
-    try:
-        report = run_baseline_comparison(cfg)
-    except CertificateError as exc:
-        print(f"certificate violation: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+    report = run_baseline_comparison(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for mode in report.modes:
@@ -306,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     run.add_argument("--trials", type=int)
     run.add_argument("--seed", type=int)
-    run.add_argument("--mode", choices=["se_loop", "raw_measurements", "full_exact", "pseudo_only", "linear_model"])
+    run.add_argument("--mode", choices=FEEDBACK_MODES)
     run.set_defaults(func=cmd_run)
 
     cert = sub.add_parser("certify", help="print the step-size certificate")
@@ -335,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except CertificateError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except (HarnessError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

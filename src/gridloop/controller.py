@@ -118,16 +118,12 @@ def primal_grad(
     state: ControllerState,
     cost: CostParams,
     model: LinearFlowModel,
-    config: ControllerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lagrangian gradients in (p, q).
 
     The voltage constraints contribute A^T (mu_upper - mu_lower) and the B^T
     analogue; the substation term uses the lossless sensitivity dP0/dp = -1.
-    ``config`` takes no part here (the gradient is step-size free) but keeps
-    the controller call signatures uniform.
     """
-    del config
     mu_diff = state.mu_upper - state.mu_lower
     dc0 = -2.0 * cost.alpha * (-state.p.sum() - cost.p0_target)
     g_p = 2.0 * cost.wp * (state.p - cost.p_ref) + dc0 + model.A.T @ mu_diff
@@ -190,7 +186,6 @@ def certify_step_size(
     cost: CostParams,
     model: LinearFlowModel,
     config: ControllerConfig,
-    net: NetworkModel,
 ) -> StepSizeCertificate:
     """Bound the saddle operator's constants and the admissible step size.
 
@@ -200,7 +195,6 @@ def certify_step_size(
     on J^T J; the certificate conservatively evaluates the larger of the two
     configured step sizes.
     """
-    del net
     M = float(min(2.0 * cost.wp.min(), 2.0 * cost.wq.min(), config.eta))
     if M <= 0:
         raise ValueError("strong monotonicity requires positive weights and eta")

@@ -11,7 +11,6 @@ exercised in the tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,33 +20,11 @@ import scipy.sparse as sp
 from .linearizer import LinearFlowModel, eval_linear
 from .netmodel import NetworkModel
 from .plant import solve_power_flow
-from .sensing import MeasurementBatch, MeasurementPlan, plan_reference_sigmas
+from .sensing import MeasurementPlan, plan_reference_sigmas
 
 
 class EstimationError(RuntimeError):
     """Raised when the WLS normal equations cannot be solved reliably."""
-
-
-@dataclass(frozen=True)
-class EstimationResult:
-    """State estimate with voltage reconstruction and dispersion analytics."""
-
-    z_hat: np.ndarray
-    r_hat: np.ndarray
-    var: np.ndarray
-    gamma: np.ndarray | None = None
-    fellback_linear: bool = False
-
-    @property
-    def p_hat(self) -> np.ndarray:
-        return self.z_hat[: self.z_hat.size // 2]
-
-    @property
-    def q_hat(self) -> np.ndarray:
-        return self.z_hat[self.z_hat.size // 2 :]
-
-    def ci_halfwidth(self, c: float) -> np.ndarray:
-        return c * np.sqrt(self.var)
 
 
 def _weight_diagonal(W) -> np.ndarray:
@@ -128,9 +105,9 @@ class WlsEstimator:
             b = b + self.U.T @ (self.w_sensor * y_s)
         return self.solve_normal(b)
 
-    def adjust(self, batch: MeasurementBatch) -> np.ndarray:
+    def adjust(self, y: np.ndarray) -> np.ndarray:
         """Fold the linear model's intercept out of the sensor channels."""
-        y = batch.y.copy()
+        y = y.copy()
         y[: self.ns] -= self.r0_offset
         return y
 
@@ -165,24 +142,6 @@ class WlsEstimator:
         cov_cols = self.solve_normal(G.T)
         return np.einsum("ij,ji->i", G, cov_cols)
 
-    def estimate(
-        self,
-        batch: MeasurementBatch,
-        net: NetworkModel,
-        mode: str = "nonlinear",
-        with_gamma: bool = False,
-    ) -> EstimationResult:
-        """Full estimation step: solve, reconstruct voltages, attach analytics."""
-        z_hat = self.solve(self.adjust(batch))
-        r_hat, fell_back = estimate_voltages(z_hat, net, self.model, mode)
-        return EstimationResult(
-            z_hat=z_hat,
-            r_hat=r_hat,
-            var=self.var,
-            gamma=self.gamma if with_gamma else None,
-            fellback_linear=fell_back,
-        )
-
 
 def estimate_voltages(
     z_hat: np.ndarray,
@@ -209,11 +168,3 @@ def estimate_voltages(
     if sol.converged:
         return sol.v_mag, False
     return eval_linear(model, p_hat, q_hat), True
-
-
-def confidence_interval(
-    result: EstimationResult, c: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state interval z_hat_j +/- c sqrt(Var[z_hat_j])."""
-    half = result.ci_halfwidth(c)
-    return result.z_hat - half, result.z_hat + half

@@ -9,11 +9,14 @@ given the scenario seeds; trials differ only through their measurement seed.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,12 +35,15 @@ from .controller import (
 )
 from .estimator import WlsEstimator, estimate_voltages
 from .feeders import resolve_network
-from .linearizer import LinearFlowModel, eval_linear, linearize
+from .linearizer import LINEARIZATIONS, LinearFlowModel, eval_linear, linearize
 from .netmodel import NetworkModel, load_network, scale_injections
 from .plant import solve_power_flow
 from .sensing import MeasurementPlan, make_plan, sample_measurements
 
 FEEDBACK_MODES = ("se_loop", "raw_measurements", "full_exact", "pseudo_only", "linear_model")
+# Feedback modes that run the WLS estimator (and so have confidence intervals).
+ESTIMATING_MODES = ("se_loop", "pseudo_only")
+BASELINE_MODES = ("se_loop", "raw_measurements", "pseudo_only")
 
 
 class HarnessError(RuntimeError):
@@ -62,6 +68,10 @@ class PlanSpec:
     sensor_sigma: float = 0.01
     pseudo_sigma: float = 0.5
     pseudo_fixed: bool = False
+
+    def __post_init__(self) -> None:
+        if self.sensor_fraction is not None and not 0.0 < self.sensor_fraction <= 1.0:
+            raise ValueError(f"sensor_fraction must lie in (0, 1], got {self.sensor_fraction}")
 
 
 @dataclass(frozen=True)
@@ -104,89 +114,73 @@ class ScenarioConfig:
             raise ValueError("plant_model must be 'nonlinear' or 'linear'")
         if self.estimation_mode not in ("nonlinear", "linear"):
             raise ValueError("estimation_mode must be 'nonlinear' or 'linear'")
+        if self.linearization not in LINEARIZATIONS:
+            raise ValueError(f"linearization must be one of {LINEARIZATIONS}")
+        if self.tighten_ci is not None:
+            if not (math.isfinite(self.tighten_ci) and self.tighten_ci > 0):
+                raise ValueError(f"tighten_ci must be finite and > 0, got {self.tighten_ci}")
+            if self.feedback_mode not in ESTIMATING_MODES:
+                raise ValueError(f"tighten_ci requires a feedback_mode in {ESTIMATING_MODES}")
 
     def to_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "load_scale": self.load_scale,
-            "linearization": self.linearization,
-            "controller": {
-                "eps_primal": self.controller.eps_primal,
-                "eps_dual": self.controller.eps_dual,
-                "eta": self.controller.eta,
-                "v_min": self.controller.v_min,
-                "v_max": self.controller.v_max,
-            },
-            "cost": {
-                "wp": self.cost.wp,
-                "wq": self.cost.wq,
-                "alpha": self.cost.alpha,
-                "p0_target": self.cost.p0_target,
-            },
-            "plan": {
-                "sensor_nodes": None
-                if self.plan.sensor_nodes is None
-                else list(self.plan.sensor_nodes),
-                "sensor_fraction": self.plan.sensor_fraction,
-                "placement_seed": self.plan.placement_seed,
-                "sensor_sigma": self.plan.sensor_sigma,
-                "pseudo_sigma": self.plan.pseudo_sigma,
-                "pseudo_fixed": self.plan.pseudo_fixed,
-            },
-            "feedback_mode": self.feedback_mode,
-            "plant_model": self.plant_model,
-            "estimation_mode": self.estimation_mode,
-            "iterations": self.iterations,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "allow_uncertified": self.allow_uncertified,
-            "track_saddle": self.track_saddle,
-            "verify_bound": self.verify_bound,
-            "tighten_ci": self.tighten_ci,
-        }
+        return _to_raw(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        ctl = raw["controller"]
-        cost = raw.get("cost", {})
-        plan = raw.get("plan", {})
-        nodes = plan.get("sensor_nodes")
-        return cls(
-            network=raw["network"],
-            load_scale=float(raw.get("load_scale", 1.0)),
-            linearization=raw.get("linearization", "lindistflow"),
-            controller=ControllerConfig(
-                eps_primal=float(ctl["eps_primal"]),
-                eps_dual=float(ctl["eps_dual"]),
-                eta=float(ctl.get("eta", 1e-3)),
-                v_min=float(ctl.get("v_min", 0.95)),
-                v_max=float(ctl.get("v_max", 1.05)),
-            ),
-            cost=CostSpec(
-                wp=float(cost.get("wp", 1.0)),
-                wq=float(cost.get("wq", 1.0)),
-                alpha=float(cost.get("alpha", 0.0005)),
-                p0_target=None if cost.get("p0_target") is None else float(cost["p0_target"]),
-            ),
-            plan=PlanSpec(
-                sensor_nodes=None if nodes is None else tuple(int(v) for v in nodes),
-                sensor_fraction=plan.get("sensor_fraction", 0.036 if nodes is None else None),
-                placement_seed=int(plan.get("placement_seed", 0)),
-                sensor_sigma=float(plan.get("sensor_sigma", 0.01)),
-                pseudo_sigma=float(plan.get("pseudo_sigma", 0.5)),
-                pseudo_fixed=bool(plan.get("pseudo_fixed", False)),
-            ),
-            feedback_mode=raw.get("feedback_mode", "se_loop"),
-            plant_model=raw.get("plant_model", "nonlinear"),
-            estimation_mode=raw.get("estimation_mode", "nonlinear"),
-            iterations=int(raw.get("iterations", 1000)),
-            trials=int(raw.get("trials", 1)),
-            base_seed=int(raw.get("base_seed", 0)),
-            allow_uncertified=bool(raw.get("allow_uncertified", False)),
-            track_saddle=bool(raw.get("track_saddle", False)),
-            verify_bound=bool(raw.get("verify_bound", False)),
-            tighten_ci=None if raw.get("tighten_ci") is None else float(raw["tighten_ci"]),
-        )
+        """Build from a scenario mapping; defaults come from the dataclasses.
+
+        Unknown or missing keys and values of the wrong type raise
+        ``ValueError`` naming the dotted key.
+        """
+        return _from_raw(cls, raw, "")
+
+
+def _to_raw(value):
+    if is_dataclass(value):
+        return {f.name: _to_raw(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_raw(v) for v in value]
+    return value
+
+
+def _from_raw(cls, raw, key: str):
+    if not isinstance(raw, dict):
+        raise ValueError(f"scenario key {key or '<root>'!r} must be an object, got {raw!r}")
+    prefix = f"{key}." if key else ""
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(raw) - names)
+    if unknown:
+        raise ValueError(f"unknown scenario key {prefix + unknown[0]!r}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in raw:
+            kwargs[f.name] = _coerce(hints[f.name], raw[f.name], prefix + f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing scenario key {prefix + f.name!r}")
+    return cls(**kwargs)
+
+
+def _coerce(tp, value, key: str):
+    """``value`` as the annotated type ``tp``: JSON numbers may widen from int
+    to float but never narrow, and only JSON booleans are booleans."""
+    if is_dataclass(tp):
+        return _from_raw(tp, value, key)
+    args = get_args(tp)
+    if isinstance(tp, UnionType):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _coerce(tp, value, key)
+    if get_origin(tp) is tuple and isinstance(value, (list, tuple)):
+        return tuple(_coerce(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if tp in (bool, str) and type(value) is tp:
+        return value
+    if tp is float and type(value) in (int, float):
+        return float(value)
+    if tp is int and (type(value) is int or type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"scenario key {key!r} must be {tp.__name__}, got {value!r}")
 
 
 @dataclass
@@ -204,9 +198,7 @@ class RunContext:
 
     def require_certificate(self) -> StepSizeCertificate:
         if self.certificate is None:
-            self.certificate = certify_step_size(
-                self.cost, self.model, self.cfg.controller, self.net
-            )
+            self.certificate = certify_step_size(self.cost, self.model, self.cfg.controller)
         return self.certificate
 
     @property
@@ -240,7 +232,7 @@ def prepare(
     )
     certificate = None
     if not cfg.allow_uncertified:
-        certificate = certify_step_size(cost, model, cfg.controller, net)
+        certificate = certify_step_size(cost, model, cfg.controller)
         if enforce_certificate and not certificate.certified:
             raise CertificateError(
                 f"step size {certificate.eps_configured:.3e} is not certified "
@@ -263,11 +255,7 @@ def prepare(
         seed=cfg.base_seed,
         pseudo_fixed=cfg.plan.pseudo_fixed,
     )
-    estimator = (
-        WlsEstimator(plan, model)
-        if cfg.feedback_mode in ("se_loop", "pseudo_only")
-        else None
-    )
+    estimator = WlsEstimator(plan, model) if cfg.feedback_mode in ESTIMATING_MODES else None
     ctx = RunContext(
         cfg=cfg,
         net=net,
@@ -382,18 +370,18 @@ def _feedback(
         return r_true
     if mode == "linear_model":
         return eval_linear(ctx.model, p, q)
-    batch = sample_measurements(plan, r_true, p, q, k)
+    y = sample_measurements(plan, r_true, k)
     ns = len(plan.sensor_nodes)
     if mode == "raw_measurements":
-        return batch.y[:ns]
+        return y[:ns]
     if mode == "se_loop":
         if ctx.exact_full_coverage:
-            return batch.y[:ns]
-        z_hat = ctx.estimator.solve(ctx.estimator.adjust(batch))
+            return y[:ns]
+        z_hat = ctx.estimator.solve(ctx.estimator.adjust(y))
         r_hat, _ = estimate_voltages(z_hat, ctx.net, ctx.model, cfg.estimation_mode)
         return r_hat
     if mode == "pseudo_only":
-        z_hat = batch.y[ns:]
+        z_hat = y[ns:]
         r_hat, _ = estimate_voltages(z_hat, ctx.net, ctx.model, cfg.estimation_mode)
         return r_hat
     raise HarnessError(f"unhandled feedback mode {mode}")
@@ -413,7 +401,7 @@ def run_closed_loop(
     ctx = context if context is not None else prepare(cfg)
     k_iter = cfg.iterations
     n = ctx.net.n
-    plan = ctx.plan.with_seed(cfg.base_seed + trial)
+    plan = replace(ctx.plan, seed=cfg.base_seed + trial)
 
     p = np.empty((k_iter, n))
     q = np.empty((k_iter, n))
@@ -458,7 +446,7 @@ def run_closed_loop(
         if x_star_vec is not None:
             dist[k] = np.linalg.norm(state.as_vector() - x_star_vec)
 
-        grads = primal_grad(state, ctx.cost, ctx.model, cfgc)
+        grads = primal_grad(state, ctx.cost, ctx.model)
         new_primal = primal_step(state, grads, ctx.net, cfgc)
         new_dual = dual_step(state, r_hat, cfgc)
         state = ControllerState(
@@ -497,12 +485,6 @@ def run_closed_loop(
     )
 
 
-def _trial_worker(args: tuple[dict, int]) -> SimulationTrace:
-    raw, trial = args
-    cfg = ScenarioConfig.from_dict(raw)
-    return run_closed_loop(cfg, trial=trial)
-
-
 def run_trials(cfg: ScenarioConfig, context: RunContext | None = None) -> list[SimulationTrace]:
     """All trials, optionally in parallel (GRIDLOOP_THREADS), in trial order.
 
@@ -513,30 +495,24 @@ def run_trials(cfg: ScenarioConfig, context: RunContext | None = None) -> list[S
     threads = int(os.environ.get("GRIDLOOP_THREADS", "1") or "1")
     if cfg.trials == 1 or threads <= 1:
         return [run_closed_loop(cfg, trial=t, context=ctx) for t in range(cfg.trials)]
-    raw = cfg.to_dict()
     with ProcessPoolExecutor(max_workers=min(threads, cfg.trials)) as pool:
-        return list(pool.map(_trial_worker, [(raw, t) for t in range(cfg.trials)]))
+        return list(pool.map(run_closed_loop, [cfg] * cfg.trials, range(cfg.trials)))
 
 
 # ---------------------------------------------------------------------------
 # Saddle-point oracle
 
 
-def saddle_oracle(
-    cfg: ScenarioConfig,
-    context: RunContext | None = None,
-    n_starts: int = 3,
-    fp_tol: float = 1e-12,
-) -> ControllerState:
+def saddle_oracle(cfg: ScenarioConfig, context: RunContext | None = None) -> ControllerState:
     """The unique saddle point of the regularized Lagrangian under the linear
     pipeline.
 
     Maximizing the duals in closed form (mu = [g]_+ / eta) turns the saddle
     problem into a strongly convex box-constrained minimization of
-    C(z) + ||[g(z)]_+||^2 / (2 eta), solved from several starts (agreement
+    C(z) + ||[g(z)]_+||^2 / (2 eta), solved from three starts (agreement
     within 1e-8 checks uniqueness) and polished by one exact solve of the
     active-set KKT system. The result must be a fixed point of the projected
-    primal-dual map within ``fp_tol``.
+    primal-dual map within 1e-12.
     """
     ctx = context if context is not None else prepare(cfg, enforce_certificate=False)
     net, model, cost, cfgc = ctx.net, ctx.model, ctx.cost, ctx.cfg.controller
@@ -571,9 +547,7 @@ def saddle_oracle(
         return val, grad
 
     rng = np.random.Generator(np.random.Philox(key=cfg.base_seed))
-    starts = [z_ref.copy()]
-    for _ in range(max(0, n_starts - 1)):
-        starts.append(lo + rng.uniform(0.0, 1.0, 2 * n) * (hi - lo))
+    starts = [z_ref] + [lo + rng.uniform(0.0, 1.0, 2 * n) * (hi - lo) for _ in range(2)]
     sols = []
     for z0 in starts:
         res = sopt.minimize(
@@ -602,10 +576,8 @@ def saddle_oracle(
 
     eps = ctx.require_certificate().eps_max / 10.0
     residual = _fixed_point_residual(x_star, ctx, eps)
-    if residual > fp_tol:
-        raise HarnessError(
-            f"saddle candidate is not a fixed point (residual {residual:.2e} > {fp_tol:.0e})"
-        )
+    if residual > 1e-12:
+        raise HarnessError(f"saddle candidate is not a fixed point (residual {residual:.2e} > 1e-12)")
     return x_star
 
 
@@ -648,7 +620,7 @@ def _kkt_polish(z, G, d_l, d_u, eta, wz, z_ref, cost, lo, hi, n, rounds: int = 4
 def _fixed_point_residual(state: ControllerState, ctx: RunContext, eps: float) -> float:
     """Distance moved by one exact primal-dual step from the candidate point."""
     single = replace(ctx.cfg.controller, eps_primal=eps, eps_dual=eps)
-    grads = primal_grad(state, ctx.cost, ctx.model, single)
+    grads = primal_grad(state, ctx.cost, ctx.model)
     stepped = primal_step(state, grads, ctx.net, single)
     r_lin = eval_linear(ctx.model, state.p, state.q)
     stepped_dual = dual_step(state, r_lin, single)
@@ -797,17 +769,16 @@ def _running_average(series: np.ndarray) -> np.ndarray:
     return np.cumsum(series) / np.arange(1, series.size + 1)
 
 
-def run_baseline_comparison(
-    cfg: ScenarioConfig, modes: tuple[str, ...] = ("se_loop", "raw_measurements", "pseudo_only")
-) -> ComparisonReport:
-    """Run the configured scenario under each feedback mode with shared seeds."""
+def run_baseline_comparison(cfg: ScenarioConfig) -> ComparisonReport:
+    """Run the configured scenario under each baseline feedback mode with
+    shared seeds (the tightening experiment is not part of a comparison)."""
     err_mean: dict[str, np.ndarray] = {}
     err_max: dict[str, np.ndarray] = {}
     run_mean: dict[str, np.ndarray] = {}
     run_max: dict[str, np.ndarray] = {}
     violations: dict[str, int] = {}
-    for mode in modes:
-        mode_cfg = replace(cfg, feedback_mode=mode)
+    for mode in BASELINE_MODES:
+        mode_cfg = replace(cfg, feedback_mode=mode, tighten_ci=None)
         trace = run_closed_loop(mode_cfg)
         err_mean[mode] = trace.se_err_mean
         err_max[mode] = trace.se_err_max
@@ -817,13 +788,11 @@ def run_baseline_comparison(
     tail = slice(min(100, cfg.iterations - 1), None)
 
     def _ratio(other: str) -> float:
-        if "se_loop" not in run_mean or other not in run_mean:
-            return float("nan")
         denom = run_mean[other][tail].mean()
         return float(run_mean["se_loop"][tail].mean() / denom) if denom > 0 else float("nan")
 
     return ComparisonReport(
-        modes=tuple(modes),
+        modes=BASELINE_MODES,
         err_mean=err_mean,
         err_max=err_max,
         running_avg_mean=run_mean,

@@ -9,14 +9,14 @@ the duration of a run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .netmodel import NetworkModel, path_sum_matrix
 from .plant import solve_power_flow
+
+LINEARIZATIONS = ("lindistflow", "jacobian")
 
 
 @dataclass(frozen=True)
@@ -99,30 +99,5 @@ def linearize(net: NetworkModel, method: str = "lindistflow") -> LinearFlowModel
         return lindistflow(net)
     if method == "jacobian":
         return jacobian_linearize(net, net.p0, net.q0)
-    raise ValueError(f"unknown linearization method {method!r}")
+    raise ValueError(f"unknown linearization method {method!r}; choose from {LINEARIZATIONS}")
 
-
-def to_json(model: LinearFlowModel, path: str | Path) -> None:
-    """Cache a model to disk (row-major matrices)."""
-    payload = {
-        "method": model.method,
-        "A": model.A.tolist(),
-        "B": model.B.tolist(),
-        "r0": model.r0.tolist(),
-        "base_point": None
-        if model.base_point is None
-        else [model.base_point[0].tolist(), model.base_point[1].tolist()],
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def from_json(path: str | Path) -> LinearFlowModel:
-    payload = json.loads(Path(path).read_text())
-    base = payload["base_point"]
-    return LinearFlowModel(
-        A=np.array(payload["A"], dtype=float),
-        B=np.array(payload["B"], dtype=float),
-        r0=np.array(payload["r0"], dtype=float),
-        method=payload["method"],
-        base_point=None if base is None else (np.array(base[0]), np.array(base[1])),
-    )

@@ -62,15 +62,6 @@ class FeasibleSet:
     q_max: float
     s_max: float | None = None
 
-    def contains(self, p: float, q: float, tol: float = 0.0) -> bool:
-        if p < self.p_min - tol or p > self.p_max + tol:
-            return False
-        if q < self.q_min - tol or q > self.q_max + tol:
-            return False
-        if self.s_max is not None and math.hypot(p, q) > self.s_max + tol:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class NetworkModel:

@@ -20,10 +20,6 @@ from .netmodel import NetworkModel, build_admittance, path_sum_matrix
 _DENSE_LIMIT = 1024
 
 
-class PowerFlowError(RuntimeError):
-    """Raised when a converged solution is required but not available."""
-
-
 @dataclass(frozen=True)
 class PowerFlowSolution:
     """Voltages and substation injection for one operating point.
@@ -135,12 +131,3 @@ def _level_sweep(st: _SweepStructure, i_inj: np.ndarray, v0: complex) -> np.ndar
         v[nodes] = v[par] - z * flow[nodes]
     return v
 
-
-def true_quantities(sol: PowerFlowSolution) -> np.ndarray:
-    """The plant's measured quantity vector: voltage magnitudes at nodes 1..N."""
-    if not sol.converged:
-        raise PowerFlowError(
-            f"power flow did not converge (residual {sol.residual:.3e} "
-            f"after {sol.iterations} sweeps)"
-        )
-    return sol.v_mag.copy()

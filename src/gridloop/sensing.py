@@ -18,11 +18,11 @@ import scipy.sparse as sp
 
 from .linearizer import LinearFlowModel
 
-# Relative pseudo noise is taken against at least this magnitude, and recorded
-# channel deviations are floored so the WLS weight matrix always exists. The
-# floor also bounds the weight spread across channels, keeping the factorized
-# normal equations inside double-precision headroom when some channels are
-# configured noiseless.
+# Relative pseudo noise is taken against at least this magnitude, and the
+# estimator's channel deviations are floored so the WLS weight matrix always
+# exists. The floor also bounds the weight spread across channels, keeping the
+# factorized normal equations inside double-precision headroom when some
+# channels are configured noiseless.
 PSEUDO_MAGNITUDE_FLOOR = 0.01
 SIGMA_FLOOR = 1e-6
 
@@ -53,35 +53,6 @@ class MeasurementPlan:
             raise ValueError("noise levels must be nonnegative")
         if len(self.pseudo_base[0]) != self.n or len(self.pseudo_base[1]) != self.n:
             raise ValueError("pseudo_base must provide (p, q) for every node")
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.sensor_nodes) + 2 * self.n
-
-    def with_seed(self, seed: int) -> "MeasurementPlan":
-        return MeasurementPlan(
-            n=self.n,
-            sensor_nodes=self.sensor_nodes,
-            sensor_sigma=self.sensor_sigma,
-            pseudo_sigma=self.pseudo_sigma,
-            pseudo_base=self.pseudo_base,
-            seed=seed,
-            pseudo_fixed=self.pseudo_fixed,
-        )
-
-
-@dataclass(frozen=True)
-class MeasurementBatch:
-    """One sampled measurement vector with per-channel deviations.
-
-    ``y`` stacks the sensor voltages, then the pseudo p and pseudo q of every
-    node. ``sigma`` carries the absolute standard deviations the sampler used
-    (floored to stay positive), which is what the estimator's weights and
-    variance analytics consume.
-    """
-
-    y: np.ndarray
-    sigma: np.ndarray
 
 
 def make_plan(
@@ -130,28 +101,21 @@ def _normals(seed: int, lane: int, k: int, count: int) -> np.ndarray:
     return gen.standard_normal(count)
 
 
-def sample_measurements(
-    plan: MeasurementPlan,
-    truth_v: np.ndarray,
-    truth_p: np.ndarray,
-    truth_q: np.ndarray,
-    iter: int,
-) -> MeasurementBatch:
-    """Draw the iteration-k measurement vector.
+def sample_measurements(plan: MeasurementPlan, truth_v: np.ndarray, iter: int) -> np.ndarray:
+    """Draw the iteration-k measurement vector y.
 
-    Sensor channels read truth_v[node] * (1 + sensor_sigma * xi); pseudo
-    channels read the plan's base injections plus absolute noise (the
-    instantaneous truth_p/truth_q are accepted for interface completeness but
-    pseudo means deliberately track the configured base pattern). Identical
-    (plan.seed, iter) always yields a bit-identical batch.
+    ``y`` stacks the sensor voltages, then the pseudo p and pseudo q of every
+    node. Sensor channels read truth_v[node] * (1 + sensor_sigma * xi); pseudo
+    channels read the plan's base injections plus absolute noise (pseudo
+    means deliberately track the configured base pattern, not the
+    instantaneous injections). Identical (plan.seed, iter) always yields a
+    bit-identical vector.
     """
-    del truth_p, truth_q
     n = plan.n
     sensors = np.array(plan.sensor_nodes, dtype=int)
     ns = sensors.size
 
     v_true = np.asarray(truth_v, dtype=float)[sensors - 1]
-    sensor_std = plan.sensor_sigma * np.abs(v_true)
     xi_v = _normals(plan.seed, 0, iter, ns) if ns else np.empty(0)
     y_v = v_true * (1.0 + plan.sensor_sigma * xi_v)
 
@@ -164,10 +128,7 @@ def sample_measurements(
     xi_z = _normals(plan.seed, 1, k_pseudo, 2 * n)
     y_z = np.concatenate([base_p, base_q]) + pseudo_std * xi_z
 
-    return MeasurementBatch(
-        y=np.concatenate([y_v, y_z]),
-        sigma=np.maximum(np.concatenate([sensor_std, pseudo_std]), SIGMA_FLOOR),
-    )
+    return np.concatenate([y_v, y_z])
 
 
 def plan_reference_sigmas(plan: MeasurementPlan, model: LinearFlowModel) -> np.ndarray:

@@ -57,6 +57,26 @@ def test_run_uncertified_step_exits_2(tmp_path, capsys):
     assert "eps_max" in err
 
 
+@pytest.mark.parametrize(
+    "extra, code, error",
+    [
+        (["--set", "controller.eps_primal=1.0"], 2, "CertificateError"),
+        (
+            ["--set", "load_scale=500", "--mode", "full_exact", "--set", "allow_uncertified=true"],
+            1,
+            "PlantDivergence: plant diverged at iteration 0",
+        ),
+        (["--set", "network=nowhere.json"], 1, "NetworkError: cannot parse network file"),
+    ],
+)
+def test_failed_run_manifest_says_so(tmp_path, extra, code, error):
+    assert main(_twobus_args(tmp_path, extra=extra)) == code
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith(error)
+    assert "outputs" not in manifest
+
+
 def test_run_determinism_identical_hashes(tmp_path):
     assert main(_twobus_args(tmp_path, out="a", extra=["--set", "base_seed=7"])) == 0
     assert main(_twobus_args(tmp_path, out="b", extra=["--set", "base_seed=7"])) == 0

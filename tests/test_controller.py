@@ -30,7 +30,7 @@ def _zero_model(n):
 def test_gradient_zero_at_nominal(net33):
     cost = CostParams.for_network(net33, alpha=0.0)
     model = lindistflow(net33)
-    g_p, g_q = primal_grad(initial_state(net33), cost, model, CFG)
+    g_p, g_q = primal_grad(initial_state(net33), cost, model)
     assert np.abs(g_p).max() == 0.0
     assert np.abs(g_q).max() == 0.0
 
@@ -43,7 +43,7 @@ def test_gradient_isolates_dual_coupling(net33):
     mu_l = np.zeros(32)
     mu_l[j] = 1.0
     st = ControllerState(p=st.p, q=st.q, mu_lower=mu_l, mu_upper=np.zeros(32))
-    g_p, g_q = primal_grad(st, cost, model, CFG)
+    g_p, g_q = primal_grad(st, cost, model)
     assert np.allclose(g_p, -model.A[j, :], atol=1e-15)
     assert np.allclose(g_q, -model.B[j, :], atol=1e-15)
 
@@ -69,7 +69,7 @@ def test_gradients_match_finite_differences(twobus_json):
         def lag(pp, qq, ml, mu):
             return scalar_lagrangian(pp, qq, ml, mu, **kw)
 
-        g_p, g_q = primal_grad(st, cost, model, CFG)
+        g_p, g_q = primal_grad(st, cost, model)
         e = np.array([h])
         fd_p = (lag(p + e, q, mu_l, mu_u) - lag(p - e, q, mu_l, mu_u)) / (2 * h)
         fd_q = (lag(p, q + e, mu_l, mu_u) - lag(p, q - e, mu_l, mu_u)) / (2 * h)
@@ -107,7 +107,7 @@ def test_primal_step_hand_computed(twobus_json):
         p=np.array([-0.06]), q=np.array([-0.02]),
         mu_lower=np.array([0.5]), mu_upper=np.array([0.0]),
     )
-    g = primal_grad(st, cost, model, CFG)
+    g = primal_grad(st, cost, model)
     # By hand: g_p = 2(p - p0) - A mu_l = 2(0.04) - 0.01*0.5 = 0.075
     #          g_q = 2(q - q0) - B mu_l = 2(0.03) - 0.02*0.5 = 0.05
     assert g[0][0] == pytest.approx(0.075)
@@ -169,7 +169,7 @@ def test_certificate_decoupled_closed_form():
         p_ref=np.zeros(n), q_ref=np.zeros(n),
     )
     cfg = ControllerConfig(eps_primal=1e-3, eps_dual=1e-3, eta=0.01)
-    cert = certify_step_size(cost, model, cfg, net=None)
+    cert = certify_step_size(cost, model, cfg)
     assert cert.M == pytest.approx(0.01)
     assert cert.L == pytest.approx(2.0, rel=1e-9)
     assert cert.eps_max == pytest.approx(2 * 0.01 / 4.0)
@@ -178,7 +178,7 @@ def test_certificate_decoupled_closed_form():
 def test_certificate_operator_norm_matches_svd(net33):
     model = lindistflow(net33)
     cost = CostParams.for_network(net33, alpha=5e-4)
-    cert = certify_step_size(cost, model, CFG, net33)
+    cert = certify_step_size(cost, model, CFG)
     n = 32
     Hc = np.diag(np.concatenate([2 * cost.wp, 2 * cost.wq]))
     Hc[:n, :n] += 2 * cost.alpha
@@ -193,11 +193,11 @@ def test_certificate_operator_norm_matches_svd(net33):
 def test_certificate_scaling_monotonicity(net33):
     model = lindistflow(net33)
     cost = CostParams.for_network(net33)
-    cert1 = certify_step_size(cost, model, CFG, net33)
+    cert1 = certify_step_size(cost, model, CFG)
     doubled = LinearFlowModel(
         A=2 * model.A, B=2 * model.B, r0=model.r0, method=model.method
     )
-    cert2 = certify_step_size(cost, doubled, CFG, net33)
+    cert2 = certify_step_size(cost, doubled, CFG)
     assert cert2.L > cert1.L
     assert cert2.eps_max < cert1.eps_max
 
@@ -205,7 +205,7 @@ def test_certificate_scaling_monotonicity(net33):
 def test_certified_step_gives_contractive_delta(net33):
     model = lindistflow(net33)
     cost = CostParams.for_network(net33)
-    cert = certify_step_size(cost, model, CFG, net33)
+    cert = certify_step_size(cost, model, CFG)
     assert cert.certified
     for eps in (cert.eps_max / 2, cert.eps_max / 10, cert.eps_configured):
         if 0 < eps < cert.eps_max:
@@ -231,7 +231,7 @@ def test_gradients_match_finite_differences_33bus(net33):
             mu_lower=rng.uniform(0, 1, 32),
             mu_upper=rng.uniform(0, 1, 32),
         )
-        g_p, g_q = primal_grad(st, cost, model, CFG)
+        g_p, g_q = primal_grad(st, cost, model)
         for idx in (0, 13, 31):
             e = np.zeros(32)
             e[idx] = h

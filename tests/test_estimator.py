@@ -5,9 +5,7 @@ import pytest
 
 from gridloop.estimator import (
     EstimationError,
-    EstimationResult,
     WlsEstimator,
-    confidence_interval,
     estimate_voltages,
     wls_solve,
 )
@@ -174,19 +172,6 @@ def test_estimate_voltages_fallback_flag(net33):
     assert np.array_equal(r, eval_linear(model, z[:32], z[32:]))
 
 
-def test_confidence_interval_diagonal_case():
-    res = EstimationResult(
-        z_hat=np.array([1.0, 2.0]),
-        r_hat=np.zeros(2),
-        var=np.array([0.04, 0.04]),
-    )
-    lo, hi = confidence_interval(res, 2.5)
-    assert np.allclose(hi - res.z_hat, 2.5 * 0.2)
-    lo0, hi0 = confidence_interval(res, 0.0)
-    assert np.array_equal(lo0, hi0)
-    assert np.array_equal(lo0, res.z_hat)
-
-
 def test_full_estimation_pipeline_with_batch(net33):
     # Exact sensors (floored deviation, huge weight) against noisy pseudo
     # channels: the estimate must fit the sensor rows almost exactly while the
@@ -195,13 +180,13 @@ def test_full_estimation_pipeline_with_batch(net33):
     plan = _plan(net33, sensors=(5, 17), sensor_sigma=0.0, pseudo_sigma=0.5)
     est = WlsEstimator(plan, model)
     truth = solve_power_flow(net33, net33.p0, net33.q0)
-    batch = sample_measurements(plan, truth.v_mag, net33.p0, net33.q0, iter=0)
-    assert batch.y[0] == truth.v_mag[4] and batch.y[1] == truth.v_mag[16]
-    result = est.estimate(batch, net33, mode="linear")
-    sensed = eval_linear(model, result.p_hat, result.q_hat)[[4, 16]]
+    y = sample_measurements(plan, truth.v_mag, iter=0)
+    assert y[0] == truth.v_mag[4] and y[1] == truth.v_mag[16]
+    z_hat = est.solve(est.adjust(y))
+    sensed = eval_linear(model, z_hat[:32], z_hat[32:])[[4, 16]]
     assert np.abs(sensed - truth.v_mag[[4, 16]]).max() < 1e-5
     nominal = np.concatenate([net33.p0, net33.q0])
-    assert np.abs(result.z_hat - nominal).max() < 0.2
+    assert np.abs(z_hat - nominal).max() < 0.2
 
 
 def test_wls_accepts_sparse_weight_matrix(net33):

@@ -148,7 +148,7 @@ def test_saddle_oracle_binding_satisfies_kkt():
         ctx.cfg.controller.eta * xs.mu_lower[0], abs=1e-10
     )
     # Primal stationarity: a projected step does not move the point.
-    grads = primal_grad(xs, ctx.cost, ctx.model, cfg.controller)
+    grads = primal_grad(xs, ctx.cost, ctx.model)
     stepped = primal_step(xs, grads, ctx.net, cfg.controller)
     assert np.abs(stepped.p - xs.p).max() < 1e-10
     assert np.abs(stepped.q - xs.q).max() < 1e-10

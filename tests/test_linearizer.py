@@ -7,11 +7,9 @@ import pytest
 
 from gridloop.linearizer import (
     eval_linear,
-    from_json,
     jacobian_linearize,
     lindistflow,
     linearize,
-    to_json,
 )
 from gridloop.netmodel import load_network
 from gridloop.plant import solve_power_flow
@@ -124,14 +122,3 @@ def test_linearize_dispatch(net33):
     with pytest.raises(ValueError):
         linearize(net33, "nope")
 
-
-def test_json_roundtrip(tmp_path, net33):
-    m = jacobian_linearize(net33, net33.p0, net33.q0)
-    path = tmp_path / "model.json"
-    to_json(m, path)
-    back = from_json(path)
-    assert back.method == m.method
-    assert np.array_equal(back.A, m.A)
-    assert np.array_equal(back.B, m.B)
-    assert np.array_equal(back.r0, m.r0)
-    assert np.array_equal(back.base_point[0], m.base_point[0])

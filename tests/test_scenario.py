@@ -1,0 +1,90 @@
+from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from gridloop.cli import load_scenario
+from gridloop.controller import ControllerConfig
+from gridloop.harness import PlanSpec, ScenarioConfig
+
+SCEN = Path(__file__).resolve().parents[1] / "scenarios"
+CTL = ControllerConfig(eps_primal=7e-4, eps_dual=1e-3)
+
+
+def _cfg(**kw) -> ScenarioConfig:
+    return ScenarioConfig(**{"network": "ieee33", "controller": CTL, **kw})
+
+
+@pytest.mark.parametrize("path", sorted(SCEN.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_scenarios_echo_their_file(path):
+    raw = json.loads(path.read_text())
+    candidate = path.parent / raw["network"]
+    if candidate.exists():
+        raw["network"] = str(candidate)
+    cfg = load_scenario(path)
+    assert cfg.to_dict() == raw
+    assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("iteration=5", "iteration"),
+        ("plan.sensor_fractoin=0.1", "plan.sensor_fractoin"),
+        ("foo.bar=1", "foo"),
+        ("iterations.x=1", "iterations"),
+        ('plan.pseudo_fixed="false"', "plan.pseudo_fixed"),
+        ("iterations=2.7", "iterations"),
+        ("trials=true", "trials"),
+        ("load_scale=\"1.0\"", "load_scale"),
+        ("plan.sensor_nodes=[1.5]", "plan.sensor_nodes[0]"),
+        ("cost=null", "cost"),
+    ],
+)
+def test_schema_rejects_bad_keys_by_dotted_name(override, key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        load_scenario(SCEN / "twobus.json", [override])
+
+
+def test_schema_requires_controller_steps():
+    raw = _cfg().to_dict()
+    del raw["controller"]["eps_primal"]
+    with pytest.raises(ValueError, match=re.escape("'controller.eps_primal'")):
+        ScenarioConfig.from_dict(raw)
+
+
+def test_schema_defaults_and_coercion_by_annotation():
+    cfg = ScenarioConfig.from_dict(
+        {"network": "ieee33", "controller": {"eps_primal": 1, "eps_dual": 0.001}, "iterations": 300.0}
+    )
+    assert cfg == _cfg(controller=ControllerConfig(eps_primal=1.0, eps_dual=1e-3), iterations=300)
+    assert type(cfg.controller.eps_primal) is float and type(cfg.iterations) is int
+    assert cfg.plan == PlanSpec()
+
+
+def test_linearization_must_be_known():
+    with pytest.raises(ValueError, match="linearization"):
+        _cfg(linearization="lindistfow")
+
+
+@pytest.mark.parametrize("c", [-2.576, 0.0, float("inf"), float("nan")])
+def test_tighten_ci_must_be_finite_and_positive(c):
+    with pytest.raises(ValueError, match="tighten_ci"):
+        _cfg(tighten_ci=c)
+
+
+@pytest.mark.parametrize("mode", ["full_exact", "raw_measurements", "linear_model"])
+def test_tighten_ci_requires_estimating_mode(mode):
+    with pytest.raises(ValueError, match="tighten_ci requires"):
+        _cfg(tighten_ci=2.576, feedback_mode=mode)
+    _cfg(tighten_ci=2.576, feedback_mode="pseudo_only")
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
+def test_sensor_fraction_in_unit_interval(fraction):
+    with pytest.raises(ValueError, match="sensor_fraction"):
+        PlanSpec(sensor_fraction=fraction)
+    PlanSpec(sensor_fraction=1.0)

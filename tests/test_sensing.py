@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gridloop.sensing import (
     build_linear_measurement_model,
     make_plan,
     place_sensors,
+    plan_reference_sigmas,
     sample_measurements,
 )
 
@@ -30,35 +33,34 @@ def _plan33(net, sensors=(5, 17), sensor_sigma=0.01, pseudo_sigma=0.5, seed=99, 
 def test_noiseless_batch_reads_truth_and_base(net33):
     plan = _plan33(net33, sensor_sigma=0.0, pseudo_sigma=0.0)
     truth_v = np.linspace(0.95, 1.0, 32)
-    batch = sample_measurements(plan, truth_v, net33.p0, net33.q0, iter=3)
-    assert batch.y[0] == truth_v[4]
-    assert batch.y[1] == truth_v[16]
-    assert np.array_equal(batch.y[2:34], net33.p0)
-    assert np.array_equal(batch.y[34:], net33.q0)
-    assert (batch.sigma > 0).all()
+    y = sample_measurements(plan, truth_v, iter=3)
+    assert y[0] == truth_v[4]
+    assert y[1] == truth_v[16]
+    assert np.array_equal(y[2:34], net33.p0)
+    assert np.array_equal(y[34:], net33.q0)
+    assert (plan_reference_sigmas(plan, lindistflow(net33)) > 0).all()
 
 
 def test_determinism_same_seed_and_iteration(net33):
     plan = _plan33(net33)
     truth_v = np.full(32, 0.98)
-    a = sample_measurements(plan, truth_v, net33.p0, net33.q0, iter=7)
-    b = sample_measurements(plan, truth_v, net33.p0, net33.q0, iter=7)
-    assert np.array_equal(a.y, b.y)
-    assert np.array_equal(a.sigma, b.sigma)
-    c = sample_measurements(plan, truth_v, net33.p0, net33.q0, iter=8)
-    assert not np.array_equal(a.y, c.y)
-    d = sample_measurements(plan.with_seed(100), truth_v, net33.p0, net33.q0, iter=7)
-    assert not np.array_equal(a.y, d.y)
+    a = sample_measurements(plan, truth_v, iter=7)
+    b = sample_measurements(plan, truth_v, iter=7)
+    assert np.array_equal(a, b)
+    c = sample_measurements(plan, truth_v, iter=8)
+    assert not np.array_equal(a, c)
+    d = sample_measurements(replace(plan, seed=100), truth_v, iter=7)
+    assert not np.array_equal(a, d)
 
 
 def test_pseudo_fixed_reuses_iteration_zero_noise(net33):
     plan = _plan33(net33, pseudo_fixed=True)
     truth_v = np.full(32, 1.0)
-    a = sample_measurements(plan, truth_v, net33.p0, net33.q0, iter=0)
-    b = sample_measurements(plan, truth_v, net33.p0, net33.q0, iter=5)
+    a = sample_measurements(plan, truth_v, iter=0)
+    b = sample_measurements(plan, truth_v, iter=5)
     ns = len(plan.sensor_nodes)
-    assert np.array_equal(a.y[ns:], b.y[ns:])
-    assert not np.array_equal(a.y[:ns], b.y[:ns])
+    assert np.array_equal(a[ns:], b[ns:])
+    assert not np.array_equal(a[:ns], b[:ns])
 
 
 def test_sensor_channel_statistics(net33):
@@ -67,7 +69,7 @@ def test_sensor_channel_statistics(net33):
     truth_v = np.ones(32)
     vals = np.array(
         [
-            sample_measurements(plan, truth_v, net33.p0, net33.q0, iter=k).y[0]
+            sample_measurements(plan, truth_v, iter=k)[0]
             for k in range(100_000)
         ]
     )
@@ -80,7 +82,7 @@ def test_channel_cross_correlation(net33):
     truth_v = np.ones(32)
     draws = np.array(
         [
-            sample_measurements(plan, truth_v, net33.p0, net33.q0, iter=k).y[:6]
+            sample_measurements(plan, truth_v, iter=k)[:6]
             for k in range(10_000)
         ]
     )
@@ -94,7 +96,7 @@ def test_noise_independent_across_iterations(net33):
     truth_v = np.ones(32)
     series = np.array(
         [
-            sample_measurements(plan, truth_v, net33.p0, net33.q0, iter=k).y[0]
+            sample_measurements(plan, truth_v, iter=k)[0]
             for k in range(10_000)
         ]
     )
@@ -109,8 +111,8 @@ def test_pseudo_floor_guards_zero_load_nodes(net33):
         n=32, sensor_nodes=(), sensor_fraction=None, placement_seed=0,
         sensor_sigma=0.0, pseudo_sigma=0.5, pseudo_base=(p0, net33.q0), seed=1,
     )
-    batch = sample_measurements(plan, np.ones(32), p0, net33.q0, iter=0)
-    assert batch.sigma[5] == pytest.approx(0.5 * 0.01)
+    sigma = plan_reference_sigmas(plan, lindistflow(net33))
+    assert sigma[5] == pytest.approx(0.5 * 0.01)
 
 
 def test_place_sensors_fraction():
