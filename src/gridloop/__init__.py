@@ -4,6 +4,8 @@ estimation, the primal-dual controller, and the closed-loop harness."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .controller import (
     ControllerConfig,
     ControllerState,
@@ -55,4 +57,8 @@ from .sensing import (
     sample_measurements,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -55,7 +55,7 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
         key, _, value = item.partition("=")
         _set_dotted(raw, key.strip(), _parse_value(value.strip()))
     network = raw.get("network")
-    if isinstance(network, str) and not network.startswith("/"):
+    if isinstance(network, str) and network and not network.startswith("/"):
         candidate = path.parent / network
         if candidate.exists():
             raw["network"] = str(candidate)

@@ -18,7 +18,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .linearizer import LinearFlowModel, eval_linear
-from .netmodel import NetworkModel
+from .netmodel import NetworkModel, PathSum
 from .plant import solve_power_flow
 from .sensing import MeasurementPlan, plan_reference_sigmas
 
@@ -81,11 +81,7 @@ class WlsEstimator:
         w = self.sigma**-2.0
         self.w_sensor = w[: self.ns]
         self.w_pseudo = w[self.ns :]
-        self.U = (
-            np.hstack([model.A[self.sensors - 1, :], model.B[self.sensors - 1, :]])
-            if self.ns
-            else np.zeros((0, 2 * self.n))
-        )
+        self.U = model.voltage_rows(self.sensors - 1)
         self.r0_offset = model.r0[self.sensors - 1]
         if self.ns:
             K = np.diag(1.0 / self.w_sensor) + (self.U / self.w_pseudo) @ self.U.T
@@ -122,7 +118,8 @@ class WlsEstimator:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Explicit estimator gain Gamma = (H^T W H)^-1 H^T W (2N x channels)."""
+        """Explicit estimator gain Gamma = (H^T W H)^-1 H^T W (2N x channels);
+        dense, O(N^2) memory, a reference for tests."""
         HtW = np.hstack(
             [self.U.T * self.w_sensor, np.eye(2 * self.n) * self.w_pseudo[:, None]]
         )
@@ -137,10 +134,31 @@ class WlsEstimator:
         return t - ((self.U.T @ v).T / self.w_pseudo).T
 
     def voltage_variance(self) -> np.ndarray:
-        """Variance of the linearly reconstructed voltages [A B] z_hat."""
-        G = np.hstack([self.model.A, self.model.B])
-        cov_cols = self.solve_normal(G.T)
-        return np.einsum("ij,ji->i", G, cov_cols)
+        """Variance of the linearly reconstructed voltages G z_hat, G = [A B].
+
+        With the lemma form of the covariance, ``D^-1 - D^-1 U^T K^-1 U D^-1``
+        (D the pseudo weights, K = L L^T), entry i is ``sum_j G_ij^2 / w_j``
+        minus ``||L^-1 U D^-1 G^T e_i||^2``. The first term is O(N) on the
+        tree (``PathSum.diag_quad``), the second takes two (N, ns) products and
+        one triangular solve, so no N x N array is formed.
+        """
+        A, B = self.model.A, self.model.B
+        n = self.n
+        d = 1.0 / self.w_pseudo
+        var = _diag_quad(A, d[:n]) + _diag_quad(B, d[n:])
+        if self.ns:
+            ud = self.U * d
+            cross = A @ ud[:, :n].T + B @ ud[:, n:].T
+            z = sla.solve_triangular(self._K_cho[0], cross.T, lower=True)
+            var = var - (z**2).sum(axis=0)
+        return var
+
+
+def _diag_quad(m: np.ndarray | PathSum, d: np.ndarray) -> np.ndarray:
+    """``diag(M diag(d) M^T)``."""
+    if isinstance(m, np.ndarray):
+        return (m * m) @ d
+    return m.diag_quad(d)
 
 
 def estimate_voltages(

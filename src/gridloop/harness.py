@@ -104,6 +104,8 @@ class ScenarioConfig:
     tighten_ci: float | None = None
 
     def __post_init__(self) -> None:
+        if not self.network:
+            raise ValueError("scenario key 'network' must name a builtin network or a file")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.trials < 1:
@@ -489,14 +491,17 @@ def run_trials(cfg: ScenarioConfig, context: RunContext | None = None) -> list[S
     """All trials, optionally in parallel (GRIDLOOP_THREADS), in trial order.
 
     Results are aggregated in trial order regardless of scheduling, so
-    parallel and serial runs produce identical output.
+    parallel and serial runs produce identical output. Workers receive the
+    prepared context, so none of them repeats ``prepare``.
     """
     ctx = context if context is not None else prepare(cfg)
     threads = int(os.environ.get("GRIDLOOP_THREADS", "1") or "1")
     if cfg.trials == 1 or threads <= 1:
         return [run_closed_loop(cfg, trial=t, context=ctx) for t in range(cfg.trials)]
     with ProcessPoolExecutor(max_workers=min(threads, cfg.trials)) as pool:
-        return list(pool.map(run_closed_loop, [cfg] * cfg.trials, range(cfg.trials)))
+        return list(
+            pool.map(run_closed_loop, [cfg] * cfg.trials, range(cfg.trials), [ctx] * cfg.trials)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +528,7 @@ def saddle_oracle(cfg: ScenarioConfig, context: RunContext | None = None) -> Con
             "the saddle oracle supports box feasible sets only (apparent-power "
             "caps are outside the closed-form dual elimination)"
         )
-    G = np.hstack([model.A, model.B])
+    G = model.dense_sensitivities()
     d_l = cfgc.v_min - model.r0
     d_u = model.r0 - cfgc.v_max
     eta = cfgc.eta

@@ -5,6 +5,12 @@ squared-magnitude sensitivities are rescaled by 1/(2 v0) onto voltage
 magnitude (so |v| ~ v0 + (R p + X q)/v0), and a numerical Jacobian of the
 nonlinear plant around an operating point. Models are immutable and fixed for
 the duration of a run.
+
+LinDistFlow's A and B come from ``netmodel.path_sum``: dense N x N arrays on
+small networks and O(N) ``PathSum`` operators on large ones, so every consumer
+uses only ``@`` and ``.T @`` (or ``voltage_rows`` and ``dense_sensitivities``
+when it needs entries). The Jacobian model is always dense: it takes 4N
+perturbed plant solves and O(N^2) memory.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import NetworkModel, path_sum_matrix
+from .netmodel import NetworkModel, PathSum, path_sum
 from .plant import solve_power_flow
 
 LINEARIZATIONS = ("lindistflow", "jacobian")
@@ -23,8 +29,8 @@ LINEARIZATIONS = ("lindistflow", "jacobian")
 class LinearFlowModel:
     """Sensitivities of voltage magnitude to injections plus intercept."""
 
-    A: np.ndarray
-    B: np.ndarray
+    A: np.ndarray | PathSum
+    B: np.ndarray | PathSum
     r0: np.ndarray
     method: str
     base_point: tuple[np.ndarray, np.ndarray] | None = None
@@ -33,16 +39,39 @@ class LinearFlowModel:
     def n(self) -> int:
         return self.r0.shape[0]
 
+    def voltage_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows ``[A_idx B_idx]`` (len(idx) x 2N) for 0-based node indices;
+        from an operator they are one block product with unit vectors."""
+        return np.hstack([_rows(self.A, idx), _rows(self.B, idx)])
+
+    def dense_sensitivities(self) -> np.ndarray:
+        """The explicit N x 2N matrix ``[A B]`` (O(N^2) memory), for the
+        consumers that need every entry: the saddle oracle and its KKT polish."""
+        return np.hstack([_dense(self.A), _dense(self.B)])
+
+
+def _rows(m: np.ndarray | PathSum, idx: np.ndarray) -> np.ndarray:
+    if isinstance(m, np.ndarray):
+        return m[idx, :]
+    unit = np.zeros((m.shape[0], len(idx)))
+    unit[idx, np.arange(len(idx))] = 1.0
+    return (m.T @ unit).T
+
+
+def _dense(m: np.ndarray | PathSum) -> np.ndarray:
+    return m if isinstance(m, np.ndarray) else m.toarray()
+
 
 def lindistflow(net: NetworkModel) -> LinearFlowModel:
     """LinDistFlow model: A_ij sums branch resistance over the shared
     substation path of nodes i and j (B_ij the reactance), scaled by 1/v0."""
     z = net.branch_z
-    A = path_sum_matrix(net, z.real) / net.v0
-    B = path_sum_matrix(net, z.imag) / net.v0
+    A = path_sum(net, z.real) / net.v0
+    B = path_sum(net, z.imag) / net.v0
     r0 = np.full(net.n, float(net.v0))
     for m in (A, B, r0):
-        m.setflags(write=False)
+        if isinstance(m, np.ndarray):
+            m.setflags(write=False)
     return LinearFlowModel(A=A, B=B, r0=r0, method="lindistflow")
 
 

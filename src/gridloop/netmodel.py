@@ -8,6 +8,7 @@ graph must be a spanning tree rooted at node 0.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -17,6 +18,12 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+# Networks with at most this many non-slack nodes use dense N x N path-sum
+# and admittance matrices; larger ones use the O(N) PathSum kernel and a
+# sparse admittance. Measured on a 2-CPU x86 host, a dense product and a
+# PathSum product cost the same between 256 and 384 nodes (README, "Scaling").
+DENSE_LIMIT = 300
 
 
 class NetworkError(ValueError):
@@ -135,14 +142,6 @@ class NetworkModel:
         return _freeze(np.array(order, dtype=int))
 
     @cached_property
-    def _levels(self) -> tuple[np.ndarray, ...]:
-        """Node indices grouped by depth, shallowest first."""
-        d = self.depth
-        return tuple(
-            _freeze(np.flatnonzero(d == lev)) for lev in range(1, int(d.max()) + 1)
-        )
-
-    @cached_property
     def _dfs_span(self) -> tuple[np.ndarray, np.ndarray]:
         """DFS preorder slot and subtree end slot per non-slack node, so the
         subtree of node i+1 occupies slots [pos[i], end[i])."""
@@ -164,6 +163,32 @@ class NetworkModel:
             for c in reversed(children[nid]):
                 stack.append((c, False))
         return _freeze(pos), _freeze(end)
+
+    @cached_property
+    def _tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Gather indices of the path-sum kernel (see :class:`PathSum`):
+        the node in each DFS slot, each slot's subtree end, each node's slot,
+        the slots sorted by subtree end, and per slot the number of subtrees
+        that end at or before it."""
+        pos, end = self._dfs_span
+        order = np.empty(self.n, dtype=int)
+        order[pos] = np.arange(self.n)
+        end_slot = end[order]
+        by_end = np.argsort(end_slot, kind="stable")
+        closed = np.searchsorted(end_slot[by_end], np.arange(self.n), side="right")
+        return tuple(_freeze(a) for a in (order, end_slot, pos, by_end, closed))  # type: ignore[return-value]
+
+    @cached_property
+    def _sweep(self) -> tuple:
+        """Operators of the backward/forward sweep, built once per network:
+        the common-path impedance ``Z`` (:func:`path_sum` of the branch
+        impedances) and the admittance partition ``(Y, y_bar, y00)`` of
+        :func:`build_admittance`, with ``Y`` dense up to ``DENSE_LIMIT``
+        nodes and sparse above."""
+        Y, y_bar, y00 = build_admittance(self)
+        if self.n <= DENSE_LIMIT:
+            Y = Y.toarray()
+        return path_sum(self, self.branch_z), Y, y_bar, y00
 
     @cached_property
     def box(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -417,12 +442,93 @@ def scale_injections(net: NetworkModel, factor: float) -> NetworkModel:
     return NetworkModel(nodes=nodes, lines=net.lines, v0=net.v0, feasible=feasible)
 
 
+def path_sum(net: NetworkModel, weights: np.ndarray) -> np.ndarray | PathSum:
+    """The common-path product of ``weights`` in the form that is faster for
+    this network: the dense :func:`path_sum_matrix` up to ``DENSE_LIMIT``
+    non-slack nodes, the O(N) :class:`PathSum` above. Callers use only ``@``,
+    ``.T @`` and division by a scalar, which both forms support."""
+    if net.n <= DENSE_LIMIT:
+        return _freeze(path_sum_matrix(net, weights))
+    return PathSum(net, weights)
+
+
+class PathSum:
+    """The matrix of :func:`path_sum_matrix`, applied without forming it.
+
+    ``P @ x`` gives ``y_i = sum_{k in path(i)} weights[k] * sum_{j in
+    subtree(k)} x_j``: the backward sweep (subtree sums) and forward sweep
+    (path sums) of a radial feeder (Shirmohammadi et al., 1988; Baran and
+    Wu, 1989). Both are a ``cumsum`` over the DFS slots of
+    ``NetworkModel._dfs_span``: a subtree is a contiguous slot range, and a
+    path sum at slot t is the prefix sum of the branch terms up to t minus
+    those of the subtrees that closed at or before t. Each product is O(N)
+    per column, for a vector or an (N, m) block, real or complex. P is
+    symmetric, so ``P.T`` is ``P``.
+    """
+
+    def __init__(self, net: NetworkModel, weights: np.ndarray):
+        self._order, self._end, self._pos, self._by_end, self._closed = net._tree
+        self._w = np.asarray(weights)[self._order]
+        self.shape = (net.n, net.n)
+
+    @property
+    def T(self) -> PathSum:
+        return self
+
+    def __truediv__(self, scale: float) -> PathSum:
+        out = copy.copy(self)
+        out._w = self._w / scale
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"operand has {x.shape[0]} rows, expected {self.shape[1]}")
+        w = self._w if x.ndim == 1 else self._w[:, None]
+        return self._path(w * self._subtree(x[self._order]))[self._pos]
+
+    def diag_quad(self, d: np.ndarray) -> np.ndarray:
+        """``diag(P diag(d) P)`` in O(N).
+
+        Entry i is ``sum_j P_ij^2 d_j``. Since P_ij is the weight sum R(a)
+        of the path to a = lca(i, j), it equals the path sum over a in
+        path(i) of ``Dsub(a) (R(a)^2 - R(parent a)^2)``, with Dsub the
+        subtree sum of d.
+        """
+        w = self._w
+        r = self._path(w)
+        dsub = self._subtree(np.asarray(d)[self._order])
+        return self._path(dsub * w * (2.0 * r - w))[self._pos]
+
+    def toarray(self) -> np.ndarray:
+        """The explicit N x N matrix (O(N^2) memory)."""
+        return self @ np.eye(self.shape[0])
+
+    def _subtree(self, xs: np.ndarray) -> np.ndarray:
+        """Subtree sums per DFS slot of values given per DFS slot."""
+        c = _prefix(xs)
+        return c[self._end] - c[:-1]
+
+    def _path(self, us: np.ndarray) -> np.ndarray:
+        """Path sums per DFS slot of branch terms given per DFS slot."""
+        return _prefix(us)[1:] - _prefix(us[self._by_end])[self._closed]
+
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Prefix sums along axis 0 with a leading zero row: out[k] = x[:k].sum(0).
+    (``np.add.accumulate``: ``np.cumsum`` costs 2 us more per call.)"""
+    out = np.zeros((x.shape[0] + 1,) + x.shape[1:], dtype=x.dtype)
+    np.add.accumulate(x, axis=0, out=out[1:])
+    return out
+
+
 def path_sum_matrix(net: NetworkModel, weights: np.ndarray) -> np.ndarray:
     """N x N matrix of branch-weight sums over common substation paths.
 
     Entry (i, j) sums ``weights[k]`` over every branch k lying on both the
     substation-to-(i+1) and substation-to-(j+1) paths. With branch resistances
     as weights this is the common-path resistance matrix of a radial feeder.
+    O(N^2) time and memory; the reference :class:`PathSum` is tested against.
     """
     n = net.n
     pos, end = net._dfs_span

@@ -152,16 +152,11 @@ def build_linear_measurement_model(
     unit selectors. W is the diagonal inverse-variance weight matrix built
     from the plan's reference deviations. Full column rank is structural: the
     pseudo rows form an identity over the whole state, so the observability
-    requirement holds for every plan with finite pseudo noise.
+    requirement holds for every plan with finite pseudo noise. H is dense,
+    O(N^2) memory: a reference for tests, not used by a run.
     """
-    n = plan.n
     sensors = np.array(plan.sensor_nodes, dtype=int)
-    H = np.vstack(
-        [
-            np.hstack([model.A[sensors - 1, :], model.B[sensors - 1, :]]),
-            np.eye(2 * n),
-        ]
-    )
+    H = np.vstack([model.voltage_rows(sensors - 1), np.eye(2 * plan.n)])
     sigma = plan_reference_sigmas(plan, model)
     if not (sigma > 0).all():
         raise ValueError("every channel needs positive deviation for W to exist")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,11 @@ from gridloop.estimator import (
     estimate_voltages,
     wls_solve,
 )
-from gridloop.linearizer import eval_linear, lindistflow
+from gridloop.controller import ControllerConfig
+from gridloop.feeders import synthetic_feeder
+from gridloop.harness import PlanSpec, ScenarioConfig, prepare
+from gridloop.linearizer import eval_linear, lindistflow, linearize
+from gridloop.netmodel import DENSE_LIMIT, PathSum
 from gridloop.plant import solve_power_flow
 from gridloop.sensing import build_linear_measurement_model, make_plan, sample_measurements
 
@@ -111,6 +117,46 @@ def test_variance_forms_agree(net33):
     direct = np.diag(np.linalg.inv(H.T @ (H * w[:, None])))
     assert np.abs(est.var - explicit).max() < 1e-12 * np.abs(explicit).max() + 1e-15
     assert np.abs(est.var - direct).max() < 1e-8 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize(
+    "method, size", [("lindistflow", 32), ("jacobian", 32), ("lindistflow", DENSE_LIMIT + 100)]
+)
+def test_voltage_variance_matches_dense_gain(net33, method, size):
+    # Var(G z_hat) = diag(G Gamma Sigma Gamma^T G^T) from the explicit gain,
+    # on dense models (symmetric and not) and on a PathSum model above the
+    # threshold.
+    net = net33 if size == 32 else synthetic_feeder(size, seed=4)
+    model = linearize(net, method)
+    assert isinstance(model.A, PathSum) == (size > DENSE_LIMIT)
+    plan = _plan(net, sensors=tuple(range(3, net.n, max(1, net.n // 12))))
+    est = WlsEstimator(plan, model)
+    _, W = build_linear_measurement_model(plan, model)
+    g_gain = model.dense_sensitivities() @ est.gamma
+    ref = (g_gain**2 / W.diagonal()).sum(axis=1)
+    assert np.abs(est.voltage_variance() - ref).max() <= 1e-12 * ref.max()
+
+
+def test_prepare_and_variance_stay_linear_in_memory():
+    # One 4000 x 4000 float64 array is 128 MB; a run set-up on the 4000-node
+    # feeder must never form one.
+    net = synthetic_feeder(4000, seed=12)
+    cfg = ScenarioConfig(
+        network="synthetic-4000",
+        controller=ControllerConfig(eps_primal=7e-4, eps_dual=7e-4, eta=0.08),
+        plan=PlanSpec(sensor_fraction=0.036, placement_seed=0),
+        estimation_mode="linear",
+        iterations=1,
+    )
+    tracemalloc.start()
+    try:
+        ctx = prepare(cfg, net=net)
+        ctx.estimator.voltage_variance()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.certificate.certified
+    assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_extra_sensor_never_hurts(net33):

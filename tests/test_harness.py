@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import types
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridloop
+import gridloop.harness as harness_mod
 from gridloop.controller import ControllerConfig, primal_grad, primal_step
 from gridloop.harness import (
     BoundReport,
@@ -113,6 +116,20 @@ def test_trial_parallelism_matches_serial(monkeypatch):
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.p, b.p)
         assert np.array_equal(a.r_hat, b.r_hat)
+
+
+def test_parallel_trials_reuse_prepared_context(monkeypatch):
+    # Forked workers inherit the patch: any worker that re-ran prepare fails.
+    cfg = _cfg33(iterations=5, trials=2)
+    ctx = prepare(cfg)
+
+    def no_prepare(*args, **kwargs):
+        raise AssertionError("prepare re-run in a trial worker")
+
+    monkeypatch.setattr(harness_mod, "prepare", no_prepare)
+    monkeypatch.setenv("GRIDLOOP_THREADS", "2")
+    traces = run_trials(cfg, context=ctx)
+    assert [tr.summary["trial"] for tr in traces] == [0, 1]
 
 
 def test_plant_divergence_diagnostic():
@@ -396,3 +413,9 @@ def test_tightening_noiseless_zero_width():
     rep = tightened_bound_experiment(cfg, c=2.576)
     assert rep.halfwidth < 1e-5
     assert rep.v_min_tightened == pytest.approx(rep.v_min_original, abs=1e-5)
+
+
+def test_package_exports_no_submodules():
+    modules = [name for name in gridloop.__all__ if isinstance(getattr(gridloop, name), types.ModuleType)]
+    assert modules == []
+    assert "run_trials" in gridloop.__all__

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridloop.feeders import synthetic_feeder
 from gridloop.netmodel import (
     FeasibleSet,
     NetworkError,
+    PathSum,
     build_admittance,
+    build_network,
     load_network,
     path_sum_matrix,
     project_feasible,
@@ -211,6 +214,58 @@ def test_path_sum_matrix_shared_root_branch(tmp_path):
     assert R[1, 1] == pytest.approx(0.07)
     assert R[2, 2] == pytest.approx(0.08)
     assert R[0, 1] == R[0, 2] == pytest.approx(0.05)
+
+
+def _tree(parents: list[int], seed: int = 0):
+    """Feeder whose node i + 1 hangs below parents[i], random impedances."""
+    rng = np.random.default_rng(seed)
+    nodes = [dict(id=i, p0=0.0, q0=0.0, shunt=0j) for i in range(len(parents) + 1)]
+    lines = [
+        (par, i + 1, float(rng.uniform(1e-4, 4e-3)), float(rng.uniform(1e-4, 4e-3)))
+        for i, par in enumerate(parents)
+    ]
+    return build_network(1.0, nodes, lines)
+
+
+FEEDERS = {
+    "two-bus": lambda net33: _tree([0]),
+    "ieee33": lambda net33: net33,
+    "chain-200": lambda net33: _tree(list(range(200))),
+    "star-200": lambda net33: _tree([0] * 200),
+    "synthetic-300": lambda net33: synthetic_feeder(300, seed=5),
+}
+
+
+@pytest.mark.parametrize("feeder", FEEDERS)
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_path_sum_kernel_matches_dense_matrix(net33, feeder, kind):
+    net = FEEDERS[feeder](net33)
+    z = net.branch_z
+    weights = z.real if kind == "real" else z
+    dense = path_sum_matrix(net, weights)
+    op = PathSum(net, weights)
+    rng = np.random.default_rng(1)
+    n = net.n
+    for x in (
+        rng.normal(size=n),
+        rng.normal(size=(n, 3)),
+        rng.normal(size=n) + 1j * rng.normal(size=n),
+    ):
+        ref = dense @ x
+        scale = np.abs(ref).max()
+        assert np.abs(op @ x - ref).max() <= 1e-12 * scale
+        assert np.abs(op.T @ x - dense.T @ x).max() <= 1e-12 * scale
+    assert np.abs(op.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs((op / 2.0) @ x - (dense / 2.0) @ x).max() <= 1e-12 * scale
+    if kind == "real":
+        d = rng.uniform(0.5, 2.0, n)
+        ref = (dense * dense) @ d
+        assert np.abs(op.diag_quad(d) - ref).max() <= 1e-12 * ref.max()
+
+
+def test_path_sum_kernel_rejects_wrong_length(net33):
+    with pytest.raises(ValueError, match="expected 32"):
+        PathSum(net33, net33.branch_z.real) @ np.ones(31)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridloop.feeders import synthetic_feeder
-from gridloop.netmodel import load_network
+from gridloop.netmodel import DENSE_LIMIT, PathSum, build_admittance, load_network, path_sum_matrix
 from gridloop.plant import solve_power_flow
 
 from oracles import newton_power_flow, one_branch_voltage
@@ -102,21 +102,29 @@ def test_nonconvergence_diagnostic(twobus_json):
     assert len(sol.residual_history) >= 1
 
 
-def test_level_sweep_agrees_with_dense_path():
-    import gridloop.plant as plant_mod
+def _dense_sweep(net, p, q, tol=1e-10, max_iter=500):
+    """The plant's sweep with the explicit N x N common-path impedance and
+    admittance matrices: (voltages, sweeps)."""
+    Z = path_sum_matrix(net, net.branch_z)
+    Y, y_bar, _ = build_admittance(net)
+    Y = Y.toarray()
+    s = p + 1j * q
+    v = np.full(net.n, complex(net.v0))
+    for sweeps in range(1, max_iter + 1):
+        v = net.v0 + Z @ (np.conj(s / v) - net.shunts * v)
+        if np.abs(v * np.conj(Y @ v + y_bar * net.v0) - s).max() <= tol:
+            return v, sweeps
+    raise AssertionError("dense reference sweep did not converge")
 
-    net = synthetic_feeder(300, seed=5)
-    sol_dense = solve_power_flow(net, net.p0, net.q0)
-    plant_mod._structure.cache_clear()
-    old = plant_mod._DENSE_LIMIT
-    plant_mod._DENSE_LIMIT = 1
-    try:
-        sol_level = solve_power_flow(net, net.p0, net.q0)
-    finally:
-        plant_mod._DENSE_LIMIT = old
-        plant_mod._structure.cache_clear()
-    assert sol_dense.converged and sol_level.converged
-    assert np.abs(sol_dense.v_mag - sol_level.v_mag).max() < 1e-12
+
+def test_tree_kernel_plant_matches_dense_sweep():
+    net = synthetic_feeder(DENSE_LIMIT + 100, seed=5)
+    assert isinstance(net._sweep[0], PathSum)
+    sol = solve_power_flow(net, net.p0, net.q0)
+    v, sweeps = _dense_sweep(net, net.p0, net.q0)
+    assert sol.converged and sol.iterations == sweeps
+    assert np.abs(sol.v_mag - np.abs(v)).max() < 1e-12
+    assert np.abs(sol.v_ang - np.angle(v)).max() < 1e-12
 
 
 def test_true_quantities_shape(net33):

@@ -88,3 +88,11 @@ def test_sensor_fraction_in_unit_interval(fraction):
     with pytest.raises(ValueError, match="sensor_fraction"):
         PlanSpec(sensor_fraction=fraction)
     PlanSpec(sensor_fraction=1.0)
+
+
+def test_empty_network_is_rejected(tmp_path):
+    # "" would otherwise resolve to the scenario file's own directory.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({**_cfg().to_dict(), "network": ""}))
+    with pytest.raises(ValueError, match="'network'"):
+        load_scenario(path)
