@@ -1,7 +1,8 @@
 """Command-line front end: scenario runs, step-size certification, reports.
 
-Subcommands: ``run`` executes a scenario and writes trace CSVs plus a summary
-and manifest; ``certify`` prints the step-size certificate; ``report`` turns a
+Subcommands: ``run`` prepares a scenario once, runs its trials and configured
+audits on that prepared context, and writes trace CSVs plus a summary and
+manifest; ``certify`` prints the step-size certificate; ``report`` turns a
 trace directory into plot-ready CSV series; ``compare`` runs the feedback-mode
 baselines on shared seeds. Exit codes: 0 success, 1 error, 2 step-size
 certificate violation. ``GRIDLOOP_THREADS`` caps trial parallelism.
@@ -126,10 +127,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_scenario(cfg: ScenarioConfig, out: Path) -> list[str]:
-    """Run every trial and the configured audits, write the traces and the
-    summary into ``out``, and return the names of the files written."""
+    """Prepare the scenario once, run every trial and the configured audits
+    on that context (the audits read the trials' traces), write the traces
+    and the summary into ``out``, and return the names of the files written."""
     ctx = prepare(cfg)
-    traces = run_trials(cfg, context=ctx)
+    traces = run_trials(ctx)
     names = []
     for t, trace in enumerate(traces):
         name = "trace.csv" if cfg.trials == 1 else f"trace_{t:03d}.csv"
@@ -151,13 +153,13 @@ def _run_scenario(cfg: ScenarioConfig, out: Path) -> list[str]:
         }
     if ctx.estimator is not None:
         summary["voltage_ci_halfwidth_99"] = (
-            2.576 * np.sqrt(ctx.estimator.voltage_variance())
+            2.576 * np.sqrt(ctx.voltage_variance)
         ).tolist()
     if cfg.verify_bound:
-        report = verify_error_bound(cfg, traces, context=ctx)
+        report = verify_error_bound(ctx, traces)
         summary["bound_report"] = report.to_dict()
     if cfg.tighten_ci is not None:
-        tight = tightened_bound_experiment(cfg, cfg.tighten_ci, traces[0], context=ctx)
+        tight = tightened_bound_experiment(ctx, cfg.tighten_ci, traces[0])
         summary["tightening"] = {
             "confidence": tight.confidence,
             "halfwidth": tight.halfwidth,

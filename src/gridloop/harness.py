@@ -5,6 +5,10 @@ injections, sensors sample that response, the estimator reconstructs the
 voltage profile, the primal variables take a projected gradient step, and the
 duals ascend using the reconstructed voltages. Everything is deterministic
 given the scenario seeds; trials differ only through their measurement seed.
+
+``prepare`` turns a ``ScenarioConfig`` into a ``RunContext``; the loop, the
+saddle oracle and the audits run on that context and read every setting
+from ``ctx.cfg``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -187,7 +192,8 @@ def _coerce(tp, value, key: str):
 
 @dataclass
 class RunContext:
-    """Prepared runtime bundle shared by every trial of one scenario."""
+    """Prepared runtime bundle shared by every trial of one scenario; the
+    harness's entry points read every setting from ``cfg``."""
 
     cfg: ScenarioConfig
     net: NetworkModel
@@ -202,6 +208,15 @@ class RunContext:
         if self.certificate is None:
             self.certificate = certify_step_size(self.cost, self.model, self.cfg.controller)
         return self.certificate
+
+    @cached_property
+    def voltage_variance(self) -> np.ndarray:
+        """The estimator's voltage variance, computed once per context and
+        shared by the run's confidence intervals and the tightening
+        (read-only)."""
+        var = self.estimator.voltage_variance()
+        var.flags.writeable = False
+        return var
 
     @property
     def exact_full_coverage(self) -> bool:
@@ -268,7 +283,7 @@ def prepare(
         estimator=estimator,
     )
     if cfg.track_saddle:
-        ctx.x_star = saddle_oracle(cfg, context=ctx)
+        ctx.x_star = saddle_oracle(ctx)
     return ctx
 
 
@@ -294,7 +309,6 @@ class SimulationTrace:
     se_err_mean: np.ndarray
     se_err_max: np.ndarray
     dist_to_saddle: np.ndarray
-    final_state: ControllerState
     summary: dict = field(default_factory=dict)
 
     @property
@@ -302,46 +316,33 @@ class SimulationTrace:
         return self.p.shape[0]
 
     def to_csv(self, path: str | Path) -> None:
-        """Write the trace in a byte-stable format (shortest round-trip floats)."""
+        """Write the trace in a byte-stable format (shortest round-trip floats),
+        one row at a time."""
         n = self.p.shape[1]
-        cols = (
-            ["iter"]
-            + [f"v_true_{i}" for i in range(1, n + 1)]
-            + [f"v_hat_{i}" for i in range(1, n + 1)]
-            + [f"p_{i}" for i in range(1, n + 1)]
-            + [f"q_{i}" for i in range(1, n + 1)]
-            + [
-                "mu_lower_norm",
-                "mu_upper_norm",
-                "cost_local",
-                "cost_substation",
-                "max_violation",
-                "se_err_mean",
-                "se_err_max",
-                "dist_to_saddle",
-            ]
-        )
+        header = ["iter"]
+        header += [f"{label}_{i}" for label, _ in _CSV_VECTORS for i in range(1, n + 1)]
+        header += _CSV_SCALARS
+        blocks = [getattr(self, name) for _, name in _CSV_VECTORS]
+        blocks.append(np.column_stack([getattr(self, name) for name in _CSV_SCALARS]))
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
+            fh.write(",".join(header) + "\n")
             for k in range(self.iterations):
-                row = (
-                    [str(k)]
-                    + [repr(float(v)) for v in self.v_true[k]]
-                    + [repr(float(v)) for v in self.r_hat[k]]
-                    + [repr(float(v)) for v in self.p[k]]
-                    + [repr(float(v)) for v in self.q[k]]
-                    + [
-                        repr(float(self.mu_lower_norm[k])),
-                        repr(float(self.mu_upper_norm[k])),
-                        repr(float(self.cost_local[k])),
-                        repr(float(self.cost_substation[k])),
-                        repr(float(self.max_violation[k])),
-                        repr(float(self.se_err_mean[k])),
-                        repr(float(self.se_err_max[k])),
-                        repr(float(self.dist_to_saddle[k])),
-                    ]
-                )
-                fh.write(",".join(row) + "\n")
+                row = np.concatenate([block[k] for block in blocks])
+                fh.write(f"{k}," + ",".join(map(repr, row.tolist())) + "\n")
+
+
+# Trace CSV columns after "iter": (header label, field) per node, then scalars.
+_CSV_VECTORS = (("v_true", "v_true"), ("v_hat", "r_hat"), ("p", "p"), ("q", "q"))
+_CSV_SCALARS = (
+    "mu_lower_norm",
+    "mu_upper_norm",
+    "cost_local",
+    "cost_substation",
+    "max_violation",
+    "se_err_mean",
+    "se_err_max",
+    "dist_to_saddle",
+)
 
 
 def _plant_truth(ctx: RunContext, p: np.ndarray, q: np.ndarray, k: int):
@@ -389,18 +390,14 @@ def _feedback(
     raise HarnessError(f"unhandled feedback mode {mode}")
 
 
-def run_closed_loop(
-    cfg: ScenarioConfig,
-    trial: int = 0,
-    context: RunContext | None = None,
-) -> SimulationTrace:
-    """Run one trial of the feedback loop and collect its trace.
+def run_closed_loop(ctx: RunContext, trial: int = 0) -> SimulationTrace:
+    """Run one trial of the feedback loop on the prepared context and
+    collect its trace.
 
     The measurement seed for trial t is base_seed + t; everything else is
-    shared across trials. Requires a certified step size unless the scenario
-    sets allow_uncertified.
+    shared across trials.
     """
-    ctx = context if context is not None else prepare(cfg)
+    cfg = ctx.cfg
     k_iter = cfg.iterations
     n = ctx.net.n
     plan = replace(ctx.plan, seed=cfg.base_seed + trial)
@@ -482,33 +479,30 @@ def run_closed_loop(
         se_err_mean=se_mean,
         se_err_max=se_max,
         dist_to_saddle=dist,
-        final_state=state,
         summary=summary,
     )
 
 
-def run_trials(cfg: ScenarioConfig, context: RunContext | None = None) -> list[SimulationTrace]:
+def run_trials(ctx: RunContext) -> list[SimulationTrace]:
     """All trials, optionally in parallel (GRIDLOOP_THREADS), in trial order.
 
     Results are aggregated in trial order regardless of scheduling, so
     parallel and serial runs produce identical output. Workers receive the
     prepared context, so none of them repeats ``prepare``.
     """
-    ctx = context if context is not None else prepare(cfg)
+    trials = ctx.cfg.trials
     threads = int(os.environ.get("GRIDLOOP_THREADS", "1") or "1")
-    if cfg.trials == 1 or threads <= 1:
-        return [run_closed_loop(cfg, trial=t, context=ctx) for t in range(cfg.trials)]
-    with ProcessPoolExecutor(max_workers=min(threads, cfg.trials)) as pool:
-        return list(
-            pool.map(run_closed_loop, [cfg] * cfg.trials, range(cfg.trials), [ctx] * cfg.trials)
-        )
+    if trials == 1 or threads <= 1:
+        return [run_closed_loop(ctx, t) for t in range(trials)]
+    with ProcessPoolExecutor(max_workers=min(threads, trials)) as pool:
+        return list(pool.map(run_closed_loop, [ctx] * trials, range(trials)))
 
 
 # ---------------------------------------------------------------------------
 # Saddle-point oracle
 
 
-def saddle_oracle(cfg: ScenarioConfig, context: RunContext | None = None) -> ControllerState:
+def saddle_oracle(ctx: RunContext) -> ControllerState:
     """The unique saddle point of the regularized Lagrangian under the linear
     pipeline.
 
@@ -519,7 +513,6 @@ def saddle_oracle(cfg: ScenarioConfig, context: RunContext | None = None) -> Con
     active-set KKT system. The result must be a fixed point of the projected
     primal-dual map within 1e-12.
     """
-    ctx = context if context is not None else prepare(cfg, enforce_certificate=False)
     net, model, cost, cfgc = ctx.net, ctx.model, ctx.cost, ctx.cfg.controller
     n = net.n
     pmin, pmax, qmin, qmax, smax = net.box
@@ -551,7 +544,7 @@ def saddle_oracle(cfg: ScenarioConfig, context: RunContext | None = None) -> Con
         grad[:n] += 2.0 * cost.alpha * agg
         return val, grad
 
-    rng = np.random.Generator(np.random.Philox(key=cfg.base_seed))
+    rng = np.random.Generator(np.random.Philox(key=ctx.cfg.base_seed))
     starts = [z_ref] + [lo + rng.uniform(0.0, 1.0, 2 * n) * (hi - lo) for _ in range(2)]
     sols = []
     for z0 in starts:
@@ -680,26 +673,19 @@ class BoundReport:
         }
 
 
-def verify_error_bound(
-    cfg: ScenarioConfig,
-    traces: Iterable[SimulationTrace] | None = None,
-    x_star: ControllerState | None = None,
-    context: RunContext | None = None,
-) -> BoundReport:
+def verify_error_bound(ctx: RunContext, traces: Iterable[SimulationTrace]) -> BoundReport:
     """Measure the stochastic-feedback error terms and audit the bound.
 
-    The terms are read off the realized trajectories ``traces`` (one per
-    trial, as returned by ``run_trials``); without them every trial is run
-    here, one at a time. Per iteration and trial the three gradient maps
-    differ only in the voltage vector entering the dual ascent, so the
+    The terms are read off the realized trajectories ``traces``, one per
+    trial: the list ``run_trials`` returns, or a generator such as
+    ``(run_closed_loop(ctx, t) for t in range(trials))`` to hold one trace
+    at a time. The reference point is ``ctx.x_star``, or the saddle oracle's
+    when the context has none. Per iteration and trial the three gradient
+    maps differ only in the voltage vector entering the dual ascent, so the
     squared map gaps reduce to 2 ||r_a - r_b||^2 of the corresponding
     voltage vectors.
     """
-    ctx = context if context is not None else prepare(cfg)
-    if traces is None:
-        traces = (run_closed_loop(cfg, trial=t, context=ctx) for t in range(cfg.trials))
-    if x_star is None:
-        x_star = ctx.x_star if ctx.x_star is not None else saddle_oracle(cfg, context=ctx)
+    x_star = ctx.x_star if ctx.x_star is not None else saddle_oracle(ctx)
     x_star_vec = x_star.as_vector()
 
     cert = ctx.require_certificate()
@@ -710,7 +696,7 @@ def verify_error_bound(
             f"bound denominator nonpositive (eps {eps:.3e} >= {2 * cert.M / cert.L**2:.3e})"
         )
 
-    k_iter = cfg.iterations
+    k_iter = ctx.cfg.iterations
     terms = [_bound_terms(trace, ctx.model, x_star_vec) for trace in traces]
     if not terms or any(gaps.size != k_iter for gaps, _, _ in terms):
         raise HarnessError(f"bound audit needs one trace of {k_iter} iterations per trial")
@@ -783,8 +769,7 @@ def run_baseline_comparison(cfg: ScenarioConfig) -> ComparisonReport:
     run_max: dict[str, np.ndarray] = {}
     violations: dict[str, int] = {}
     for mode in BASELINE_MODES:
-        mode_cfg = replace(cfg, feedback_mode=mode, tighten_ci=None)
-        trace = run_closed_loop(mode_cfg)
+        trace = run_closed_loop(prepare(replace(cfg, feedback_mode=mode, tighten_ci=None)))
         err_mean[mode] = trace.se_err_mean
         err_max[mode] = trace.se_err_max
         run_mean[mode] = _running_average(trace.se_err_mean)
@@ -825,28 +810,33 @@ class TighteningReport:
 
 
 def tightened_bound_experiment(
-    cfg: ScenarioConfig,
-    c: float,
-    base: SimulationTrace | None = None,
-    context: RunContext | None = None,
+    ctx: RunContext, c: float, base: SimulationTrace
 ) -> TighteningReport:
-    """Re-run with the lower voltage bound raised by the worst analytic
-    confidence halfwidth of the reconstructed voltages, and compare true
-    violations of the original bound plus cost against ``base``, the
-    trial-0 trace of the untightened scenario (run here when not given)."""
-    ctx = context if context is not None else prepare(cfg)
+    """Re-run trial 0 with the lower voltage bound raised by the worst
+    analytic confidence halfwidth of the reconstructed voltages, and compare
+    true violations of the original bound plus cost against ``base``, the
+    trial-0 trace of the untightened scenario.
+
+    The tightened trial runs on ``ctx`` with only ``v_min`` changed: the
+    network, linear model, cost, plan, estimator and certificate do not
+    depend on it. The saddle point does, so under ``track_saddle`` it is
+    recomputed for the tightened band.
+    """
+    cfg = ctx.cfg
     if ctx.estimator is None:
         raise HarnessError("bound tightening requires an estimating feedback mode")
-    halfwidth = float(c * np.sqrt(ctx.estimator.voltage_variance().max()))
-    v_min_new = cfg.controller.v_min + halfwidth
+    halfwidth = float(c * np.sqrt(ctx.voltage_variance.max()))
+    v_min0 = cfg.controller.v_min
+    v_min_new = v_min0 + halfwidth
     if v_min_new >= cfg.controller.v_max:
         raise HarnessError(
             f"tightened lower bound {v_min_new:.4f} reaches v_max {cfg.controller.v_max:.4f}"
         )
-    if base is None:
-        base = run_closed_loop(cfg, context=ctx)
-    tight = run_closed_loop(replace(cfg, controller=replace(cfg.controller, v_min=v_min_new)))
-    v_min0 = cfg.controller.v_min
+    tight_cfg = replace(cfg, controller=replace(cfg.controller, v_min=v_min_new))
+    tight_ctx = replace(ctx, cfg=tight_cfg, x_star=None)
+    if tight_cfg.track_saddle:
+        tight_ctx.x_star = saddle_oracle(tight_ctx)
+    tight = run_closed_loop(tight_ctx)
     return TighteningReport(
         confidence=c,
         halfwidth=halfwidth,

@@ -24,7 +24,6 @@ from gridloop.harness import (
     prepare,
     run_baseline_comparison,
     run_closed_loop,
-    saddle_oracle,
     tightened_bound_experiment,
     verify_error_bound,
 )
@@ -52,7 +51,7 @@ def test_criterion_1_contraction():
     started = time.perf_counter()
     cfg = load_scenario(SCEN / "ieee33_contraction.json")
     ctx = prepare(cfg)
-    trace = run_closed_loop(cfg, context=ctx)
+    trace = run_closed_loop(ctx)
     d = trace.dist_to_saddle
     eps = max(cfg.controller.eps_primal, cfg.controller.eps_dual)
     bound = np.sqrt(ctx.certificate.delta(eps)) + 1e-6
@@ -70,8 +69,7 @@ def test_criterion_2_error_bound():
     started = time.perf_counter()
     cfg = load_scenario(SCEN / "ieee33_bound.json")
     ctx = prepare(cfg)
-    x_star = saddle_oracle(cfg, context=ctx)
-    rep = verify_error_bound(cfg, x_star=x_star, context=ctx)
+    rep = verify_error_bound(ctx, (run_closed_loop(ctx, t) for t in range(cfg.trials)))
 
     half = replace(
         cfg,
@@ -84,7 +82,9 @@ def test_criterion_2_error_bound():
         ),
     )
     ctx_half = prepare(half)
-    rep_half = verify_error_bound(half, x_star=saddle_oracle(half, context=ctx_half), context=ctx_half)
+    rep_half = verify_error_bound(
+        ctx_half, (run_closed_loop(ctx_half, t) for t in range(half.trials))
+    )
     elapsed = time.perf_counter() - started
     ok = (
         rep.satisfied
@@ -155,11 +155,12 @@ def test_criterion_5_voltage_regulation(net33):
     assert frac_below >= 0.25
 
     cfg = load_scenario(SCEN / "ieee33_regulation.json")
-    trace = run_closed_loop(cfg)
+    ctx = prepare(cfg)
+    trace = run_closed_loop(ctx)
     v_final = trace.v_true[-1]
     reg_ok = bool((v_final >= 0.95 - 0.005).mean() >= 0.99)
 
-    tight = tightened_bound_experiment(cfg, c=2.576)
+    tight = tightened_bound_experiment(ctx, 2.576, trace)
     zero_viol = tight.tightened_violations == 0
     cost_up = tight.tightened_cost > tight.base_cost
     assert _verdict(
@@ -183,8 +184,8 @@ def test_criterion_6_noiseless_equivalence():
         ),
         iterations=500,
     )
-    se = run_closed_loop(cfg)
-    fx = run_closed_loop(replace(cfg, feedback_mode="full_exact"))
+    se = run_closed_loop(prepare(cfg))
+    fx = run_closed_loop(prepare(replace(cfg, feedback_mode="full_exact")))
     diff = max(
         np.abs(se.p - fx.p).max(),
         np.abs(se.q - fx.q).max(),
@@ -232,7 +233,7 @@ def test_criterion_8_scalability_smoke():
     )
     ctx = prepare(cfg, net=net)
     assert ctx.estimator is not None  # factorization built once, reused below
-    trace = run_closed_loop(cfg, context=ctx)
+    trace = run_closed_loop(ctx)
     elapsed = time.perf_counter() - started
     ok = elapsed < 60.0 and trace.iterations == 100
     assert _verdict("8 scalability smoke", ok, f"{elapsed:.1f}s for 4000 nodes x 100 iterations")

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridloop import harness
+from gridloop import cli, harness
 from gridloop.cli import main
+from gridloop.estimator import WlsEstimator
 
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -48,6 +49,33 @@ def test_run_bound_audit_solves_plant_once_per_iteration(tmp_path, monkeypatch):
     assert len(solves) == 50 * 2
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["bound_report"]["trials"] == 2
+
+
+def test_run_tightening_prepares_and_computes_variance_once(tmp_path, monkeypatch):
+    # The tightened trial reuses the run's context and its voltage variance.
+    calls = {"prepare": 0, "variance": 0}
+    real_prepare = harness.prepare
+    real_variance = WlsEstimator.voltage_variance
+
+    def counting_prepare(*args, **kwargs):
+        calls["prepare"] += 1
+        return real_prepare(*args, **kwargs)
+
+    def counting_variance(self):
+        calls["variance"] += 1
+        return real_variance(self)
+
+    monkeypatch.setattr(harness, "prepare", counting_prepare)
+    monkeypatch.setattr(cli, "prepare", counting_prepare)
+    monkeypatch.setattr(WlsEstimator, "voltage_variance", counting_variance)
+    scenario = str(SCEN / "ieee33_regulation_tight.json")
+    args = ["run", scenario, "--out", str(tmp_path / "out"), "--set", "iterations=50"]
+    assert main(args) == 0
+    assert calls == {"prepare": 1, "variance": 1}
+    # The scenario tightens at the 99% level, so both read the same variance.
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["tightening"]["confidence"] == 2.576
+    assert summary["tightening"]["halfwidth"] == max(summary["voltage_ci_halfwidth_99"])
 
 
 def test_run_uncertified_step_exits_2(tmp_path, capsys):

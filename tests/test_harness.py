@@ -20,6 +20,7 @@ from gridloop.harness import (
     PlanSpec,
     PlantDivergence,
     ScenarioConfig,
+    SimulationTrace,
     prepare,
     run_baseline_comparison,
     run_closed_loop,
@@ -63,6 +64,12 @@ def _cfg2(**kw) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def _audit(cfg: ScenarioConfig) -> BoundReport:
+    """Bound audit over the trials of ``cfg``, one trace in memory at a time."""
+    ctx = prepare(cfg)
+    return verify_error_bound(ctx, (run_closed_loop(ctx, t) for t in range(cfg.trials)))
+
+
 def test_scenario_roundtrip(tmp_path):
     cfg = _cfg33(tighten_ci=2.576, track_saddle=True, trials=3)
     raw = cfg.to_dict()
@@ -80,12 +87,12 @@ def test_certificate_enforced():
 
 def test_trace_determinism():
     cfg = _cfg33(iterations=120)
-    a = run_closed_loop(cfg)
-    b = run_closed_loop(cfg)
+    a = run_closed_loop(prepare(cfg))
+    b = run_closed_loop(prepare(cfg))
     assert np.array_equal(a.p, b.p)
     assert np.array_equal(a.r_hat, b.r_hat)
     assert np.array_equal(a.se_err_mean, b.se_err_mean)
-    c = run_closed_loop(replace(cfg, base_seed=4))
+    c = run_closed_loop(prepare(replace(cfg, base_seed=4)))
     assert not np.array_equal(a.r_hat, c.r_hat)
 
 
@@ -100,8 +107,8 @@ def test_mode_collapse_bitwise():
         ),
         iterations=200,
     )
-    se = run_closed_loop(cfg)
-    fx = run_closed_loop(replace(cfg, feedback_mode="full_exact"))
+    se = run_closed_loop(prepare(cfg))
+    fx = run_closed_loop(prepare(replace(cfg, feedback_mode="full_exact")))
     for field in ("p", "q", "v_true", "r_hat", "mu_lower_norm", "mu_upper_norm"):
         assert np.array_equal(getattr(se, field), getattr(fx, field)), field
 
@@ -109,9 +116,9 @@ def test_mode_collapse_bitwise():
 def test_trial_parallelism_matches_serial(monkeypatch):
     cfg = _cfg33(iterations=60, trials=3)
     monkeypatch.setenv("GRIDLOOP_THREADS", "1")
-    serial = run_trials(cfg)
+    serial = run_trials(prepare(cfg))
     monkeypatch.setenv("GRIDLOOP_THREADS", "3")
-    parallel = run_trials(cfg)
+    parallel = run_trials(prepare(cfg))
     assert len(serial) == len(parallel) == 3
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.p, b.p)
@@ -128,14 +135,14 @@ def test_parallel_trials_reuse_prepared_context(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "prepare", no_prepare)
     monkeypatch.setenv("GRIDLOOP_THREADS", "2")
-    traces = run_trials(cfg, context=ctx)
+    traces = run_trials(ctx)
     assert [tr.summary["trial"] for tr in traces] == [0, 1]
 
 
 def test_plant_divergence_diagnostic():
     cfg = _cfg2(load_scale=500.0, feedback_mode="full_exact", allow_uncertified=True)
     with pytest.raises(PlantDivergence, match="iteration 0"):
-        run_closed_loop(cfg)
+        run_closed_loop(prepare(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +153,7 @@ def test_saddle_oracle_unconstrained_two_bus():
     cfg = _cfg2(
         controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=0.05, v_min=0.9, v_max=1.1)
     )
-    ctx = prepare(cfg)
-    xs = saddle_oracle(cfg, context=ctx)
+    xs = saddle_oracle(prepare(cfg))
     assert xs.p[0] == pytest.approx(-0.1, abs=1e-9)
     assert xs.q[0] == pytest.approx(-0.05, abs=1e-9)
     assert xs.mu_lower.max() == 0.0
@@ -157,7 +163,7 @@ def test_saddle_oracle_unconstrained_two_bus():
 def test_saddle_oracle_binding_satisfies_kkt():
     cfg = _cfg2()
     ctx = prepare(cfg)
-    xs = saddle_oracle(cfg, context=ctx)
+    xs = saddle_oracle(ctx)
     assert xs.mu_lower[0] > 0.0
     r = eval_linear(ctx.model, xs.p, xs.q)
     # Regularized dual stationarity: eta mu = v_min - r on the active set.
@@ -174,8 +180,8 @@ def test_saddle_oracle_binding_satisfies_kkt():
 def test_saddle_oracle_start_independent():
     cfg = _cfg33(iterations=10)
     ctx = prepare(cfg)
-    a = saddle_oracle(cfg, context=ctx)
-    b = saddle_oracle(replace(cfg, base_seed=99), context=ctx)
+    a = saddle_oracle(ctx)
+    b = saddle_oracle(replace(ctx, cfg=replace(cfg, base_seed=99)))
     assert np.abs(a.as_vector() - b.as_vector()).max() < 1e-8
 
 
@@ -196,18 +202,24 @@ def test_saddle_oracle_rejects_disk_sets(tmp_path):
     )
     cfg = _cfg2(network=str(net_path))
     with pytest.raises(HarnessError, match="box feasible sets"):
-        saddle_oracle(cfg)
+        saddle_oracle(prepare(cfg, enforce_certificate=False))
 
 
 def test_regularization_discrepancy_monotone_in_eta():
     # Distance from the near-unregularized saddle grows with eta.
     ref = saddle_oracle(
-        _cfg2(controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=1e-7, v_min=0.999, v_max=1.05))
+        prepare(
+            _cfg2(controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=1e-7, v_min=0.999, v_max=1.05)),
+            enforce_certificate=False,
+        )
     )
     dists = []
     for eta in (1e-4, 1e-3, 1e-2):
         xs = saddle_oracle(
-            _cfg2(controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=eta, v_min=0.999, v_max=1.05))
+            prepare(
+                _cfg2(controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=eta, v_min=0.999, v_max=1.05)),
+                enforce_certificate=False,
+            )
         )
         dists.append(np.linalg.norm(np.concatenate([xs.p, xs.q]) - np.concatenate([ref.p, ref.q])))
     assert dists[0] <= dists[1] <= dists[2]
@@ -218,7 +230,7 @@ def test_contraction_two_bus_linear_pipeline():
     cfg = _cfg2(feedback_mode="linear_model", plant_model="linear", track_saddle=True,
                 iterations=400)
     ctx = prepare(cfg)
-    trace = run_closed_loop(cfg, context=ctx)
+    trace = run_closed_loop(ctx)
     d = trace.dist_to_saddle
     mask = d[:-1] > 1e-13
     ratios = d[1:][mask] / d[:-1][mask]
@@ -240,7 +252,7 @@ def test_bound_degenerate_noiseless_linear():
         iterations=150,
         trials=2,
     )
-    rep = verify_error_bound(cfg)
+    rep = _audit(cfg)
     assert rep.alpha_hat == 0.0
     assert rep.rho_hat == 0.0
     assert rep.bound == 0.0
@@ -258,19 +270,19 @@ def test_bound_audit_reads_run_traces_bitwise():
         base_seed=11,
     )
     ctx = prepare(cfg)
-    traces = run_trials(cfg, context=ctx)
+    traces = run_trials(ctx)
     for trace in traces:
         assert trace.mu_lower.shape == trace.mu_upper.shape == trace.p.shape
         assert np.linalg.norm(trace.mu_lower[-1]) == trace.mu_lower_norm[-1]
-    fed = verify_error_bound(cfg, traces, context=ctx)
-    own = verify_error_bound(cfg)
+    fed = verify_error_bound(ctx, traces)
+    own = _audit(cfg)
     for f in fields(BoundReport):
         a, b = getattr(fed, f.name), getattr(own, f.name)
         assert np.array_equal(a, b) if f.name == "mean_dist_sq" else a == b, f.name
-    short = run_closed_loop(replace(cfg, iterations=5), context=ctx)
+    short = run_closed_loop(replace(ctx, cfg=replace(cfg, iterations=5)))
     for bad in ([], [short]):
         with pytest.raises(HarnessError, match="120 iterations per trial"):
-            verify_error_bound(cfg, bad, context=ctx)
+            verify_error_bound(ctx, bad)
 
 
 def test_bound_scales_with_noise_linear_plant():
@@ -285,7 +297,7 @@ def test_bound_scales_with_noise_linear_plant():
             trials=4,
             base_seed=11,
         )
-        return verify_error_bound(cfg)
+        return _audit(cfg)
 
     lo = report(0.25)
     hi = report(0.5)
@@ -311,7 +323,7 @@ def test_bound_shrinks_with_eps():
             trials=4,
             base_seed=11,
         )
-        rep = verify_error_bound(cfg)
+        rep = _audit(cfg)
         assert rep.satisfied
         bounds.append(rep.bound)
         empiricals.append(rep.empirical)
@@ -328,7 +340,7 @@ def test_error_non_accumulation_stationary_tail():
         trials=4,
         base_seed=11,
     )
-    rep = verify_error_bound(cfg)
+    rep = _audit(cfg)
     series = rep.mean_dist_sq
     tail_means = [series[int(f * len(series)):].mean() for f in (0.8, 0.85, 0.9, 0.95)]
     for earlier, later in zip(tail_means, tail_means[1:]):
@@ -366,8 +378,8 @@ def test_baseline_comparison_default_noise_ordering():
 
 
 def test_tightening_zero_confidence_identical():
-    cfg = _cfg33(iterations=150)
-    rep = tightened_bound_experiment(cfg, c=0.0)
+    ctx = prepare(_cfg33(iterations=150))
+    rep = tightened_bound_experiment(ctx, 0.0, run_closed_loop(ctx))
     assert rep.halfwidth == 0.0
     assert rep.v_min_tightened == rep.v_min_original
     assert np.array_equal(rep.base_trace.p, rep.tightened_trace.p)
@@ -377,11 +389,12 @@ def test_tightening_zero_confidence_identical():
 def test_tightening_reads_given_base_trace():
     cfg = _cfg33(iterations=80)
     ctx = prepare(cfg)
-    base = run_closed_loop(cfg, context=ctx)
-    rep = tightened_bound_experiment(cfg, 2.576, base, context=ctx)
+    base = run_closed_loop(ctx)
+    rep = tightened_bound_experiment(ctx, 2.576, base)
     assert rep.base_trace is base
     assert rep.base_cost == float(base.cost_local[-1] + base.cost_substation[-1])
-    own = tightened_bound_experiment(cfg, 2.576, context=ctx)
+    fresh = prepare(cfg)
+    own = tightened_bound_experiment(fresh, 2.576, run_closed_loop(fresh))
     assert np.array_equal(own.base_trace.p, base.p)
     assert np.array_equal(own.tightened_trace.p, rep.tightened_trace.p)
     assert (own.base_violations, own.tightened_violations) == (
@@ -390,16 +403,32 @@ def test_tightening_reads_given_base_trace():
     )
 
 
+def test_tightening_reuses_context_with_moved_saddle():
+    # The tightened trial runs on the base context with only v_min and the
+    # saddle point changed; a fresh prepare of the tightened scenario must
+    # give the same trace bit for bit.
+    cfg = _cfg33(iterations=80, track_saddle=True)
+    ctx = prepare(cfg)
+    rep = tightened_bound_experiment(ctx, 2.576, run_closed_loop(ctx))
+    tight_cfg = replace(cfg, controller=replace(cfg.controller, v_min=rep.v_min_tightened))
+    ref = run_closed_loop(prepare(tight_cfg))
+    assert np.isfinite(ref.dist_to_saddle).all()
+    arrays = [f.name for f in fields(SimulationTrace) if isinstance(getattr(ref, f.name), np.ndarray)]
+    assert "dist_to_saddle" in arrays
+    for name in arrays:
+        assert np.array_equal(getattr(rep.tightened_trace, name), getattr(ref, name)), name
+
+
 def test_tightening_requires_estimating_mode():
-    cfg = _cfg33(feedback_mode="full_exact", iterations=50)
+    ctx = prepare(_cfg33(feedback_mode="full_exact", iterations=50))
     with pytest.raises(HarnessError, match="estimating feedback"):
-        tightened_bound_experiment(cfg, c=2.576)
+        tightened_bound_experiment(ctx, 2.576, run_closed_loop(ctx))
 
 
 def test_tightening_infeasible_bound_rejected():
-    cfg = _cfg33(iterations=50)
+    ctx = prepare(_cfg33(iterations=50))
     with pytest.raises(HarnessError, match="reaches v_max"):
-        tightened_bound_experiment(cfg, c=1e4)
+        tightened_bound_experiment(ctx, 1e4, run_closed_loop(ctx))
 
 
 def test_tightening_noiseless_zero_width():
@@ -410,7 +439,8 @@ def test_tightening_noiseless_zero_width():
                       sensor_sigma=0.0, pseudo_sigma=0.0),
         iterations=60,
     )
-    rep = tightened_bound_experiment(cfg, c=2.576)
+    ctx = prepare(cfg)
+    rep = tightened_bound_experiment(ctx, 2.576, run_closed_loop(ctx))
     assert rep.halfwidth < 1e-5
     assert rep.v_min_tightened == pytest.approx(rep.v_min_original, abs=1e-5)
 
