@@ -3,14 +3,20 @@
 The estimate is z = (H^T W H)^-1 H^T W y for state z = (p, q). Since pseudo
 rows are an identity block, the normal matrix is diagonal-plus-low-rank and is
 factorized once per measurement plan through the matrix inversion lemma; the
-same factorization serves every iteration and trial. Per-state variances come
-from the estimator gain as Var[z_j] = sum_i Gamma_ji^2 sigma_i^2, which equals
-diag((H^T W H)^-1) when W is the inverse noise covariance (the equality is
-exercised in the tests).
+same factorization serves every iteration and trial. Per-state variances are
+diag((H^T W H)^-1), which equals the gain form Var[z_j] = sum_i Gamma_ji^2
+sigma_i^2 when W is the inverse noise covariance (the equality is exercised in
+the tests).
+
+On a model with dense A and B the sensor rows U = [A_S B_S] are stored; on a
+``PathSum`` model (LinDistFlow above ``DENSE_LIMIT``) they are applied through
+the tree kernel, so neither the set-up, a solve nor the voltage variance keeps
+or builds an ns x 2N array.
 """
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 
 import numpy as np
@@ -18,9 +24,19 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .linearizer import LinearFlowModel, eval_linear
-from .netmodel import NetworkModel, PathSum
+from .netmodel import NetworkModel, PathSum, path_gram
 from .plant import solve_power_flow
 from .sensing import MeasurementPlan, plan_reference_sigmas
+
+
+# Sensor columns per block of the operator path's Gram products (the lemma
+# matrix K and the variance cross term). A block's temporaries are a few
+# (N, 8) arrays, 0.26 MB each at 4000 nodes and 3.2 MB at 50000, whatever the
+# sensor count; unblocked (N, ns) products grow as N^2. Set-up plus variance,
+# medians on a 2-CPU x86 host: 4000 nodes 175/137/119/185/303 ms and 20000
+# nodes 5.3/4.8/6.8/7.8/9.7 s for 4/8/16/32/64 columns. Wider blocks fall
+# out of the cache, narrower ones pay per-call overhead.
+GRAM_BLOCK = 8
 
 
 class EstimationError(RuntimeError):
@@ -67,8 +83,10 @@ class WlsEstimator:
 
     Holds the measurement structure for one (plan, linear model) pair:
     sensor rows U = [A_S B_S], diagonal pseudo weights, and the Cholesky
-    factor of the small lemma matrix K = W_s^-1 + U D^-1 U^T. Solving for a
-    new measurement vector is O(n_sensors * 2N).
+    factor of the small lemma matrix K = W_s^-1 + U D^-1 U^T. With dense A
+    and B, U is an (ns, 2N) array and a solve is O(ns * 2N); with ``PathSum``
+    A and B it is a :class:`_SensorRows` operator, a solve is O(N) and the
+    set-up O(N * ns).
     """
 
     def __init__(self, plan: MeasurementPlan, model: LinearFlowModel):
@@ -81,10 +99,19 @@ class WlsEstimator:
         w = self.sigma**-2.0
         self.w_sensor = w[: self.ns]
         self.w_pseudo = w[self.ns :]
-        self.U = model.voltage_rows(self.sensors - 1)
-        self.r0_offset = model.r0[self.sensors - 1]
+        idx = plan.sensor_index
+        self.r0_offset = model.r0[idx]
+        if isinstance(model.A, np.ndarray):
+            self.U: np.ndarray | _SensorRows = model.voltage_rows(idx)
+        else:
+            self.U = _SensorRows(model, idx)
         if self.ns:
-            K = np.diag(1.0 / self.w_sensor) + (self.U / self.w_pseudo) @ self.U.T
+            K = np.diag(1.0 / self.w_sensor)
+            if isinstance(self.U, np.ndarray):
+                K = K + (self.U / self.w_pseudo) @ self.U.T
+            else:
+                for blk, g in self.U.gram_blocks(1.0 / self.w_pseudo, np.eye(self.ns), rows=idx):
+                    K[:, blk] += g
             try:
                 self._K_cho = sla.cho_factor(K, lower=True)
             except np.linalg.LinAlgError as exc:
@@ -93,9 +120,17 @@ class WlsEstimator:
             self._K_cho = None
 
     def solve(self, y_adjusted: np.ndarray) -> np.ndarray:
-        """Estimate z from an intercept-adjusted measurement vector."""
+        """Estimate z from an intercept-adjusted measurement vector.
+
+        On ``PathSum`` models this is the update form of the same solution,
+        ``y_p + D^-1 U^T K^-1 (y_s - U y_p)``: two operator products instead
+        of the three that ``solve_normal`` of ``H^T W y`` takes.
+        """
         y_s = y_adjusted[: self.ns]
         y_p = y_adjusted[self.ns :]
+        if isinstance(self.U, _SensorRows) and self.ns:
+            v = sla.cho_solve(self._K_cho, y_s - self.U @ y_p)
+            return y_p + (self.U.T @ v) / self.w_pseudo
         b = self.w_pseudo * y_p
         if self.ns:
             b = b + self.U.T @ (self.w_sensor * y_s)
@@ -109,21 +144,14 @@ class WlsEstimator:
 
     @cached_property
     def var(self) -> np.ndarray:
-        """Per-state variance diag((H^T W H)^-1) via the lemma factorization."""
+        """Per-state variance diag((H^T W H)^-1) via the lemma factorization.
+        Forms the (ns, 2N) sensor rows when called; only the tests read it."""
         base = 1.0 / self.w_pseudo
         if not self.ns:
             return base
-        L = sla.solve_triangular(self._K_cho[0], self.U, lower=True)
+        U = self.model.voltage_rows(self.sensors - 1)
+        L = sla.solve_triangular(self._K_cho[0], U, lower=True)
         return base - (L**2).sum(axis=0) / self.w_pseudo**2
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """Explicit estimator gain Gamma = (H^T W H)^-1 H^T W (2N x channels);
-        dense, O(N^2) memory, a reference for tests."""
-        HtW = np.hstack(
-            [self.U.T * self.w_sensor, np.eye(2 * self.n) * self.w_pseudo[:, None]]
-        )
-        return self.solve_normal(HtW)
 
     def solve_normal(self, b: np.ndarray) -> np.ndarray:
         """Apply (H^T W H)^-1 to a vector or to each column of a matrix."""
@@ -139,19 +167,64 @@ class WlsEstimator:
         With the lemma form of the covariance, ``D^-1 - D^-1 U^T K^-1 U D^-1``
         (D the pseudo weights, K = L L^T), entry i is ``sum_j G_ij^2 / w_j``
         minus ``||L^-1 U D^-1 G^T e_i||^2``. The first term is O(N) on the
-        tree (``PathSum.diag_quad``), the second takes two (N, ns) products and
-        one triangular solve, so no N x N array is formed.
+        tree (``PathSum.diag_quad``). On dense models the second takes two
+        (N, ns) products and one triangular solve; on ``PathSum`` models it is
+        the squared norm of row i of ``G D^-1 G^T E L^-T`` (E scatters onto
+        the sensor nodes), taken ``GRAM_BLOCK`` columns at a time, so no
+        N x N or (N, ns) array is formed.
         """
         A, B = self.model.A, self.model.B
         n = self.n
         d = 1.0 / self.w_pseudo
         var = _diag_quad(A, d[:n]) + _diag_quad(B, d[n:])
-        if self.ns:
+        if not self.ns:
+            return var
+        if isinstance(self.U, np.ndarray):
             ud = self.U * d
             cross = A @ ud[:, :n].T + B @ ud[:, n:].T
             z = sla.solve_triangular(self._K_cho[0], cross.T, lower=True)
-            var = var - (z**2).sum(axis=0)
+            return var - (z**2).sum(axis=0)
+        linv_t = sla.solve_triangular(self._K_cho[0], np.eye(self.ns), lower=True).T
+        for _, g in self.U.gram_blocks(d, linv_t):
+            var -= (g**2).sum(axis=1)
         return var
+
+
+class _SensorRows:
+    """The sensor rows U = [A_S B_S] of a ``PathSum`` model, applied without
+    forming them: ``U @ t`` is ``(A t_p + B t_q)[S]`` and ``U.T @ w`` is
+    ``[A x; B x]`` with x = w scattered onto the sensor nodes (A and B are
+    symmetric). Both are O(N) per column."""
+
+    def __init__(self, model: LinearFlowModel, idx: np.ndarray):
+        self.A, self.B, self.idx = model.A, model.B, idx
+        self.n = model.n
+        self.transposed = False
+
+    @property
+    def T(self) -> _SensorRows:
+        out = copy.copy(self)
+        out.transposed = not self.transposed
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.n
+        if not self.transposed:
+            return (self.A @ x[:n] + self.B @ x[n:])[self.idx]
+        scattered = np.zeros((n,) + x.shape[1:])
+        scattered[self.idx] = x
+        return np.concatenate([self.A @ scattered, self.B @ scattered])
+
+    def gram_blocks(self, d: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None):
+        """Yield ``(block, G diag(d) G^T E cols[:, block])``, G = [A B] and E
+        the scatter onto the sensor nodes, for ``GRAM_BLOCK`` columns of the
+        (ns, m) array ``cols`` at a time; with ``rows``, only those rows."""
+        terms = ((self.A, d[: self.n]), (self.B, d[self.n :]))
+        for start in range(0, cols.shape[1], GRAM_BLOCK):
+            blk = slice(start, start + GRAM_BLOCK)
+            x = np.zeros((self.n, cols[:, blk].shape[1]))
+            x[self.idx] = cols[:, blk]
+            yield blk, path_gram(terms, x, rows)
 
 
 def _diag_quad(m: np.ndarray | PathSum, d: np.ndarray) -> np.ndarray:

@@ -514,6 +514,35 @@ class PathSum:
         return _prefix(us)[1:] - _prefix(us[self._by_end])[self._closed]
 
 
+def path_gram(
+    terms: tuple[tuple[PathSum, np.ndarray], ...],
+    x: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """``sum_m P_m diag(d_m) P_m^T x`` for path-sum operators on one tree, at
+    every node or only at the 0-based ``rows``.
+
+    The operators differ only in their branch weights (LinDistFlow's A and
+    B), so the subtree sums of ``x`` are shared and the outer path sum is
+    taken once for the whole sum, and the stages stay in DFS slot order: for
+    two terms that is three subtree and three path passes instead of the
+    four full products (each with its own subtree pass and permutations).
+    """
+    first = terms[0][0]
+    order, pos = first._order, first._pos
+    x = np.asarray(x)
+    col = (slice(None),) + (None,) * (x.ndim - 1)
+    sub = first._subtree(x[order])
+    acc = 0.0
+    for op, d in terms:
+        if op._order is not order:
+            raise ValueError("path_gram needs operators on one tree")
+        w = op._w[col]
+        inner = op._path(w * sub) * np.asarray(d)[order][col]
+        acc = acc + w * op._subtree(inner)
+    return first._path(acc)[pos if rows is None else pos[rows]]
+
+
 def _prefix(x: np.ndarray) -> np.ndarray:
     """Prefix sums along axis 0 with a leading zero row: out[k] = x[:k].sum(0).
     (``np.add.accumulate``: ``np.cumsum`` costs 2 us more per call.)"""

@@ -11,7 +11,8 @@ of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +34,9 @@ class MeasurementPlan:
 
     ``pseudo_base`` holds the per-node injections used as pseudo-measurement
     means (normally the nominal load pattern). With ``pseudo_fixed`` the
-    pseudo noise drawn at iteration 0 is reused every iteration.
+    pseudo noise drawn at iteration 0 is reused every iteration. The arrays
+    every iteration reads (sensor indices, pseudo means and deviations) are
+    derived once per plan, read-only.
     """
 
     n: int
@@ -53,6 +56,34 @@ class MeasurementPlan:
             raise ValueError("noise levels must be nonnegative")
         if len(self.pseudo_base[0]) != self.n or len(self.pseudo_base[1]) != self.n:
             raise ValueError("pseudo_base must provide (p, q) for every node")
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: the derived arrays are rebuilt, read-only,
+        # on first use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def sensor_index(self) -> np.ndarray:
+        """0-based node index of each sensor channel."""
+        return _freeze(np.array(self.sensor_nodes, dtype=int) - 1)
+
+    @cached_property
+    def pseudo_mean(self) -> np.ndarray:
+        """Pseudo-measurement means, ``[base p; base q]``."""
+        return _freeze(np.concatenate([self.pseudo_base[0], self.pseudo_base[1]]))
+
+    @cached_property
+    def pseudo_std(self) -> np.ndarray:
+        """Pseudo-measurement deviations, relative to the base magnitude
+        floored at ``PSEUDO_MAGNITUDE_FLOOR``."""
+        return _freeze(
+            self.pseudo_sigma * np.maximum(np.abs(self.pseudo_mean), PSEUDO_MAGNITUDE_FLOOR)
+        )
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def make_plan(
@@ -111,22 +142,14 @@ def sample_measurements(plan: MeasurementPlan, truth_v: np.ndarray, iter: int) -
     instantaneous injections). Identical (plan.seed, iter) always yields a
     bit-identical vector.
     """
-    n = plan.n
-    sensors = np.array(plan.sensor_nodes, dtype=int)
-    ns = sensors.size
-
-    v_true = np.asarray(truth_v, dtype=float)[sensors - 1]
+    ns = len(plan.sensor_nodes)
+    v_true = np.asarray(truth_v, dtype=float)[plan.sensor_index]
     xi_v = _normals(plan.seed, 0, iter, ns) if ns else np.empty(0)
     y_v = v_true * (1.0 + plan.sensor_sigma * xi_v)
 
-    base_p = np.array(plan.pseudo_base[0])
-    base_q = np.array(plan.pseudo_base[1])
-    pseudo_std = plan.pseudo_sigma * np.maximum(
-        np.abs(np.concatenate([base_p, base_q])), PSEUDO_MAGNITUDE_FLOOR
-    )
     k_pseudo = 0 if plan.pseudo_fixed else iter
-    xi_z = _normals(plan.seed, 1, k_pseudo, 2 * n)
-    y_z = np.concatenate([base_p, base_q]) + pseudo_std * xi_z
+    xi_z = _normals(plan.seed, 1, k_pseudo, 2 * plan.n)
+    y_z = plan.pseudo_mean + plan.pseudo_std * xi_z
 
     return np.concatenate([y_v, y_z])
 
@@ -135,11 +158,8 @@ def plan_reference_sigmas(plan: MeasurementPlan, model: LinearFlowModel) -> np.n
     """Per-channel deviations at the nominal reference (sensor noise taken
     against the intercept voltage). These weights are iteration-independent,
     so the estimator's factorizations can be cached per plan."""
-    sensors = np.array(plan.sensor_nodes, dtype=int)
-    sensor_std = plan.sensor_sigma * np.abs(model.r0[sensors - 1])
-    base = np.abs(np.concatenate([plan.pseudo_base[0], plan.pseudo_base[1]]))
-    pseudo_std = plan.pseudo_sigma * np.maximum(base, PSEUDO_MAGNITUDE_FLOOR)
-    return np.maximum(np.concatenate([sensor_std, pseudo_std]), SIGMA_FLOOR)
+    sensor_std = plan.sensor_sigma * np.abs(model.r0[plan.sensor_index])
+    return np.maximum(np.concatenate([sensor_std, plan.pseudo_std]), SIGMA_FLOOR)
 
 
 def build_linear_measurement_model(

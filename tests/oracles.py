@@ -87,6 +87,13 @@ def scalar_lagrangian(p, q, mu_l, mu_u, *, wp, wq, alpha, p0, q0, p0_target,
     return local + substation + coupling - tikhonov
 
 
+def wls_gain(H, w):
+    """Explicit WLS gain Gamma = (H^T W H)^-1 H^T W for diagonal weights w,
+    from a dense solve of the normal equations (2N x channels, O(N^2))."""
+    HtW = H.T * w
+    return np.linalg.solve(HtW @ H, HtW)
+
+
 def wls_closed_form(H, w, y):
     """Weighted least squares via orthogonal factorization of sqrt(w) H."""
     sw = np.sqrt(w)

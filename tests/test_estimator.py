@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridloop.estimator import (
+    GRAM_BLOCK,
     EstimationError,
     WlsEstimator,
     estimate_voltages,
@@ -19,7 +21,7 @@ from gridloop.netmodel import DENSE_LIMIT, PathSum
 from gridloop.plant import solve_power_flow
 from gridloop.sensing import build_linear_measurement_model, make_plan, sample_measurements
 
-from oracles import wls_closed_form
+from oracles import wls_closed_form, wls_gain
 
 
 def _plan(net, sensors=(5, 17), sensor_sigma=0.01, pseudo_sigma=0.5, seed=7):
@@ -98,11 +100,12 @@ def test_structured_solver_matches_dense_and_oracle(net33):
 
 def test_gain_reproduces_consistent_measurements(net33):
     # Gamma H = I: the estimator reproduces any noiseless consistent y.
+    # Its gain is its normal-equation solve applied to H^T W.
     model = lindistflow(net33)
     plan = _plan(net33)
     est = WlsEstimator(plan, model)
-    H, _ = build_linear_measurement_model(plan, model)
-    GH = est.gamma @ H
+    H, W = build_linear_measurement_model(plan, model)
+    GH = est.solve_normal(H.T * W.diagonal()) @ H
     assert np.abs(GH - np.eye(64)).max() < 1e-8
 
 
@@ -113,7 +116,7 @@ def test_variance_forms_agree(net33):
     est = WlsEstimator(plan, model)
     H, W = build_linear_measurement_model(plan, model)
     w = W.diagonal()
-    explicit = (est.gamma**2 * (1.0 / w)).sum(axis=1)
+    explicit = (wls_gain(H, w) ** 2 * (1.0 / w)).sum(axis=1)
     direct = np.diag(np.linalg.inv(H.T @ (H * w[:, None])))
     assert np.abs(est.var - explicit).max() < 1e-12 * np.abs(explicit).max() + 1e-15
     assert np.abs(est.var - direct).max() < 1e-8 * np.abs(direct).max()
@@ -131,8 +134,8 @@ def test_voltage_variance_matches_dense_gain(net33, method, size):
     assert isinstance(model.A, PathSum) == (size > DENSE_LIMIT)
     plan = _plan(net, sensors=tuple(range(3, net.n, max(1, net.n // 12))))
     est = WlsEstimator(plan, model)
-    _, W = build_linear_measurement_model(plan, model)
-    g_gain = model.dense_sensitivities() @ est.gamma
+    H, W = build_linear_measurement_model(plan, model)
+    g_gain = model.dense_sensitivities() @ wls_gain(H, W.diagonal())
     ref = (g_gain**2 / W.diagonal()).sum(axis=1)
     assert np.abs(est.voltage_variance() - ref).max() <= 1e-12 * ref.max()
 
@@ -157,6 +160,63 @@ def test_prepare_and_variance_stay_linear_in_memory():
         tracemalloc.stop()
     assert ctx.certificate.certified
     assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _operator_and_dense(n=400, stride=8):
+    # LinDistFlow above DENSE_LIMIT (PathSum A and B) and the same model with
+    # A and B as dense arrays, with enough sensors for several GRAM_BLOCKs.
+    net = synthetic_feeder(n)
+    model = lindistflow(net)
+    dense = replace(model, A=model.A.toarray(), B=model.B.toarray())
+    plan = _plan(net, sensors=tuple(range(3, net.n, stride)))
+    return WlsEstimator(plan, model), WlsEstimator(plan, dense)
+
+
+def test_operator_estimator_matches_dense_rows():
+    op, ref = _operator_and_dense()
+    assert isinstance(op.model.A, PathSum) and isinstance(ref.U, np.ndarray)
+    assert op.ns > 4 * GRAM_BLOCK
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        y = rng.normal(size=ref.ns + 2 * ref.n)
+        want = ref.solve(y)
+        assert np.abs(op.solve(y) - want).max() <= 1e-12 * np.abs(want).max()
+    b = rng.normal(size=(2 * ref.n, 3))
+    want = ref.solve_normal(b)
+    assert np.abs(op.solve_normal(b) - want).max() <= 1e-12 * np.abs(want).max()
+    for got, want in ((op.voltage_variance(), ref.voltage_variance()), (op.var, ref.var)):
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def test_operator_lemma_matrix_matches_explicit_rows():
+    # K = W_s^-1 + U D^-1 U^T, with U = [A_S B_S] formed explicitly.
+    op, _ = _operator_and_dense()
+    U = op.model.voltage_rows(op.sensors - 1)
+    want = np.diag(1.0 / op.w_sensor) + (U / op.w_pseudo) @ U.T
+    L = np.tril(op._K_cho[0])
+    assert np.abs(L @ L.T - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_operator_estimator_keeps_no_sensor_rows():
+    # On the 4000-node feeder U = [A_S B_S] is 144 x 8000, 9.2 MB. The
+    # estimator applies it through the tree kernel and keeps less than an
+    # eighth of that; its blocked set-up never holds half of it at once.
+    net = synthetic_feeder(4000, seed=12)
+    model = lindistflow(net)
+    plan = make_plan(
+        n=net.n, sensor_nodes=None, sensor_fraction=0.036, placement_seed=0,
+        sensor_sigma=0.01, pseudo_sigma=0.5, pseudo_base=(net.p0, net.q0), seed=0,
+    )
+    rows_bytes = len(plan.sensor_nodes) * 2 * net.n * 8
+    tracemalloc.start()
+    try:
+        est = WlsEstimator(plan, model)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.ns == 144
+    assert retained < rows_bytes / 8, f"retained {retained / 1e6:.2f} MB"
+    assert peak < rows_bytes / 2, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_extra_sensor_never_hurts(net33):

@@ -16,6 +16,7 @@ from gridloop.netmodel import (
     build_admittance,
     build_network,
     load_network,
+    path_gram,
     path_sum_matrix,
     project_feasible,
 )
@@ -261,6 +262,26 @@ def test_path_sum_kernel_matches_dense_matrix(net33, feeder, kind):
         d = rng.uniform(0.5, 2.0, n)
         ref = (dense * dense) @ d
         assert np.abs(op.diag_quad(d) - ref).max() <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("feeder", FEEDERS)
+def test_path_gram_matches_dense_matrices(net33, feeder):
+    # sum_m P_m diag(d_m) P_m^T x, at every node and at selected rows.
+    net = FEEDERS[feeder](net33)
+    z = net.branch_z
+    rng = np.random.default_rng(2)
+    n = net.n
+    d_r, d_x = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    R, X = path_sum_matrix(net, z.real), path_sum_matrix(net, z.imag)
+    terms = ((PathSum(net, z.real), d_r), (PathSum(net, z.imag), d_x))
+    rows = rng.permutation(n)[: max(1, n // 3)]
+    for x in (rng.normal(size=n), rng.normal(size=(n, 5))):
+        ref = (R * d_r) @ (R.T @ x) + (X * d_x) @ (X.T @ x)
+        scale = np.abs(ref).max()
+        assert np.abs(path_gram(terms, x) - ref).max() <= 1e-12 * scale
+        assert np.abs(path_gram(terms, x, rows) - ref[rows]).max() <= 1e-12 * scale
+    with pytest.raises(ValueError, match="one tree"):
+        path_gram(((terms[0][0], d_r), (PathSum(_tree([0] * n), z.real), d_x)), x)
 
 
 def test_path_sum_kernel_rejects_wrong_length(net33):

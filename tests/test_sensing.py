@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -113,6 +114,23 @@ def test_pseudo_floor_guards_zero_load_nodes(net33):
     )
     sigma = plan_reference_sigmas(plan, lindistflow(net33))
     assert sigma[5] == pytest.approx(0.5 * 0.01)
+
+
+def test_plan_arrays_are_derived_once_read_only_and_not_pickled(net33):
+    # The pseudo means and deviations are built once per plan, not per
+    # sample; equality, replace and pickling see only the fields.
+    plan = _plan33(net33)
+    pickled = pickle.dumps(plan)
+    y = sample_measurements(plan, np.ones(32), iter=4)
+    assert plan.pseudo_std is plan.pseudo_std
+    assert not plan.pseudo_mean.flags.writeable and not plan.pseudo_std.flags.writeable
+    assert pickle.dumps(plan) == pickled
+    again = pickle.loads(pickled)
+    assert again == plan
+    assert np.array_equal(sample_measurements(again, np.ones(32), iter=4), y)
+    halved = replace(plan, pseudo_sigma=0.25)
+    assert halved != plan
+    assert np.array_equal(halved.pseudo_std, 0.5 * plan.pseudo_std)
 
 
 def test_place_sensors_fraction():

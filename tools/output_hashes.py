@@ -7,14 +7,20 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
 - every shipped scenario under ``scenarios/`` (``ieee33_bound.json`` reduced
   to 200 iterations and 2 trials);
 - ``gridloop compare`` on ``ieee33_compare.json`` at 300 iterations;
-- a 3-trial ``twobus.json`` run with ``verify_bound`` and ``track_saddle``.
+- a 3-trial ``twobus.json`` run with ``verify_bound`` and ``track_saddle``;
+- a 40-iteration ``se_loop`` run with linear estimation on
+  ``synthetic_feeder(400, seed=12)``, which is above ``DENSE_LIMIT``, so the
+  tree-kernel (``PathSum``) paths of the model and the estimator are
+  checked too. Its network and scenario files are written to the temporary
+  directory.
 
-The runs start in the checkout's root with relative scenario paths, so the
-network paths ``summary.json`` echoes do not depend on where the checkout
-lives. ``manifest.json`` is left out: it holds a timestamp and the output
-path. What the runs print goes to stderr, so stdout is the JSON alone. Run
-it on two commits and compare the printed JSON to check that a change keeps
-every output byte-identical.
+The runs start in the checkout's root (the synthetic feeder's in the
+temporary directory) with relative scenario paths, so the network paths
+``summary.json`` echoes do not depend on where the checkout lives.
+``manifest.json`` is left out: it holds a timestamp and the output path.
+What the runs print goes to stderr, so stdout is the JSON alone. Run it on
+two commits and compare the printed JSON to check that a change keeps every
+output byte-identical.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from gridloop.cli import main  # noqa: E402
 
 SCEN = Path("scenarios")
 REDUCED = {"ieee33_bound.json": ["--set", "iterations=200", "--trials", "2"]}
+FEEDER_NODES = 400
+FEEDER_SEED = 12
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -56,19 +64,64 @@ def runs() -> list[tuple[str, list[str]]]:
     return jobs
 
 
+def write_feeder_scenario(directory: Path) -> str:
+    """Write the synthetic feeder as ``feeder.json`` and its scenario as
+    ``feeder_scenario.json`` into ``directory``; return the scenario's name.
+
+    The step sizes lie under the feeder's eps_max (1.35e-2), and ``v_min``
+    sits 0.002 pu above the nominal minimum voltage, so the band binds and
+    the estimate steers the duals.
+    """
+    from gridloop.feeders import synthetic_feeder
+    from gridloop.plant import solve_power_flow
+
+    net = synthetic_feeder(FEEDER_NODES, seed=FEEDER_SEED)
+    nodes = [{"id": 0, "p0": 0.0, "q0": 0.0}]
+    for nd, fs in zip(net.nodes[1:], net.feasible):
+        nodes.append(
+            {"id": nd.id, "p0": nd.p0, "q0": nd.q0, "pmin": fs.p_min, "pmax": fs.p_max,
+             "qmin": fs.q_min, "qmax": fs.q_max, "smax": fs.s_max}
+        )
+    lines = [
+        {"from": ln.from_bus, "to": ln.to_bus, "r": ln.z.real, "x": ln.z.imag} for ln in net.lines
+    ]
+    (directory / "feeder.json").write_text(
+        json.dumps({"v0": net.v0, "nodes": nodes, "lines": lines})
+    )
+    v_min = round(float(solve_power_flow(net, net.p0, net.q0).v_mag.min()) + 0.002, 4)
+    scenario = {
+        "network": "feeder.json",
+        "controller": {"eps_primal": 1e-3, "eps_dual": 1e-3, "eta": 0.08, "v_min": v_min},
+        "plan": {"sensor_fraction": 0.036, "placement_seed": 0},
+        "feedback_mode": "se_loop",
+        "estimation_mode": "linear",
+        "iterations": 40,
+        "base_seed": 0,
+    }
+    (directory / "feeder_scenario.json").write_text(json.dumps(scenario))
+    return "feeder_scenario.json"
+
+
+def hash_run(hashes: dict[str, str], label: str, argv: list[str], out: Path) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        rc = main([*argv, "--out", str(out)])
+    if rc != 0:
+        raise SystemExit(f"{label}: exit code {rc}")
+    for path in sorted(out.iterdir()):
+        if path.name != "manifest.json":
+            hashes[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def main_hashes() -> dict[str, str]:
-    hashes = {}
-    os.chdir(ROOT)
+    hashes: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(ROOT)
         for label, argv in runs():
-            out = Path(tmp) / label
-            with contextlib.redirect_stdout(sys.stderr):
-                rc = main([*argv, "--out", str(out)])
-            if rc != 0:
-                raise SystemExit(f"{label}: exit code {rc}")
-            for path in sorted(out.iterdir()):
-                if path.name != "manifest.json":
-                    hashes[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            hash_run(hashes, label, argv, Path(tmp) / label)
+        os.chdir(tmp)
+        scenario = write_feeder_scenario(Path(tmp))
+        hash_run(hashes, "feeder400", ["run", scenario], Path(tmp) / "feeder400")
+        os.chdir(ROOT)
     return hashes
 
 
