@@ -65,8 +65,10 @@ class CostParams:
         )
 
     def local_cost(self, p: np.ndarray, q: np.ndarray) -> float:
+        # np.add.reduce is np.sum of an array without its Python wrapper.
         return float(
-            np.sum(self.wp * (p - self.p_ref) ** 2) + np.sum(self.wq * (q - self.q_ref) ** 2)
+            np.add.reduce(self.wp * (p - self.p_ref) ** 2)
+            + np.add.reduce(self.wq * (q - self.q_ref) ** 2)
         )
 
     def substation_cost(self, p0_actual: float) -> float:

@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrs
 
 from .linearizer import LinearFlowModel, eval_linear
 from .netmodel import NetworkModel, PathSum, path_gram
@@ -129,7 +130,7 @@ class WlsEstimator:
         y_s = y_adjusted[: self.ns]
         y_p = y_adjusted[self.ns :]
         if isinstance(self.U, _SensorRows) and self.ns:
-            v = sla.cho_solve(self._K_cho, y_s - self.U @ y_p)
+            v = _cho_apply(self._K_cho, y_s - self.U @ y_p)
             return y_p + (self.U.T @ v) / self.w_pseudo
         b = self.w_pseudo * y_p
         if self.ns:
@@ -158,7 +159,7 @@ class WlsEstimator:
         t = (b.T / self.w_pseudo).T
         if not self.ns:
             return t
-        v = sla.cho_solve(self._K_cho, self.U @ t)
+        v = _cho_apply(self._K_cho, self.U @ t)
         return t - ((self.U.T @ v).T / self.w_pseudo).T
 
     def voltage_variance(self) -> np.ndarray:
@@ -227,6 +228,20 @@ class _SensorRows:
             yield blk, path_gram(terms, x, rows)
 
 
+def _cho_apply(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """``sla.cho_solve(factor, b)`` for float64 ``b``, through LAPACK
+    ``dpotrs`` directly: the same call and result without the wrapper's
+    dispatch, which costs some 20 us per solve at 33 buses. Keeps the
+    wrapper's finiteness and ``info`` checks; the factor is finite, since
+    ``cho_factor`` checked the matrix it came from."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(factor[0], b, lower=factor[1])
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
 def _diag_quad(m: np.ndarray | PathSum, d: np.ndarray) -> np.ndarray:
     """``diag(M diag(d) M^T)``."""
     if isinstance(m, np.ndarray):
@@ -248,7 +263,7 @@ def estimate_voltages(
     """
     n = net.n
     z_hat = np.asarray(z_hat, dtype=float)
-    if not np.all(np.isfinite(z_hat)):
+    if not np.isfinite(z_hat).all():
         raise ValueError("state estimate contains non-finite entries")
     p_hat, q_hat = z_hat[:n], z_hat[n:]
     if mode == "linear":

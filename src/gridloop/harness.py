@@ -49,6 +49,14 @@ FEEDBACK_MODES = ("se_loop", "raw_measurements", "full_exact", "pseudo_only", "l
 # Feedback modes that run the WLS estimator (and so have confidence intervals).
 ESTIMATING_MODES = ("se_loop", "pseudo_only")
 BASELINE_MODES = ("se_loop", "raw_measurements", "pseudo_only")
+# Seeds key Philox streams. The sensor placement seed is a 64-bit key word.
+# The measurement seed of every trial (base_seed + trial) is one word of the
+# key list [seed, lane], which numpy reads through np.asarray: from 2**63 on
+# the seed becomes a float64 and loses its low bits (2**64 - 1 rounds to
+# 2**64, which the cast to uint64 cannot hold), so distinct trials would
+# share a stream.
+PLACEMENT_SEED_LIMIT = 2**64
+SEED_LIMIT = 2**63
 
 
 class HarnessError(RuntimeError):
@@ -77,6 +85,10 @@ class PlanSpec:
     def __post_init__(self) -> None:
         if self.sensor_fraction is not None and not 0.0 < self.sensor_fraction <= 1.0:
             raise ValueError(f"sensor_fraction must lie in (0, 1], got {self.sensor_fraction}")
+        if not 0 <= self.placement_seed < PLACEMENT_SEED_LIMIT:
+            raise ValueError(
+                f"scenario key 'plan.placement_seed' must lie in [0, 2**64), got {self.placement_seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,11 @@ class ScenarioConfig:
             raise ValueError("iterations must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.base_seed <= SEED_LIMIT - self.trials:
+            raise ValueError(
+                f"scenario key 'base_seed' must be >= 0 with base_seed + trials - 1 < 2**63, "
+                f"got {self.base_seed} with {self.trials} trials"
+            )
         if self.feedback_mode not in FEEDBACK_MODES:
             raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
         if self.plant_model not in ("nonlinear", "linear"):
@@ -420,40 +437,38 @@ def run_closed_loop(ctx: RunContext, trial: int = 0) -> SimulationTrace:
     x_star_vec = None if ctx.x_star is None else ctx.x_star.as_vector()
     state = initial_state(ctx.net)
     cfgc = cfg.controller
+    # The bookkeeping below calls the ufunc reductions directly, which is
+    # what norm, mean, min and max reduce to, without their Python wrappers.
     for k in range(k_iter):
-        r_true, p_slack = _plant_truth(ctx, state.p, state.q, k)
-        r_hat = _feedback(ctx, plan, r_true, state.p, state.q, k)
+        p_k, q_k, mu_lower, mu_upper = state.p, state.q, state.mu_lower, state.mu_upper
+        r_true, p_slack = _plant_truth(ctx, p_k, q_k, k)
+        r_hat = _feedback(ctx, plan, r_true, p_k, q_k, k)
 
-        p[k] = state.p
-        q[k] = state.q
+        p[k] = p_k
+        q[k] = q_k
         v_true[k] = r_true
         r_hat_arr[k] = r_hat
-        mu_l[k] = state.mu_lower
-        mu_u[k] = state.mu_upper
-        mu_l_norm[k] = np.linalg.norm(state.mu_lower)
-        mu_u_norm[k] = np.linalg.norm(state.mu_upper)
-        cost_local[k] = ctx.cost.local_cost(state.p, state.q)
+        mu_l[k] = mu_lower
+        mu_u[k] = mu_upper
+        mu_l_norm[k] = math.sqrt(mu_lower.dot(mu_lower))
+        mu_u_norm[k] = math.sqrt(mu_upper.dot(mu_upper))
+        cost_local[k] = ctx.cost.local_cost(p_k, q_k)
         cost_sub[k] = ctx.cost.substation_cost(p_slack)
         violation[k] = max(
             0.0,
-            float(cfgc.v_min - r_true.min()),
-            float(r_true.max() - cfgc.v_max),
+            float(cfgc.v_min - np.minimum.reduce(r_true)),
+            float(np.maximum.reduce(r_true) - cfgc.v_max),
         )
         err = np.abs(r_hat - r_true)
-        se_mean[k] = err.mean()
-        se_max[k] = err.max()
+        se_mean[k] = float(np.add.reduce(err)) / n
+        se_max[k] = np.maximum.reduce(err)
         if x_star_vec is not None:
             dist[k] = np.linalg.norm(state.as_vector() - x_star_vec)
 
         grads = primal_grad(state, ctx.cost, ctx.model)
-        new_primal = primal_step(state, grads, ctx.net, cfgc)
-        new_dual = dual_step(state, r_hat, cfgc)
-        state = ControllerState(
-            p=new_primal.p,
-            q=new_primal.q,
-            mu_lower=new_dual.mu_lower,
-            mu_upper=new_dual.mu_upper,
-        )
+        # The primal step keeps the duals and the dual step keeps the
+        # primal variables, so chaining them gives the next iterate.
+        state = dual_step(primal_step(state, grads, ctx.net, cfgc), r_hat, cfgc)
 
     summary = {
         "trial": trial,
@@ -491,8 +506,8 @@ def run_trials(ctx: RunContext) -> list[SimulationTrace]:
     prepared context, so none of them repeats ``prepare``.
     """
     trials = ctx.cfg.trials
-    threads = int(os.environ.get("GRIDLOOP_THREADS", "1") or "1")
-    if trials == 1 or threads <= 1:
+    threads = _threads()
+    if trials == 1 or threads == 1:
         return [run_closed_loop(ctx, t) for t in range(trials)]
     with ProcessPoolExecutor(max_workers=min(threads, trials)) as pool:
         return list(pool.map(run_closed_loop, [ctx] * trials, range(trials)))
@@ -500,6 +515,20 @@ def run_trials(ctx: RunContext) -> list[SimulationTrace]:
 
 # ---------------------------------------------------------------------------
 # Saddle-point oracle
+
+
+def _threads() -> int:
+    """Worker count from GRIDLOOP_THREADS: unset or empty means 1."""
+    raw = os.environ.get("GRIDLOOP_THREADS", "")
+    if not raw:
+        return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"GRIDLOOP_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def saddle_oracle(ctx: RunContext) -> ControllerState:
@@ -515,8 +544,8 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     """
     net, model, cost, cfgc = ctx.net, ctx.model, ctx.cost, ctx.cfg.controller
     n = net.n
-    pmin, pmax, qmin, qmax, smax = net.box
-    if np.isfinite(smax).any():
+    pmin, pmax, qmin, qmax, _ = net.box
+    if net.disk_capped:
         raise HarnessError(
             "the saddle oracle supports box feasible sets only (apparent-power "
             "caps are outside the closed-form dual elimination)"

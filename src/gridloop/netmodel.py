@@ -180,15 +180,29 @@ class NetworkModel:
 
     @cached_property
     def _sweep(self) -> tuple:
-        """Operators of the backward/forward sweep, built once per network:
-        the common-path impedance ``Z`` (:func:`path_sum` of the branch
-        impedances) and the admittance partition ``(Y, y_bar, y00)`` of
-        :func:`build_admittance`, with ``Y`` dense up to ``DENSE_LIMIT``
-        nodes and sparse above."""
+        """Operators and loop invariants of the backward/forward sweep,
+        built once per network: the common-path impedance ``Z``
+        (:func:`path_sum` of the branch impedances); the admittance
+        partition ``(Y, y_bar, y00)`` of :func:`build_admittance`, with
+        ``Y`` dense up to ``DENSE_LIMIT`` nodes and sparse above;
+        ``y_bar * v0``; the flat start ``v0`` at every node; and the shunt
+        admittances, or None when no node has one. The arrays are
+        read-only."""
         Y, y_bar, y00 = build_admittance(self)
         if self.n <= DENSE_LIMIT:
             Y = Y.toarray()
-        return path_sum(self, self.branch_z), Y, y_bar, y00
+        v0 = complex(self.v0)
+        flat = np.full(self.n, v0, dtype=complex)
+        shunts = self.shunts if self.shunts.any() else None
+        return (
+            path_sum(self, self.branch_z),
+            _freeze(Y) if isinstance(Y, np.ndarray) else Y,
+            _freeze(y_bar),
+            y00,
+            _freeze(y_bar * v0),
+            _freeze(flat),
+            shunts,
+        )
 
     @cached_property
     def box(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -200,6 +214,11 @@ class NetworkModel:
         qmax = np.array([f.q_max for f in fs])
         smax = np.array([math.inf if f.s_max is None else f.s_max for f in fs])
         return tuple(_freeze(a) for a in (pmin, pmax, qmin, qmax, smax))  # type: ignore[return-value]
+
+    @cached_property
+    def disk_capped(self) -> bool:
+        """Whether any node's feasible set has a finite apparent-power cap."""
+        return bool(np.isfinite(self.box[4]).any())
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -646,7 +665,9 @@ def project_feasible_net(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Node-wise projection of injection vectors onto the network's feasible sets."""
     pmin, pmax, qmin, qmax, smax = net.box
-    return project_box_disk(p, q, pmin, pmax, qmin, qmax, smax, tol)
+    return project_box_disk(
+        p, q, pmin, pmax, qmin, qmax, smax if net.disk_capped else None, tol
+    )
 
 
 def project_box_disk(
@@ -656,13 +677,15 @@ def project_box_disk(
     pmax: np.ndarray,
     qmin: np.ndarray,
     qmax: np.ndarray,
-    smax: np.ndarray,
+    smax: np.ndarray | None,
     tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection onto box intersect origin-centered disk, per entry."""
-    pc = np.clip(p, pmin, pmax)
-    qc = np.clip(q, qmin, qmax)
-    if not np.isfinite(smax).any():
+    """Vectorized projection onto box intersect origin-centered disk, per
+    entry. ``smax`` is inf where an entry has no disk; None (the caller
+    knows that no entry has one) skips the test for a finite radius."""
+    pc = p.clip(pmin, pmax)
+    qc = q.clip(qmin, qmax)
+    if smax is None or not np.isfinite(smax).any():
         return pc, qc
 
     # Already feasible within tol: return unchanged (exact idempotency).

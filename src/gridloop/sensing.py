@@ -4,9 +4,16 @@ Each iteration produces one stacked vector y = [sensor voltages; pseudo p;
 pseudo q]. Sensor noise is relative to the instantaneous true voltage; pseudo
 channels read the configured nominal base injections corrupted by noise whose
 standard deviation is relative to the base magnitude (floored at 0.01 pu so no
-channel has zero variance). Randomness comes from a counter-based Philox4x64
-stream keyed by (seed, iteration), making trials reproducible and independent
-of evaluation order.
+channel has zero variance). Randomness comes from counter-based Philox4x64
+streams keyed by (seed, lane), lane 0 for the sensors and 1 for the pseudo
+channels, with the iteration index in the top counter word, making trials
+reproducible and independent of evaluation order.
+
+A plan keeps one generator per lane and, for each draw, resets its counter to
+``[0, 0, 0, k]``. A Philox stream is a function of key and counter alone, so
+this gives the same numbers, bit for bit, as a fresh
+``Philox(counter=[0, 0, 0, k], key=[seed, lane])``, without building two
+generators per iteration.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ class MeasurementPlan:
     ``pseudo_base`` holds the per-node injections used as pseudo-measurement
     means (normally the nominal load pattern). With ``pseudo_fixed`` the
     pseudo noise drawn at iteration 0 is reused every iteration. The arrays
-    every iteration reads (sensor indices, pseudo means and deviations) are
-    derived once per plan, read-only.
+    every iteration reads (sensor indices, pseudo means and deviations) and
+    the two noise streams are derived once per plan, the arrays read-only;
+    none of them is pickled.
     """
 
     n: int
@@ -58,8 +66,8 @@ class MeasurementPlan:
             raise ValueError("pseudo_base must provide (p, q) for every node")
 
     def __getstate__(self) -> dict:
-        # Pickle the fields only: the derived arrays are rebuilt, read-only,
-        # on first use.
+        # Pickle the fields only: the derived arrays and noise streams are
+        # rebuilt on first use.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
@@ -79,6 +87,11 @@ class MeasurementPlan:
         return _freeze(
             self.pseudo_sigma * np.maximum(np.abs(self.pseudo_mean), PSEUDO_MAGNITUDE_FLOOR)
         )
+
+    @cached_property
+    def streams(self) -> tuple[NoiseStream, NoiseStream]:
+        """The sensor (lane 0) and pseudo (lane 1) noise streams."""
+        return NoiseStream(self.seed, 0), NoiseStream(self.seed, 1)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -124,12 +137,33 @@ def place_sensors(n: int, fraction: float, placement_seed: int) -> tuple[int, ..
     return tuple(sorted(int(v) for v in nodes))
 
 
-def _normals(seed: int, lane: int, k: int, count: int) -> np.ndarray:
-    """Standard normals from the Philox4x64 stream keyed by (seed, lane) with
-    the iteration index in the top counter word, so streams for different
-    iterations never overlap."""
-    gen = np.random.Generator(np.random.Philox(counter=[0, 0, 0, k], key=[seed, lane]))
-    return gen.standard_normal(count)
+class NoiseStream:
+    """Standard normals from the Philox4x64 stream keyed by (seed, lane),
+    with the iteration index in the top counter word, so streams for
+    different iterations never overlap.
+
+    One generator serves every draw: ``normals`` puts it back into the state
+    a fresh ``Philox(counter=[0, 0, 0, k], key=[seed, lane])`` starts in. The
+    key is read from such a generator once, so it is converted exactly as a
+    fresh one converts it. A draw changes the generator's state, so a stream
+    is not shared between threads; each trial's plan has its own streams.
+    """
+
+    def __init__(self, seed: int, lane: int):
+        bits = np.random.Philox(key=[seed, lane])
+        self._gen = np.random.Generator(bits)
+        self._key = bits.state["state"]["key"].tolist()
+
+    def normals(self, k: int, count: int) -> np.ndarray:
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, k], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen.standard_normal(count)
 
 
 def sample_measurements(plan: MeasurementPlan, truth_v: np.ndarray, iter: int) -> np.ndarray:
@@ -143,12 +177,13 @@ def sample_measurements(plan: MeasurementPlan, truth_v: np.ndarray, iter: int) -
     bit-identical vector.
     """
     ns = len(plan.sensor_nodes)
+    sensor_noise, pseudo_noise = plan.streams
     v_true = np.asarray(truth_v, dtype=float)[plan.sensor_index]
-    xi_v = _normals(plan.seed, 0, iter, ns) if ns else np.empty(0)
+    xi_v = sensor_noise.normals(iter, ns) if ns else np.empty(0)
     y_v = v_true * (1.0 + plan.sensor_sigma * xi_v)
 
     k_pseudo = 0 if plan.pseudo_fixed else iter
-    xi_z = _normals(plan.seed, 1, k_pseudo, 2 * plan.n)
+    xi_z = pseudo_noise.normals(k_pseudo, 2 * plan.n)
     y_z = plan.pseudo_mean + plan.pseudo_std * xi_z
 
     return np.concatenate([y_v, y_z])

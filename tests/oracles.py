@@ -99,3 +99,28 @@ def wls_closed_form(H, w, y):
     sw = np.sqrt(w)
     sol, *_ = np.linalg.lstsq(H * sw[:, None], y * sw, rcond=None)
     return sol
+
+
+def reference_sweep(net, p, q, tol=1e-10, max_iter=500):
+    """The backward/forward sweep loop of ``plant.solve_power_flow`` as it
+    stood before its loop invariants were hoisted, kept verbatim (on the
+    network's own sweep operators) so the lean loop can be checked bit for
+    bit: returns ``(v, iterations, residual_history)``."""
+    s = np.asarray(p, dtype=float) + 1j * np.asarray(q, dtype=float)
+    Z, Y, y_bar, y00 = net._sweep[:4]
+    v0 = complex(net.v0)
+    v = np.full(net.n, v0, dtype=complex)
+    history: list[float] = []
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        i_inj = np.conj(s / v) - net.shunts * v
+        v = v0 + Z @ i_inj
+        if not np.all(np.isfinite(v)) or np.abs(v).min() < 0.05:
+            history.append(float("inf"))
+            break
+        s_calc = v * np.conj(Y @ v + y_bar * v0)
+        residual = float(np.abs(s_calc - s).max())
+        history.append(residual)
+        if residual <= tol:
+            break
+    return v, iterations, tuple(history)

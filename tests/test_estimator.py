@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import gridloop.estimator as estimator_mod
 from gridloop.estimator import (
     GRAM_BLOCK,
     EstimationError,
@@ -195,6 +197,42 @@ def test_operator_lemma_matrix_matches_explicit_rows():
     want = np.diag(1.0 / op.w_sensor) + (U / op.w_pseudo) @ U.T
     L = np.tril(op._K_cho[0])
     assert np.abs(L @ L.T - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("path", ["dense", "operator"])
+def test_solves_match_cho_solve_bitwise(monkeypatch, net33, path):
+    # The factor is applied through LAPACK dpotrs directly; the results are
+    # those of scipy's cho_solve bit for bit, and non-finite input raises.
+    if path == "dense":
+        est = WlsEstimator(_plan(net33, sensors=(5, 17, 30)), lindistflow(net33))
+    else:
+        est, _ = _operator_and_dense()
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=est.ns + 2 * est.n)
+    b = rng.normal(size=(2 * est.n, 3))
+    rhs = rng.normal(size=(est.ns, 4))
+
+    def results():
+        return [est.solve(y), est.solve_normal(b[:, 0]), est.solve_normal(b)]
+
+    got = results()
+    assert estimator_mod._cho_apply(est._K_cho, rhs).tobytes() == (
+        sla.cho_solve(est._K_cho, rhs).tobytes()
+    )
+    monkeypatch.setattr(estimator_mod, "_cho_apply", sla.cho_solve)
+    for g, w in zip(got, results()):
+        assert g.tobytes() == w.tobytes() and g.flags.f_contiguous == w.flags.f_contiguous
+    monkeypatch.undo()
+    for bad in (np.nan, np.inf):
+        y_bad = y.copy()
+        y_bad[-1] = bad
+        b_bad = b.copy()
+        b_bad[-1, 1] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                est.solve(y_bad)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                est.solve_normal(b_bad)
 
 
 def test_operator_estimator_keeps_no_sensor_rows():

@@ -139,6 +139,16 @@ def test_parallel_trials_reuse_prepared_context(monkeypatch):
     assert [tr.summary["trial"] for tr in traces] == [0, 1]
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-4", "1.5"])
+def test_threads_setting_is_validated(monkeypatch, value):
+    ctx = prepare(_cfg2(iterations=3, trials=2))
+    monkeypatch.setenv("GRIDLOOP_THREADS", value)
+    with pytest.raises(ValueError, match=f"GRIDLOOP_THREADS .*{value!r}"):
+        run_trials(ctx)
+    monkeypatch.setenv("GRIDLOOP_THREADS", "")
+    assert [tr.summary["trial"] for tr in run_trials(ctx)] == [0, 1]
+
+
 def test_plant_divergence_diagnostic():
     cfg = _cfg2(load_scale=500.0, feedback_mode="full_exact", allow_uncertified=True)
     with pytest.raises(PlantDivergence, match="iteration 0"):

@@ -7,7 +7,7 @@ from gridloop.feeders import synthetic_feeder
 from gridloop.netmodel import DENSE_LIMIT, PathSum, build_admittance, load_network, path_sum_matrix
 from gridloop.plant import solve_power_flow
 
-from oracles import newton_power_flow, one_branch_voltage
+from oracles import newton_power_flow, one_branch_voltage, reference_sweep
 
 
 def test_no_load_flat_solution(net33):
@@ -74,7 +74,7 @@ def test_voltage_monotone_in_load(net33):
         prev = sol.v_mag[node]
 
 
-def test_shunt_enters_as_current_injection(tmp_path):
+def _shunted_two_node(tmp_path):
     import json
 
     path = tmp_path / "shunted.json"
@@ -87,7 +87,11 @@ def test_shunt_enters_as_current_injection(tmp_path):
             }
         )
     )
-    net = load_network(path)
+    return load_network(path)
+
+
+def test_shunt_enters_as_current_injection(tmp_path):
+    net = _shunted_two_node(tmp_path)
     sol = solve_power_flow(net, np.zeros(1), np.zeros(1))
     assert sol.converged
     v = np.abs(newton_power_flow(net, np.zeros(1), np.zeros(1)))
@@ -130,3 +134,49 @@ def test_tree_kernel_plant_matches_dense_sweep():
 def test_true_quantities_shape(net33):
     sol = solve_power_flow(net33, 0.8 * net33.p0, 0.8 * net33.q0)
     assert sol.v_mag.shape == (32,)
+
+
+def _assert_sweep_matches_reference(net, p, q, **kw):
+    """Voltages, sweep count and residual history bit for bit those of the
+    plain loop kept in ``oracles.reference_sweep``."""
+    sol = solve_power_flow(net, p, q, **kw)
+    v, iterations, history = reference_sweep(net, p, q, **kw)
+    assert sol.iterations == iterations
+    assert np.array(sol.residual_history).tobytes() == np.array(history).tobytes()
+    assert sol.v_mag.tobytes() == np.abs(v).tobytes()
+    assert sol.v_ang.tobytes() == np.angle(v).tobytes()
+    return sol
+
+
+def test_sweep_matches_reference_loop_bitwise(net33, tmp_path, twobus_json):
+    sol = _assert_sweep_matches_reference(net33, net33.p0, net33.q0)
+    assert sol.converged
+    rng = np.random.default_rng(3)
+    pmin, pmax, qmin, qmax, _ = net33.box
+    for _ in range(20):
+        p, q = rng.uniform(pmin, pmax), rng.uniform(qmin, qmax)
+        assert _assert_sweep_matches_reference(net33, p, q).converged
+    # Out of sweeps before the tolerance is met.
+    sol = _assert_sweep_matches_reference(net33, 3 * net33.p0, 3 * net33.q0, max_iter=10)
+    assert not sol.converged and sol.iterations == 10
+    shunted = _shunted_two_node(tmp_path)
+    assert shunted._sweep[-1] is not None
+    assert _assert_sweep_matches_reference(shunted, np.array([-0.2]), np.array([0.1])).converged
+
+
+def test_sweep_matches_reference_loop_when_diverging(net33, twobus_json):
+    # Voltage collapse below 0.05 pu, on two networks.
+    for net, p, q in (
+        (net33, 5 * net33.p0, 5 * net33.q0),
+        (load_network(twobus_json), np.array([-40.0]), np.array([-20.0])),
+    ):
+        sol = _assert_sweep_matches_reference(net, p, q, max_iter=80)
+        assert not sol.converged and sol.residual_history[-1] == np.inf
+    # Non-finite voltages: NaN from an infinite injection at once, and
+    # infinite (|v| = inf, no NaN) after 14 sweeps from a huge finite one.
+    net = load_network(twobus_json)
+    with np.errstate(all="ignore"):
+        sol = _assert_sweep_matches_reference(net, np.array([np.inf]), np.array([0.0]))
+        assert not sol.converged and sol.residual_history == (np.inf,)
+        sol = _assert_sweep_matches_reference(net, np.array([1e308]), np.array([1e308]))
+        assert not sol.converged and sol.iterations == 14 and np.isinf(sol.v_mag).all()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gridloop.cli import load_scenario
+from gridloop.cli import main as cli_main
 from gridloop.controller import ControllerConfig
 from gridloop.harness import PlanSpec, ScenarioConfig
 
@@ -96,3 +97,36 @@ def test_empty_network_is_rejected(tmp_path):
     path.write_text(json.dumps({**_cfg().to_dict(), "network": ""}))
     with pytest.raises(ValueError, match="'network'"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("base_seed=-1", "base_seed"),
+        (f"base_seed={2**63}", "base_seed"),
+        ("plan.placement_seed=-3", "plan.placement_seed"),
+        (f"plan.placement_seed={2**64}", "plan.placement_seed"),
+    ],
+)
+def test_seeds_must_fit_philox_keys(override, key):
+    # Every trial's seed base_seed + trial keys a Philox stream: it must be
+    # a nonnegative integer that numpy takes without losing bits.
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        load_scenario(SCEN / "twobus.json", [override])
+
+
+def test_last_trial_seed_must_fit_philox_key():
+    last = 2**63 - 1
+    _cfg(base_seed=last)
+    _cfg(base_seed=last - 2, trials=3)
+    _cfg(plan=PlanSpec(placement_seed=2**64 - 1))
+    with pytest.raises(ValueError, match="'base_seed'"):
+        _cfg(base_seed=last - 1, trials=3)
+
+
+def test_cli_seed_flag_is_checked(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli_main(["run", str(SCEN / "twobus.json"), "--out", str(out), "--seed", "-1"])
+    assert rc == 1
+    assert "'base_seed'" in capsys.readouterr().err
+    assert not out.exists()

@@ -133,6 +133,49 @@ def test_plan_arrays_are_derived_once_read_only_and_not_pickled(net33):
     assert np.array_equal(halved.pseudo_std, 0.5 * plan.pseudo_std)
 
 
+def _fresh_normals(seed, lane, k, count):
+    gen = np.random.Generator(np.random.Philox(counter=[0, 0, 0, k], key=[seed, lane]))
+    return gen.standard_normal(count)
+
+
+def test_kept_streams_match_fresh_philox(net33):
+    # One generator per (seed, lane), its counter reset to [0, 0, 0, k] per
+    # draw: the same numbers as a fresh generator at that counter, in any
+    # order of k, with two plans interleaved, for both lanes.
+    plans = [_plan33(net33, seed=99), _plan33(net33, seed=2**63 - 1, pseudo_fixed=True)]
+    truth_v = np.linspace(0.95, 1.0, 32)
+    ks = [*range(8), 2**40, 5, 0, 3]
+    np.random.default_rng(4).shuffle(ks)
+    for k in ks:
+        for plan in plans:
+            xi_v = _fresh_normals(plan.seed, 0, k, 2)
+            xi_z = _fresh_normals(plan.seed, 1, 0 if plan.pseudo_fixed else k, 64)
+            want = np.concatenate(
+                [
+                    truth_v[plan.sensor_index] * (1.0 + plan.sensor_sigma * xi_v),
+                    plan.pseudo_mean + plan.pseudo_std * xi_z,
+                ]
+            )
+            assert sample_measurements(plan, truth_v, iter=k).tobytes() == want.tobytes()
+            for lane, stream in enumerate(plan.streams):
+                got = stream.normals(k, 7)
+                assert got.tobytes() == _fresh_normals(plan.seed, lane, k, 7).tobytes()
+
+
+def test_plan_pickles_fields_only_after_sampling(net33):
+    plan = _plan33(net33)
+    pickled = pickle.dumps(plan)
+    sample_measurements(plan, np.ones(32), iter=2)
+    assert "streams" in vars(plan)
+    assert pickle.dumps(plan) == pickled
+    again = pickle.loads(pickled)
+    assert "streams" not in vars(again)
+    assert np.array_equal(
+        sample_measurements(again, np.ones(32), iter=2),
+        sample_measurements(plan, np.ones(32), iter=2),
+    )
+
+
 def test_place_sensors_fraction():
     nodes = place_sensors(32, 0.036, placement_seed=4)
     assert len(nodes) == 1

@@ -8,6 +8,9 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
   to 200 iterations and 2 trials);
 - ``gridloop compare`` on ``ieee33_compare.json`` at 300 iterations;
 - a 3-trial ``twobus.json`` run with ``verify_bound`` and ``track_saddle``;
+- ``ieee33_regulation.json`` with ``plan.pseudo_fixed`` at 300 iterations,
+  so the pseudo-measurement stream that restarts at counter 0 every
+  iteration is checked too;
 - a 40-iteration ``se_loop`` run with linear estimation on
   ``synthetic_feeder(400, seed=12)``, which is above ``DENSE_LIMIT``, so the
   tree-kernel (``PathSum``) paths of the model and the estimator are
@@ -59,6 +62,13 @@ def runs() -> list[tuple[str, list[str]]]:
             "twobus_audit",
             ["run", str(SCEN / "twobus.json"), "--trials", "3",
              "--set", "verify_bound=true", "--set", "track_saddle=true"],
+        )
+    )
+    jobs.append(
+        (
+            "regulation_pseudo_fixed",
+            ["run", str(SCEN / "ieee33_regulation.json"),
+             "--set", "plan.pseudo_fixed=true", "--set", "iterations=300"],
         )
     )
     return jobs
