@@ -17,7 +17,7 @@ from .controller import (
     primal_grad,
     primal_step,
 )
-from .estimator import WlsEstimator, estimate_voltages, wls_solve
+from .estimator import WlsEstimator, estimate_voltages
 from .feeders import ieee33, resolve_network, synthetic_feeder
 from .harness import (
     BoundReport,
@@ -46,12 +46,10 @@ from .netmodel import (
     Node,
     build_admittance,
     load_network,
-    project_feasible,
 )
 from .plant import PowerFlowSolution, solve_power_flow
 from .sensing import (
     MeasurementPlan,
-    build_linear_measurement_model,
     make_plan,
     place_sensors,
     sample_measurements,

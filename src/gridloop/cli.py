@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,20 +25,23 @@ from . import __version__
 from .harness import (
     FEEDBACK_MODES,
     CertificateError,
-    HarnessError,
     ScenarioConfig,
     prepare,
     run_baseline_comparison,
     run_trials,
+    running_average,
     tightened_bound_experiment,
     verify_error_bound,
+    write_rows,
 )
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CERTIFICATE = 2
-# Failures reported as an exit code instead of a traceback.
-FAILURES = (HarnessError, OSError, ValueError, KeyError)
+# Failures reported as an exit code instead of a traceback. RuntimeError
+# covers the harness's own errors and those of the linearizer, the estimator
+# and the projection.
+FAILURES = (RuntimeError, OSError, ValueError, KeyError)
 
 
 def load_scenario(path: str | Path, overrides: list[str] | None = None) -> ScenarioConfig:
@@ -50,6 +53,8 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
     """
     path = Path(path)
     raw = json.loads(path.read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"scenario file {path} must hold a JSON object, got {type(raw).__name__}")
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override {item!r} must look like key.path=value")
@@ -113,7 +118,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         names = _run_scenario(cfg, out)
-    except FAILURES as exc:
+    except BaseException as exc:
         manifest.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         _write_json(manifest_path, manifest)
         raise
@@ -142,15 +147,10 @@ def _run_scenario(cfg: ScenarioConfig, out: Path) -> list[str]:
         "config": cfg.to_dict(),
         "trials": [tr.summary for tr in traces],
     }
-    if ctx.certificate is not None:
-        summary["certificate"] = {
-            "M": ctx.certificate.M,
-            "L": ctx.certificate.L,
-            "eps_max": ctx.certificate.eps_max,
-            "eps_configured": ctx.certificate.eps_configured,
-            "delta": ctx.certificate.delta(),
-            "certified": ctx.certificate.certified,
-        }
+    cert = ctx.certificate
+    if cert is not None:
+        derived = {"delta": cert.delta(), "certified": cert.certified}
+        summary["certificate"] = {**asdict(cert), **derived}
     if ctx.estimator is not None:
         summary["voltage_ci_halfwidth_99"] = (
             2.576 * np.sqrt(ctx.voltage_variance)
@@ -159,17 +159,7 @@ def _run_scenario(cfg: ScenarioConfig, out: Path) -> list[str]:
         report = verify_error_bound(ctx, traces)
         summary["bound_report"] = report.to_dict()
     if cfg.tighten_ci is not None:
-        tight = tightened_bound_experiment(ctx, cfg.tighten_ci, traces[0])
-        summary["tightening"] = {
-            "confidence": tight.confidence,
-            "halfwidth": tight.halfwidth,
-            "v_min_original": tight.v_min_original,
-            "v_min_tightened": tight.v_min_tightened,
-            "base_violations": tight.base_violations,
-            "tightened_violations": tight.tightened_violations,
-            "base_cost": tight.base_cost,
-            "tightened_cost": tight.tightened_cost,
-        }
+        summary["tightening"] = asdict(tightened_bound_experiment(ctx, cfg.tighten_ci, traces[0]))
     _write_json(out / "summary.json", summary)
     return names + ["summary.json"]
 
@@ -214,58 +204,56 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else trace_dir
     out.mkdir(parents=True, exist_ok=True)
     col = {name: i for i, name in enumerate(header)}
-    n = sum(1 for name in header if name.startswith("v_true_"))
+    nodes = range(1, sum(1 for name in header if name.startswith("v_true_")) + 1)
     iters = data[:, col["iter"]].astype(int)
+    v_true_cols = [col[f"v_true_{i}"] for i in nodes]
+    v_hat_cols = [col[f"v_hat_{i}"] for i in nodes]
+    run_mean = running_average(data[:, col["se_err_mean"]])
+    cost_local, cost_sub = data[:, col["cost_local"]], data[:, col["cost_substation"]]
 
     # Final voltage profile scatter.
-    with open(out / "voltage_profile.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "v_true_final", "v_hat_final", "v_true_initial"])
-        for i in range(1, n + 1):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(data[-1, col[f"v_true_{i}"]])),
-                    repr(float(data[-1, col[f"v_hat_{i}"]])),
-                    repr(float(data[0, col[f"v_true_{i}"]])),
-                ]
-            )
-
-    # Running-average estimation error series.
-    se_mean = data[:, col["se_err_mean"]]
-    se_max = data[:, col["se_err_max"]]
-    denom = np.arange(1, se_mean.size + 1)
-    with open(out / "se_error_series.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "running_avg_mean_err", "running_avg_max_err"])
-        run_mean = np.cumsum(se_mean) / denom
-        run_max = np.cumsum(se_max) / denom
-        for k in range(se_mean.size):
-            writer.writerow([iters[k], repr(float(run_mean[k])), repr(float(run_max[k]))])
-
+    _write_series(
+        out / "voltage_profile.csv",
+        ["node", "v_true_final", "v_hat_final", "v_true_initial"],
+        nodes,
+        data[-1, v_true_cols],
+        data[-1, v_hat_cols],
+        data[0, v_true_cols],
+    )
+    _write_series(
+        out / "se_error_series.csv",
+        ["iter", "running_avg_mean_err", "running_avg_max_err"],
+        iters,
+        run_mean,
+        running_average(data[:, col["se_err_max"]]),
+    )
     # Confidence band series (constant per plan; from the summary when present).
     summary_path = trace_dir / "summary.json"
     if summary_path.exists():
-        summary = json.loads(summary_path.read_text())
-        halfwidths = summary.get("voltage_ci_halfwidth_99")
+        halfwidths = json.loads(summary_path.read_text()).get("voltage_ci_halfwidth_99")
         if halfwidths:
-            band = float(np.mean(halfwidths))
-            with open(out / "ci_band_series.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["iter", "running_avg_mean_err", "ci_halfwidth_mean"])
-                run_mean = np.cumsum(se_mean) / denom
-                for k in range(se_mean.size):
-                    writer.writerow([iters[k], repr(float(run_mean[k])), repr(band)])
-
-    # Cost series.
-    with open(out / "cost_series.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "cost_local", "cost_substation", "cost_total"])
-        for k in range(se_mean.size):
-            cl = float(data[k, col["cost_local"]])
-            cs = float(data[k, col["cost_substation"]])
-            writer.writerow([iters[k], repr(cl), repr(cs), repr(cl + cs)])
+            _write_series(
+                out / "ci_band_series.csv",
+                ["iter", "running_avg_mean_err", "ci_halfwidth_mean"],
+                iters,
+                run_mean,
+                np.full(iters.size, float(np.mean(halfwidths))),
+            )
+    _write_series(
+        out / "cost_series.csv",
+        ["iter", "cost_local", "cost_substation", "cost_total"],
+        iters,
+        cost_local,
+        cost_sub,
+        cost_local + cost_sub,
+    )
     return EXIT_OK
+
+
+def _write_series(path: Path, header: list[str], keys, *columns: np.ndarray) -> None:
+    """A report or comparison CSV: one row per key, one cell per column,
+    with csv.writer's ``\\r\\n`` line ends."""
+    write_rows(path, header, zip(keys, np.column_stack(columns)), end="\r\n")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -274,19 +262,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for mode in report.modes:
-        with open(out / f"comparison_{mode}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "err_mean", "err_max", "running_avg_mean", "running_avg_max"])
-            for k in range(report.err_mean[mode].size):
-                writer.writerow(
-                    [
-                        k,
-                        repr(float(report.err_mean[mode][k])),
-                        repr(float(report.err_max[mode][k])),
-                        repr(float(report.running_avg_mean[mode][k])),
-                        repr(float(report.running_avg_max[mode][k])),
-                    ]
-                )
+        _write_series(
+            out / f"comparison_{mode}.csv",
+            ["iter", "err_mean", "err_max", "running_avg_mean", "running_avg_max"],
+            range(report.err_mean[mode].size),
+            report.err_mean[mode],
+            report.err_max[mode],
+            report.running_avg_mean[mode],
+            report.running_avg_max[mode],
+        )
     _write_json(
         out / "comparison_summary.json",
         {

@@ -233,25 +233,14 @@ def _operator_norm(
             ]
         )
 
-    def jt_apply(v: np.ndarray) -> np.ndarray:
-        vp, vq, vl, vu = np.split(v, 4)
-        mu_diff = vu - vl
-        t = A @ vp + B @ vq
-        return np.concatenate(
-            [
-                wp2 * vp + a2 * vp.sum() - A.T @ mu_diff,
-                wq2 * vq - B.T @ mu_diff,
-                -t + eta * vl,
-                t + eta * vu,
-            ]
-        )
-
     rng = np.random.Generator(np.random.Philox(key=0))
     v = rng.standard_normal(4 * n)
     v /= np.linalg.norm(v)
+    # J^T = S J S with S the sign flip of the dual block.
+    sign = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
     sigma2 = 0.0
     for _ in range(2000):
-        w = jt_apply(j_apply(v))
+        w = sign * j_apply(sign * j_apply(v))
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0

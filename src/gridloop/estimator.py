@@ -3,10 +3,11 @@
 The estimate is z = (H^T W H)^-1 H^T W y for state z = (p, q). Since pseudo
 rows are an identity block, the normal matrix is diagonal-plus-low-rank and is
 factorized once per measurement plan through the matrix inversion lemma; the
-same factorization serves every iteration and trial. Per-state variances are
-diag((H^T W H)^-1), which equals the gain form Var[z_j] = sum_i Gamma_ji^2
-sigma_i^2 when W is the inverse noise covariance (the equality is exercised in
-the tests).
+same factorization serves every iteration and trial. The error analytics are
+the variances of the linearly reconstructed voltages, diag(G (H^T W H)^-1
+G^T) with G = [A B], which equal the gain form sum_i (G Gamma)_ji^2 sigma_i^2
+when W is the inverse noise covariance (the tests check it against the
+explicit gain).
 
 On a model with dense A and B the sensor rows U = [A_S B_S] are stored; on a
 ``PathSum`` model (LinDistFlow above ``DENSE_LIMIT``) they are applied through
@@ -17,11 +18,9 @@ or builds an ns x 2N array.
 from __future__ import annotations
 
 import copy
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrs
 
 from .linearizer import LinearFlowModel, eval_linear
@@ -44,41 +43,6 @@ class EstimationError(RuntimeError):
     """Raised when the WLS normal equations cannot be solved reliably."""
 
 
-def _weight_diagonal(W) -> np.ndarray:
-    if sp.issparse(W):
-        return np.asarray(W.diagonal(), dtype=float)
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        return W
-    return np.diag(W).astype(float)
-
-
-def wls_solve(H, W, y_adjusted: np.ndarray) -> np.ndarray:
-    """Solve the weighted normal equations for an explicit (H, W).
-
-    Postcondition: the normal-equation residual ||H^T W (y - H z)|| stays
-    below 1e-10 ||H^T W y||; a singular normal matrix means the plan is not
-    observable and raises :class:`EstimationError`.
-    """
-    H = np.asarray(H, dtype=float)
-    w = _weight_diagonal(W)
-    y = np.asarray(y_adjusted, dtype=float)
-    HtW = H.T * w
-    lhs = HtW @ H
-    rhs = HtW @ y
-    try:
-        cho = sla.cho_factor(lhs)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(f"singular normal matrix (observability failure): {exc}") from exc
-    except ValueError as exc:
-        raise EstimationError(f"invalid normal matrix: {exc}") from exc
-    z = sla.cho_solve(cho, rhs)
-    residual = np.linalg.norm(rhs - lhs @ z)
-    if residual > 1e-10 * max(np.linalg.norm(rhs), 1e-300):
-        raise EstimationError(f"normal-equation residual too large: {residual:.3e}")
-    return z
-
-
 class WlsEstimator:
     """Plan-bound linear WLS solver with cached factorization.
 
@@ -91,11 +55,9 @@ class WlsEstimator:
     """
 
     def __init__(self, plan: MeasurementPlan, model: LinearFlowModel):
-        self.plan = plan
         self.model = model
         self.n = plan.n
-        self.sensors = np.array(plan.sensor_nodes, dtype=int)
-        self.ns = self.sensors.size
+        self.ns = len(plan.sensor_nodes)
         self.sigma = plan_reference_sigmas(plan, model)
         w = self.sigma**-2.0
         self.w_sensor = w[: self.ns]
@@ -142,17 +104,6 @@ class WlsEstimator:
         y = y.copy()
         y[: self.ns] -= self.r0_offset
         return y
-
-    @cached_property
-    def var(self) -> np.ndarray:
-        """Per-state variance diag((H^T W H)^-1) via the lemma factorization.
-        Forms the (ns, 2N) sensor rows when called; only the tests read it."""
-        base = 1.0 / self.w_pseudo
-        if not self.ns:
-            return base
-        U = self.model.voltage_rows(self.sensors - 1)
-        L = sla.solve_triangular(self._K_cho[0], U, lower=True)
-        return base - (L**2).sum(axis=0) / self.w_pseudo**2
 
     def solve_normal(self, b: np.ndarray) -> np.ndarray:
         """Apply (H^T W H)^-1 to a vector or to each column of a matrix."""

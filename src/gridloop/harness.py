@@ -43,20 +43,16 @@ from .feeders import resolve_network
 from .linearizer import LINEARIZATIONS, LinearFlowModel, eval_linear, linearize
 from .netmodel import NetworkModel, load_network, scale_injections
 from .plant import solve_power_flow
-from .sensing import MeasurementPlan, make_plan, sample_measurements
+from .sensing import SEED_LIMIT, MeasurementPlan, make_plan, sample_measurements
 
 FEEDBACK_MODES = ("se_loop", "raw_measurements", "full_exact", "pseudo_only", "linear_model")
 # Feedback modes that run the WLS estimator (and so have confidence intervals).
 ESTIMATING_MODES = ("se_loop", "pseudo_only")
 BASELINE_MODES = ("se_loop", "raw_measurements", "pseudo_only")
-# Seeds key Philox streams. The sensor placement seed is a 64-bit key word.
-# The measurement seed of every trial (base_seed + trial) is one word of the
-# key list [seed, lane], which numpy reads through np.asarray: from 2**63 on
-# the seed becomes a float64 and loses its low bits (2**64 - 1 rounds to
-# 2**64, which the cast to uint64 cannot hold), so distinct trials would
-# share a stream.
+# Seeds key Philox streams. The sensor placement seed is a 64-bit key word;
+# the measurement seed of every trial (base_seed + trial) must stay below
+# ``sensing.SEED_LIMIT``.
 PLACEMENT_SEED_LIMIT = 2**64
-SEED_LIMIT = 2**63
 
 
 class HarnessError(RuntimeError):
@@ -333,19 +329,26 @@ class SimulationTrace:
         return self.p.shape[0]
 
     def to_csv(self, path: str | Path) -> None:
-        """Write the trace in a byte-stable format (shortest round-trip floats),
-        one row at a time."""
+        """Write the trace with :func:`write_rows`, one row per iteration."""
         n = self.p.shape[1]
         header = ["iter"]
         header += [f"{label}_{i}" for label, _ in _CSV_VECTORS for i in range(1, n + 1)]
         header += _CSV_SCALARS
         blocks = [getattr(self, name) for _, name in _CSV_VECTORS]
         blocks.append(np.column_stack([getattr(self, name) for name in _CSV_SCALARS]))
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for k in range(self.iterations):
-                row = np.concatenate([block[k] for block in blocks])
-                fh.write(f"{k}," + ",".join(map(repr, row.tolist())) + "\n")
+        rows = (np.concatenate([block[k] for block in blocks]) for k in range(self.iterations))
+        write_rows(path, header, enumerate(rows))
+
+
+def write_rows(path: str | Path, header: list[str], rows: Iterable, end: str = "\n") -> None:
+    """Write a CSV in a byte-stable format: the header, then per ``(k,
+    cells)`` of ``rows`` the integer ``k`` and the float array ``cells`` as
+    shortest round-trip ``repr`` values, each line ended by ``end``. Rows
+    are formatted one at a time, so ``rows`` may be a generator."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + end)
+        for k, cells in rows:
+            fh.write(f"{k}," + ",".join(map(repr, cells.tolist())) + end)
 
 
 # Trace CSV columns after "iter": (header label, field) per node, then scalars.
@@ -687,19 +690,11 @@ class BoundReport:
     mean_dist_sq: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "rho_hat": self.rho_hat,
-            "bound": self.bound,
-            "empirical_tail_mean_sq_dist": self.empirical,
-            "satisfied": self.satisfied,
-            "eps": self.eps,
-            "M": self.M,
-            "L": self.L,
-            "trials": self.trials,
-            "iterations": self.iterations,
-            "expectation_note": "expectations estimated over noise draws along realized trajectories",
-        }
+        """The scalar fields, ``empirical`` named ``empirical_tail_mean_sq_dist``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "mean_dist_sq"}
+        out["empirical_tail_mean_sq_dist"] = out.pop("empirical")
+        out["expectation_note"] = "expectations estimated over noise draws along realized trajectories"
+        return out
 
 
 def verify_error_bound(ctx: RunContext, traces: Iterable[SimulationTrace]) -> BoundReport:
@@ -785,7 +780,7 @@ class ComparisonReport:
     reduction_vs_pseudo: float
 
 
-def _running_average(series: np.ndarray) -> np.ndarray:
+def running_average(series: np.ndarray) -> np.ndarray:
     return np.cumsum(series) / np.arange(1, series.size + 1)
 
 
@@ -801,8 +796,8 @@ def run_baseline_comparison(cfg: ScenarioConfig) -> ComparisonReport:
         trace = run_closed_loop(prepare(replace(cfg, feedback_mode=mode, tighten_ci=None)))
         err_mean[mode] = trace.se_err_mean
         err_max[mode] = trace.se_err_max
-        run_mean[mode] = _running_average(trace.se_err_mean)
-        run_max[mode] = _running_average(trace.se_err_max)
+        run_mean[mode] = running_average(trace.se_err_mean)
+        run_max[mode] = running_average(trace.se_err_max)
         violations[mode] = trace.summary["final_nodes_below_vmin"]
     tail = slice(min(100, cfg.iterations - 1), None)
 
@@ -834,8 +829,6 @@ class TighteningReport:
     tightened_violations: int
     base_cost: float
     tightened_cost: float
-    base_trace: SimulationTrace
-    tightened_trace: SimulationTrace
 
 
 def tightened_bound_experiment(
@@ -875,6 +868,4 @@ def tightened_bound_experiment(
         tightened_violations=int((tight.v_true[-1] < v_min0).sum()),
         base_cost=float(base.cost_local[-1] + base.cost_substation[-1]),
         tightened_cost=float(tight.cost_local[-1] + tight.cost_substation[-1]),
-        base_trace=base,
-        tightened_trace=tight,
     )

@@ -32,8 +32,6 @@ class LinearFlowModel:
     A: np.ndarray | PathSum
     B: np.ndarray | PathSum
     r0: np.ndarray
-    method: str
-    base_point: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -72,7 +70,7 @@ def lindistflow(net: NetworkModel) -> LinearFlowModel:
     for m in (A, B, r0):
         if isinstance(m, np.ndarray):
             m.setflags(write=False)
-    return LinearFlowModel(A=A, B=B, r0=r0, method="lindistflow")
+    return LinearFlowModel(A=A, B=B, r0=r0)
 
 
 def jacobian_linearize(
@@ -97,9 +95,7 @@ def jacobian_linearize(
     r0 = base - A @ p_star - B @ q_star
     for m in (A, B, r0):
         m.setflags(write=False)
-    return LinearFlowModel(
-        A=A, B=B, r0=r0, method="jacobian", base_point=(p_star.copy(), q_star.copy())
-    )
+    return LinearFlowModel(A=A, B=B, r0=r0)
 
 
 def _solved_v(net: NetworkModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:

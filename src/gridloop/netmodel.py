@@ -116,32 +116,6 @@ class NetworkModel:
         return _freeze(z)
 
     @cached_property
-    def depth(self) -> np.ndarray:
-        """depth[i] = number of lines between the substation and node i+1."""
-        d = np.zeros(self.n, dtype=int)
-        for i in self._bfs_order:
-            p = self.parent[i]
-            d[i] = 1 if p == 0 else d[p - 1] + 1
-        return _freeze(d)
-
-    @cached_property
-    def _bfs_order(self) -> np.ndarray:
-        """Non-slack node indices sorted parents-before-children."""
-        children: dict[int, list[int]] = {i: [] for i in range(self.n + 1)}
-        for ln in self.lines:
-            children[ln.from_bus].append(ln.to_bus)
-        order: list[int] = []
-        queue = [0]
-        while queue:
-            nxt: list[int] = []
-            for nid in queue:
-                for c in children[nid]:
-                    order.append(c - 1)
-                    nxt.append(c)
-            queue = nxt
-        return _freeze(np.array(order, dtype=int))
-
-    @cached_property
     def _dfs_span(self) -> tuple[np.ndarray, np.ndarray]:
         """DFS preorder slot and subtree end slot per non-slack node, so the
         subtree of node i+1 occupies slots [pos[i], end[i])."""
@@ -230,21 +204,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 # Loading
 
 
-def load_network(path: str | Path, format: str | None = None) -> NetworkModel:
+def load_network(path: str | Path) -> NetworkModel:
     """Load and validate a network from a JSON file or a buses/branches CSV pair.
 
-    ``format`` is "json" or "csv-pair"; by default it is inferred (a directory
-    or a ``*.csv`` path selects the CSV pair). Raises :class:`NetworkError`
-    naming the offending entity on any validation failure.
+    A directory or a ``*.csv`` path selects the CSV pair, anything else is
+    read as JSON. Raises :class:`NetworkError` naming the offending entity on
+    any validation failure.
     """
     path = Path(path)
-    if format is None:
-        format = "csv-pair" if path.is_dir() or path.suffix == ".csv" else "json"
-    if format == "json":
-        return _load_json(path)
-    if format == "csv-pair":
+    if path.is_dir() or path.suffix == ".csv":
         return _load_csv_pair(path)
-    raise NetworkError(f"unknown network format {format!r}")
+    return _load_json(path)
 
 
 def _load_json(path: Path) -> NetworkModel:
@@ -582,7 +552,8 @@ def path_sum_matrix(net: NetworkModel, weights: np.ndarray) -> np.ndarray:
     pos, end = net._dfs_span
     parent = net.parent
     m = np.zeros((n, n), dtype=np.asarray(weights).dtype)
-    for i in net._bfs_order:
+    # DFS preorder (the node in each slot) fills every parent before its children.
+    for i in net._tree[0]:
         pid = parent[i]
         if pid > 0:
             m[i, :] = m[pid - 1, :]
@@ -633,31 +604,6 @@ def build_admittance(net: NetworkModel) -> tuple[sp.csr_matrix, np.ndarray, comp
 
 # ---------------------------------------------------------------------------
 # Feasible-set projection
-
-
-def project_feasible(
-    p: float,
-    q: float,
-    fs: FeasibleSet,
-    tol: float = 1e-12,
-) -> tuple[float, float]:
-    """Euclidean projection of (p, q) onto the node's box (intersected with the
-    apparent-power disk when ``s_max`` is set).
-
-    Box-only sets use the closed-form clamp. With a disk, the exact projection
-    is found by enumerating the KKT active-set patterns of the 2-D problem.
-    Points already feasible within ``tol`` are returned unchanged, so the
-    projection is exactly idempotent.
-    """
-    pa = np.array([p], dtype=float)
-    qa = np.array([q], dtype=float)
-    pmin = np.array([fs.p_min])
-    pmax = np.array([fs.p_max])
-    qmin = np.array([fs.q_min])
-    qmax = np.array([fs.q_max])
-    smax = np.array([math.inf if fs.s_max is None else fs.s_max])
-    pp, qq = project_box_disk(pa, qa, pmin, pmax, qmin, qmax, smax, tol)
-    return float(pp[0]), float(qq[0])
 
 
 def project_feasible_net(

@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linearizer import LinearFlowModel
 
@@ -33,6 +32,12 @@ from .linearizer import LinearFlowModel
 # channels are configured noiseless.
 PSEUDO_MAGNITUDE_FLOOR = 0.01
 SIGMA_FLOOR = 1e-6
+# The measurement seed is one word of the Philox key list [seed, lane], which
+# numpy reads through np.asarray: from 2**63 on the seed becomes a float64 and
+# loses its low bits (2**64 - 1 rounds to 2**64, which the cast to uint64
+# cannot hold), and a negative seed wraps, so distinct seeds would share a
+# stream.
+SEED_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,8 @@ class MeasurementPlan:
             raise ValueError("noise levels must be nonnegative")
         if len(self.pseudo_base[0]) != self.n or len(self.pseudo_base[1]) != self.n:
             raise ValueError("pseudo_base must provide (p, q) for every node")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"measurement seed must lie in [0, 2**63), got {self.seed}")
 
     def __getstate__(self) -> dict:
         # Pickle the fields only: the derived arrays and noise streams are
@@ -195,25 +202,3 @@ def plan_reference_sigmas(plan: MeasurementPlan, model: LinearFlowModel) -> np.n
     so the estimator's factorizations can be cached per plan."""
     sensor_std = plan.sensor_sigma * np.abs(model.r0[plan.sensor_index])
     return np.maximum(np.concatenate([sensor_std, plan.pseudo_std]), SIGMA_FLOOR)
-
-
-def build_linear_measurement_model(
-    plan: MeasurementPlan, model: LinearFlowModel
-) -> tuple[np.ndarray, sp.dia_matrix]:
-    """Explicit (H, W) for the state z = (p, q).
-
-    Sensor rows are the voltage rows [A_i, B_i] of the linear model (the r0
-    intercept is folded into y by the caller subtracting it); pseudo rows are
-    unit selectors. W is the diagonal inverse-variance weight matrix built
-    from the plan's reference deviations. Full column rank is structural: the
-    pseudo rows form an identity over the whole state, so the observability
-    requirement holds for every plan with finite pseudo noise. H is dense,
-    O(N^2) memory: a reference for tests, not used by a run.
-    """
-    sensors = np.array(plan.sensor_nodes, dtype=int)
-    H = np.vstack([model.voltage_rows(sensors - 1), np.eye(2 * plan.n)])
-    sigma = plan_reference_sigmas(plan, model)
-    if not (sigma > 0).all():
-        raise ValueError("every channel needs positive deviation for W to exist")
-    W = sp.diags(sigma**-2.0)
-    return H, W

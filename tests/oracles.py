@@ -1,8 +1,21 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately built from first principles (full-bus Newton
-power flow, closed forms, scalar objective) and shares no code with the
-implementations under test.
+power flow, closed forms, scalar objective, dense normal equations) and
+shares no code with the implementations under test. The references:
+
+- ``full_ybus`` and ``newton_power_flow``: the bus admittance matrix and a
+  polar Newton-Raphson power flow, for the sweep plant;
+- ``one_branch_voltage``: the exact two-bus voltage;
+- ``scalar_lagrangian``: the controller's Lagrangian written out longhand;
+- ``linear_measurement_model``: the explicit dense WLS model (H, w) of a
+  plan, whose channel weights are the plan's reference deviations
+  (``sensing.plan_reference_sigmas``, the problem's definition, not its
+  solve);
+- ``wls_gain``, ``wls_closed_form`` and ``state_variance``: the WLS gain,
+  the estimate by orthogonal factorization and the per-state variance
+  diag((H^T W H)^-1), all dense;
+- ``reference_sweep``: the sweep loop before its invariants were hoisted.
 """
 
 from __future__ import annotations
@@ -10,6 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from gridloop.sensing import plan_reference_sigmas
 
 
 def full_ybus(net) -> np.ndarray:
@@ -87,6 +102,17 @@ def scalar_lagrangian(p, q, mu_l, mu_u, *, wp, wq, alpha, p0, q0, p0_target,
     return local + substation + coupling - tikhonov
 
 
+def linear_measurement_model(plan, model):
+    """Dense (H, w) of the linear WLS model for the state z = (p, q): the
+    sensor rows are the voltage rows [A_i B_i] of the model (its r0
+    intercept folded into y), the pseudo rows the identity, and w the
+    inverse-variance channel weights. O(N^2) memory."""
+    sensors = np.array(plan.sensor_nodes, dtype=int) - 1
+    G = model.dense_sensitivities()
+    H = np.vstack([G[sensors], np.eye(2 * plan.n)])
+    return H, plan_reference_sigmas(plan, model) ** -2.0
+
+
 def wls_gain(H, w):
     """Explicit WLS gain Gamma = (H^T W H)^-1 H^T W for diagonal weights w,
     from a dense solve of the normal equations (2N x channels, O(N^2))."""
@@ -99,6 +125,12 @@ def wls_closed_form(H, w, y):
     sw = np.sqrt(w)
     sol, *_ = np.linalg.lstsq(H * sw[:, None], y * sw, rcond=None)
     return sol
+
+
+def state_variance(H, w):
+    """Per-state WLS variance diag((H^T W H)^-1) for diagonal weights w, from
+    the explicit inverse of the dense normal matrix."""
+    return np.diag(np.linalg.inv((H.T * w) @ H))
 
 
 def reference_sweep(net, p, q, tol=1e-10, max_iter=500):

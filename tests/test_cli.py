@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -95,10 +96,21 @@ def test_run_uncertified_step_exits_2(tmp_path, capsys):
             "PlantDivergence: plant diverged at iteration 0",
         ),
         (["--set", "network=nowhere.json"], 1, "NetworkError: cannot parse network file"),
+        (
+            ["--set", "load_scale=500", "--set", "linearization=jacobian",
+             "--set", "allow_uncertified=true"],
+            1,
+            "RuntimeError: power flow diverged while linearizing",
+        ),
     ],
 )
-def test_failed_run_manifest_says_so(tmp_path, extra, code, error):
+def test_failed_run_manifest_says_so(tmp_path, capsys, extra, code, error):
+    # Every error that stops a run is reported by exit code and one line
+    # (no traceback), and the manifest says the run failed.
     assert main(_twobus_args(tmp_path, extra=extra)) == code
+    message = error.partition(": ")[2]
+    prefix = "certificate violation: " if code == 2 else "error: "
+    assert capsys.readouterr().err.startswith(prefix + message)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"].startswith(error)
@@ -190,6 +202,26 @@ def test_report_full_exact_zero_errors(tmp_path):
     profile = (out / "voltage_profile.csv").read_text().splitlines()
     assert len(profile) == 1 + 1  # header + one node
     assert (out / "cost_series.csv").exists()
+
+
+def test_report_series_round_trip_trace_exactly(tmp_path):
+    # The running averages are np.cumsum / np.arange of the trace's error
+    # columns as read back from trace.csv, written as shortest round-trip
+    # reprs with csv's \r\n line ends: the file's bytes are fixed.
+    out = tmp_path / "run"
+    assert main(_twobus_args(tmp_path, out="run", extra=["--set", "iterations=60"])) == 0
+    assert main(["report", str(out)]) == 0
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = {name: i for i, name in enumerate(rows[0])}
+    data = np.array(rows[1:], dtype=float)
+    denom = np.arange(1, data.shape[0] + 1)
+    run_mean = np.cumsum(data[:, col["se_err_mean"]]) / denom
+    run_max = np.cumsum(data[:, col["se_err_max"]]) / denom
+    want = "iter,running_avg_mean_err,running_avg_max_err\r\n" + "".join(
+        f"{k},{a!r},{b!r}\r\n" for k, (a, b) in enumerate(zip(run_mean.tolist(), run_max.tolist()))
+    )
+    assert (out / "se_error_series.csv").read_bytes() == want.encode()
 
 
 def test_report_missing_dir_errors(tmp_path, capsys):

@@ -22,9 +22,7 @@ CFG = ControllerConfig(eps_primal=7e-4, eps_dual=1e-3, eta=0.08, v_min=0.95, v_m
 
 
 def _zero_model(n):
-    return LinearFlowModel(
-        A=np.zeros((n, n)), B=np.zeros((n, n)), r0=np.ones(n), method="lindistflow"
-    )
+    return LinearFlowModel(A=np.zeros((n, n)), B=np.zeros((n, n)), r0=np.ones(n))
 
 
 def test_gradient_zero_at_nominal(net33):
@@ -194,9 +192,7 @@ def test_certificate_scaling_monotonicity(net33):
     model = lindistflow(net33)
     cost = CostParams.for_network(net33)
     cert1 = certify_step_size(cost, model, CFG)
-    doubled = LinearFlowModel(
-        A=2 * model.A, B=2 * model.B, r0=model.r0, method=model.method
-    )
+    doubled = LinearFlowModel(A=2 * model.A, B=2 * model.B, r0=model.r0)
     cert2 = certify_step_size(cost, doubled, CFG)
     assert cert2.L > cert1.L
     assert cert2.eps_max < cert1.eps_max

@@ -8,22 +8,16 @@ import pytest
 import scipy.linalg as sla
 
 import gridloop.estimator as estimator_mod
-from gridloop.estimator import (
-    GRAM_BLOCK,
-    EstimationError,
-    WlsEstimator,
-    estimate_voltages,
-    wls_solve,
-)
+from gridloop.estimator import GRAM_BLOCK, WlsEstimator, estimate_voltages
 from gridloop.controller import ControllerConfig
 from gridloop.feeders import synthetic_feeder
 from gridloop.harness import PlanSpec, ScenarioConfig, prepare
 from gridloop.linearizer import eval_linear, lindistflow, linearize
 from gridloop.netmodel import DENSE_LIMIT, PathSum
 from gridloop.plant import solve_power_flow
-from gridloop.sensing import build_linear_measurement_model, make_plan, sample_measurements
+from gridloop.sensing import make_plan, sample_measurements
 
-from oracles import wls_closed_form, wls_gain
+from oracles import linear_measurement_model, state_variance, wls_closed_form, wls_gain
 
 
 def _plan(net, sensors=(5, 17), sensor_sigma=0.01, pseudo_sigma=0.5, seed=7):
@@ -39,36 +33,23 @@ def _plan(net, sensors=(5, 17), sensor_sigma=0.01, pseudo_sigma=0.5, seed=7):
     )
 
 
-def test_wls_identity_model():
-    y = np.array([1.0, -2.0, 3.5])
-    z = wls_solve(np.eye(3), np.ones(3), y)
-    assert np.allclose(z, y, atol=1e-14)
-
-
-def test_wls_weighted_mean():
-    H = np.array([[1.0], [1.0]])
-    w = np.array([3.0, 1.0])
-    y = np.array([2.0, 6.0])
-    z = wls_solve(H, w, y)
-    assert z[0] == pytest.approx((3 * 2 + 1 * 6) / 4)
-
-
-def test_wls_singular_raises():
-    H = np.array([[1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(EstimationError):
-        wls_solve(H, np.ones(2), np.array([1.0, 2.0]))
+def test_wls_identity_model(net33):
+    # Without sensors H is the identity over the pseudo channels, so the
+    # estimate is the measurement itself.
+    est = WlsEstimator(_plan(net33, sensors=()), lindistflow(net33))
+    y = np.random.default_rng(1).normal(size=64)
+    assert np.allclose(est.solve(y), y, atol=1e-14)
 
 
 def test_wls_weight_scaling_invariance(net33):
+    # One factor on every channel's deviation scales all weights alike and
+    # leaves the estimate unchanged.
     model = lindistflow(net33)
-    plan = _plan(net33)
-    H, W = build_linear_measurement_model(plan, model)
-    w = W.diagonal()
-    rng = np.random.default_rng(0)
-    y = rng.normal(size=H.shape[0])
-    z1 = wls_solve(H, w, y)
-    z2 = wls_solve(H, 37.5 * w, y)
-    assert np.abs(z1 - z2).max() < 1e-12
+    est = WlsEstimator(_plan(net33), model)
+    scaled = WlsEstimator(_plan(net33, sensor_sigma=0.01 * 37.5, pseudo_sigma=0.5 * 37.5), model)
+    assert np.allclose(scaled.sigma, 37.5 * est.sigma, rtol=1e-14, atol=0.0)
+    y = np.random.default_rng(0).normal(size=est.ns + 64)
+    assert np.abs(est.solve(y) - scaled.solve(y)).max() < 1e-12
 
 
 def test_noiseless_consistency_33bus(net33):
@@ -76,24 +57,23 @@ def test_noiseless_consistency_33bus(net33):
     # reproduced exactly regardless of the weights.
     model = lindistflow(net33)
     plan = _plan(net33)
-    H, W = build_linear_measurement_model(plan, model)
+    H, w = linear_measurement_model(plan, model)
     rng = np.random.default_rng(5)
     z_true = np.concatenate([net33.p0, net33.q0]) * rng.uniform(0.5, 1.5, 64)
     y = H @ z_true
-    z_hat = wls_solve(H, W.diagonal(), y)
-    assert np.abs(z_hat - z_true).max() < 1e-8
+    for z_hat in (WlsEstimator(plan, model).solve(y), wls_gain(H, w) @ y):
+        assert np.abs(z_hat - z_true).max() < 1e-8
 
 
 def test_structured_solver_matches_dense_and_oracle(net33):
     model = lindistflow(net33)
     plan = _plan(net33, sensors=(2, 9, 30))
-    H, W = build_linear_measurement_model(plan, model)
-    w = W.diagonal()
+    H, w = linear_measurement_model(plan, model)
     est = WlsEstimator(plan, model)
     rng = np.random.default_rng(3)
     for _ in range(5):
         y = rng.normal(size=H.shape[0])
-        dense = wls_solve(H, w, y)
+        dense = wls_gain(H, w) @ y
         fast = est.solve(y)
         ref = wls_closed_form(H, w, y)
         assert np.abs(dense - fast).max() < 1e-10
@@ -106,22 +86,23 @@ def test_gain_reproduces_consistent_measurements(net33):
     model = lindistflow(net33)
     plan = _plan(net33)
     est = WlsEstimator(plan, model)
-    H, W = build_linear_measurement_model(plan, model)
-    GH = est.solve_normal(H.T * W.diagonal()) @ H
+    H, w = linear_measurement_model(plan, model)
+    GH = est.solve_normal(H.T * w) @ H
     assert np.abs(GH - np.eye(64)).max() < 1e-8
 
 
 def test_variance_forms_agree(net33):
-    # Gamma^2 sigma^2 form equals diag((H^T W H)^-1) for W = Sigma^-1.
+    # Gamma^2 sigma^2 form equals diag((H^T W H)^-1) for W = Sigma^-1, the
+    # latter applied through the estimator's lemma factorization.
     model = lindistflow(net33)
     plan = _plan(net33)
     est = WlsEstimator(plan, model)
-    H, W = build_linear_measurement_model(plan, model)
-    w = W.diagonal()
+    H, w = linear_measurement_model(plan, model)
     explicit = (wls_gain(H, w) ** 2 * (1.0 / w)).sum(axis=1)
-    direct = np.diag(np.linalg.inv(H.T @ (H * w[:, None])))
-    assert np.abs(est.var - explicit).max() < 1e-12 * np.abs(explicit).max() + 1e-15
-    assert np.abs(est.var - direct).max() < 1e-8 * np.abs(direct).max()
+    direct = state_variance(H, w)
+    var = np.diag(est.solve_normal(np.eye(64)))
+    assert np.abs(var - explicit).max() < 1e-12 * np.abs(explicit).max() + 1e-15
+    assert np.abs(var - direct).max() < 1e-8 * np.abs(direct).max()
 
 
 @pytest.mark.parametrize(
@@ -136,9 +117,9 @@ def test_voltage_variance_matches_dense_gain(net33, method, size):
     assert isinstance(model.A, PathSum) == (size > DENSE_LIMIT)
     plan = _plan(net, sensors=tuple(range(3, net.n, max(1, net.n // 12))))
     est = WlsEstimator(plan, model)
-    H, W = build_linear_measurement_model(plan, model)
-    g_gain = model.dense_sensitivities() @ wls_gain(H, W.diagonal())
-    ref = (g_gain**2 / W.diagonal()).sum(axis=1)
+    H, w = linear_measurement_model(plan, model)
+    g_gain = model.dense_sensitivities() @ wls_gain(H, w)
+    ref = (g_gain**2 / w).sum(axis=1)
     assert np.abs(est.voltage_variance() - ref).max() <= 1e-12 * ref.max()
 
 
@@ -186,14 +167,14 @@ def test_operator_estimator_matches_dense_rows():
     b = rng.normal(size=(2 * ref.n, 3))
     want = ref.solve_normal(b)
     assert np.abs(op.solve_normal(b) - want).max() <= 1e-12 * np.abs(want).max()
-    for got, want in ((op.voltage_variance(), ref.voltage_variance()), (op.var, ref.var)):
-        assert np.abs(got - want).max() <= 1e-12 * want.max()
+    want = ref.voltage_variance()
+    assert np.abs(op.voltage_variance() - want).max() <= 1e-12 * want.max()
 
 
 def test_operator_lemma_matrix_matches_explicit_rows():
     # K = W_s^-1 + U D^-1 U^T, with U = [A_S B_S] formed explicitly.
     op, _ = _operator_and_dense()
-    U = op.model.voltage_rows(op.sensors - 1)
+    U = op.model.voltage_rows(op.U.idx)
     want = np.diag(1.0 / op.w_sensor) + (U / op.w_pseudo) @ U.T
     L = np.tril(op._K_cho[0])
     assert np.abs(L @ L.T - want).max() <= 1e-12 * np.abs(want).max()
@@ -262,7 +243,7 @@ def test_extra_sensor_never_hurts(net33):
     model = lindistflow(net33)
     base = WlsEstimator(_plan(net33, sensors=(5, 17)), model)
     more = WlsEstimator(_plan(net33, sensors=(5, 12, 17)), model)
-    assert (more.var <= base.var + 1e-15).all()
+    assert (more.voltage_variance() <= base.voltage_variance() + 1e-15).all()
 
 
 def test_unbiased_and_variance_monte_carlo(net33):
@@ -271,7 +252,8 @@ def test_unbiased_and_variance_monte_carlo(net33):
     model = lindistflow(net33)
     plan = _plan(net33)
     est = WlsEstimator(plan, model)
-    H, _ = build_linear_measurement_model(plan, model)
+    H, w = linear_measurement_model(plan, model)
+    var = state_variance(H, w)
     z_true = np.concatenate([net33.p0, net33.q0])
     y0 = H @ z_true
     rng = np.random.default_rng(123)
@@ -281,9 +263,9 @@ def test_unbiased_and_variance_monte_carlo(net33):
         y = y0 + est.sigma * rng.standard_normal(est.sigma.size)
         zs[t] = est.solve(y)
     bias = zs.mean(axis=0) - z_true
-    stderr = np.sqrt(est.var / trials)
+    stderr = np.sqrt(var / trials)
     assert (np.abs(bias) <= 4 * stderr).all()
-    ratio = zs.var(axis=0, ddof=1) / est.var
+    ratio = zs.var(axis=0, ddof=1) / var
     assert np.abs(ratio - 1).max() < 0.15
 
 
@@ -331,15 +313,6 @@ def test_full_estimation_pipeline_with_batch(net33):
     assert np.abs(sensed - truth.v_mag[[4, 16]]).max() < 1e-5
     nominal = np.concatenate([net33.p0, net33.q0])
     assert np.abs(z_hat - nominal).max() < 0.2
-
-
-def test_wls_accepts_sparse_weight_matrix(net33):
-    model = lindistflow(net33)
-    plan = _plan(net33)
-    H, W = build_linear_measurement_model(plan, model)
-    rng = np.random.default_rng(9)
-    y = rng.normal(size=H.shape[0])
-    assert np.allclose(wls_solve(H, W, y), wls_solve(H, W.diagonal(), y))
 
 
 def test_estimate_voltages_rejects_nonfinite(net33):

@@ -387,46 +387,61 @@ def test_baseline_comparison_default_noise_ordering():
     assert rep.reduction_vs_pseudo < 1.0
 
 
-def test_tightening_zero_confidence_identical():
+def _tightened_traces(monkeypatch) -> list[SimulationTrace]:
+    # The traces of the tightened trials, which the report does not keep.
+    traces = []
+    real = harness_mod.run_closed_loop
+
+    def recording(*args, **kwargs):
+        traces.append(real(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(harness_mod, "run_closed_loop", recording)
+    return traces
+
+
+def test_tightening_zero_confidence_identical(monkeypatch):
     ctx = prepare(_cfg33(iterations=150))
-    rep = tightened_bound_experiment(ctx, 0.0, run_closed_loop(ctx))
+    base = run_closed_loop(ctx)
+    tightened = _tightened_traces(monkeypatch)
+    rep = tightened_bound_experiment(ctx, 0.0, base)
     assert rep.halfwidth == 0.0
     assert rep.v_min_tightened == rep.v_min_original
-    assert np.array_equal(rep.base_trace.p, rep.tightened_trace.p)
+    assert np.array_equal(base.p, tightened[0].p)
     assert rep.base_cost == rep.tightened_cost
 
 
-def test_tightening_reads_given_base_trace():
+def test_tightening_reads_given_base_trace(monkeypatch):
     cfg = _cfg33(iterations=80)
     ctx = prepare(cfg)
     base = run_closed_loop(ctx)
+    tightened = _tightened_traces(monkeypatch)
     rep = tightened_bound_experiment(ctx, 2.576, base)
-    assert rep.base_trace is base
     assert rep.base_cost == float(base.cost_local[-1] + base.cost_substation[-1])
+    assert rep.base_violations == int((base.v_true[-1] < rep.v_min_original).sum())
     fresh = prepare(cfg)
     own = tightened_bound_experiment(fresh, 2.576, run_closed_loop(fresh))
-    assert np.array_equal(own.base_trace.p, base.p)
-    assert np.array_equal(own.tightened_trace.p, rep.tightened_trace.p)
-    assert (own.base_violations, own.tightened_violations) == (
-        rep.base_violations,
-        rep.tightened_violations,
-    )
+    assert np.array_equal(tightened[0].p, tightened[-1].p)
+    assert own == rep
 
 
-def test_tightening_reuses_context_with_moved_saddle():
+def test_tightening_reuses_context_with_moved_saddle(monkeypatch):
     # The tightened trial runs on the base context with only v_min and the
     # saddle point changed; a fresh prepare of the tightened scenario must
     # give the same trace bit for bit.
     cfg = _cfg33(iterations=80, track_saddle=True)
     ctx = prepare(cfg)
-    rep = tightened_bound_experiment(ctx, 2.576, run_closed_loop(ctx))
+    base = run_closed_loop(ctx)
+    tightened = _tightened_traces(monkeypatch)
+    rep = tightened_bound_experiment(ctx, 2.576, base)
+    monkeypatch.undo()
     tight_cfg = replace(cfg, controller=replace(cfg.controller, v_min=rep.v_min_tightened))
     ref = run_closed_loop(prepare(tight_cfg))
     assert np.isfinite(ref.dist_to_saddle).all()
     arrays = [f.name for f in fields(SimulationTrace) if isinstance(getattr(ref, f.name), np.ndarray)]
     assert "dist_to_saddle" in arrays
     for name in arrays:
-        assert np.array_equal(getattr(rep.tightened_trace, name), getattr(ref, name)), name
+        assert np.array_equal(getattr(tightened[0], name), getattr(ref, name)), name
 
 
 def test_tightening_requires_estimating_mode():

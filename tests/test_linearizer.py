@@ -117,8 +117,10 @@ def test_linearization_accuracy_regime(net33):
 
 
 def test_linearize_dispatch(net33):
-    assert linearize(net33, "lindistflow").method == "lindistflow"
-    assert linearize(net33, "jacobian").method == "jacobian"
+    jacobian = jacobian_linearize(net33, net33.p0, net33.q0)
+    for method, want in (("lindistflow", lindistflow(net33)), ("jacobian", jacobian)):
+        got = linearize(net33, method)
+        assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in ("A", "B", "r0"))
     with pytest.raises(ValueError):
         linearize(net33, "nope")
 

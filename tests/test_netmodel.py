@@ -18,7 +18,7 @@ from gridloop.netmodel import (
     load_network,
     path_gram,
     path_sum_matrix,
-    project_feasible,
+    project_box_disk,
 )
 
 
@@ -34,7 +34,11 @@ def test_load_ieee33_counts_and_depth(net33):
     # Published 33-bus feeder: 32 PQ nodes, 32 branches, main feeder 17 deep.
     assert net33.n == 32
     assert len(net33.lines) == 32
-    assert net33.depth.max() == 17
+
+    def depth(node):  # lines between the substation and the node
+        return 0 if node == 0 else 1 + depth(net33.parent[node - 1])
+
+    assert max(depth(node) for node in range(1, 33)) == 17
     assert net33.p0.sum() == pytest.approx(-0.3715)
     assert net33.q0.sum() == pytest.approx(-0.23)
 
@@ -296,6 +300,15 @@ def test_path_sum_kernel_rejects_wrong_length(net33):
 BOX = FeasibleSet(p_min=0.0, p_max=1.0, q_min=0.0, q_max=1.0)
 
 
+def project_feasible(p, q, fs):
+    """Projection of one point (p, q) onto one node's set, through the
+    vectorized projection on 1-element arrays."""
+    smax = math.inf if fs.s_max is None else fs.s_max
+    bounds = [np.array([b]) for b in (fs.p_min, fs.p_max, fs.q_min, fs.q_max, smax)]
+    pp, qq = project_box_disk(np.array([p], dtype=float), np.array([q], dtype=float), *bounds)
+    return float(pp[0]), float(qq[0])
+
+
 def test_projection_interior_point_unchanged():
     assert project_feasible(0.5, 0.5, BOX) == (0.5, 0.5)
 
@@ -350,7 +363,3 @@ def test_projection_idempotent_exactly():
         twice = project_feasible(*once, fs)
         assert twice == once
 
-
-def test_unknown_format_rejected(twobus_json):
-    with pytest.raises(NetworkError, match="unknown network format"):
-        load_network(twobus_json, format="yaml")

@@ -91,6 +91,17 @@ def test_sensor_fraction_in_unit_interval(fraction):
     PlanSpec(sensor_fraction=1.0)
 
 
+@pytest.mark.parametrize("content", ["[]", "3", "null", '"ieee33"'])
+def test_scenario_file_must_hold_an_object(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_text(content)
+    message = f"scenario file {re.escape(str(path))} must hold a JSON object"
+    with pytest.raises(ValueError, match=message):
+        load_scenario(path, ["iterations=3"])
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: scenario file {path}")
+
+
 def test_empty_network_is_rejected(tmp_path):
     # "" would otherwise resolve to the scenario file's own directory.
     path = tmp_path / "empty.json"

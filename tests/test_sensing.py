@@ -9,12 +9,13 @@ import pytest
 from gridloop.linearizer import lindistflow
 from gridloop.sensing import (
     MeasurementPlan,
-    build_linear_measurement_model,
     make_plan,
     place_sensors,
     plan_reference_sigmas,
     sample_measurements,
 )
+
+from oracles import linear_measurement_model
 
 
 def _plan33(net, sensors=(5, 17), sensor_sigma=0.01, pseudo_sigma=0.5, seed=99, **kw):
@@ -195,15 +196,27 @@ def test_plan_validation(net33):
         _plan33(net33, sensor_sigma=-0.1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1, 2**64 - 1])
+def test_plan_rejects_seed_philox_cannot_key(net33, seed):
+    # A measurement seed is one word of the Philox key: outside [0, 2**63)
+    # numpy wraps it or rounds it through float64 (2**63 + 1 would get the
+    # stream of 2**63), so make_plan and replace both reject it by value.
+    message = rf"measurement seed must lie in \[0, 2\*\*63\), got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        _plan33(net33, seed=seed)
+    with pytest.raises(ValueError, match=f"got {seed}$"):
+        replace(_plan33(net33), seed=seed)
+    assert _plan33(net33, seed=2**63 - 1).seed == 2**63 - 1
+
+
 def test_linear_measurement_model_structure(net33):
     model = lindistflow(net33)
     plan = _plan33(net33, sensors=(7,))
-    H, W = build_linear_measurement_model(plan, model)
+    H, w = linear_measurement_model(plan, model)
     assert H.shape == (1 + 64, 64)
     assert np.array_equal(H[0, :32], model.A[6, :])
     assert np.array_equal(H[0, 32:], model.B[6, :])
     assert np.array_equal(H[1:, :], np.eye(64))
-    w = W.diagonal()
     assert w[0] == pytest.approx((0.01 * 1.0) ** -2)
 
 
@@ -213,7 +226,7 @@ def test_no_sensor_model_is_pure_selector(net33):
         n=32, sensor_nodes=(), sensor_fraction=None, placement_seed=0,
         sensor_sigma=0.01, pseudo_sigma=0.5, pseudo_base=(net33.p0, net33.q0), seed=1,
     )
-    H, W = build_linear_measurement_model(plan, model)
+    H, _ = linear_measurement_model(plan, model)
     assert np.array_equal(H, np.eye(64))
 
 
@@ -221,8 +234,8 @@ def test_observability_normal_matrix(net33):
     # H^T W H must be positive definite with finite condition number.
     model = lindistflow(net33)
     plan = _plan33(net33, sensors=tuple(place_sensors(32, 0.1, 2)))
-    H, W = build_linear_measurement_model(plan, model)
-    normal = H.T @ (W @ H)
+    H, w = linear_measurement_model(plan, model)
+    normal = H.T @ (H * w[:, None])
     eigvals = np.linalg.eigvalsh(normal)
     assert eigvals.min() > 0
     assert eigvals.max() / eigvals.min() < 1e12

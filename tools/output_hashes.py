@@ -15,7 +15,10 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
   ``synthetic_feeder(400, seed=12)``, which is above ``DENSE_LIMIT``, so the
   tree-kernel (``PathSum``) paths of the model and the estimator are
   checked too. Its network and scenario files are written to the temporary
-  directory.
+  directory;
+- ``gridloop report`` on the finished ``ieee33_regulation.json`` run, which
+  writes all four plot-ready series (its summary carries the confidence
+  halfwidths, so ``ci_band_series.csv`` is among them).
 
 The runs start in the checkout's root (the synthetic feeder's in the
 temporary directory) with relative scenario paths, so the network paths
@@ -43,6 +46,7 @@ from gridloop.cli import main  # noqa: E402
 
 SCEN = Path("scenarios")
 REDUCED = {"ieee33_bound.json": ["--set", "iterations=200", "--trials", "2"]}
+REPORTED = "ieee33_regulation"
 FEEDER_NODES = 400
 FEEDER_SEED = 12
 
@@ -128,6 +132,7 @@ def main_hashes() -> dict[str, str]:
         os.chdir(ROOT)
         for label, argv in runs():
             hash_run(hashes, label, argv, Path(tmp) / label)
+        hash_run(hashes, "report", ["report", str(Path(tmp) / REPORTED)], Path(tmp) / "report")
         os.chdir(tmp)
         scenario = write_feeder_scenario(Path(tmp))
         hash_run(hashes, "feeder400", ["run", scenario], Path(tmp) / "feeder400")
