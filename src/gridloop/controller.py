@@ -211,9 +211,7 @@ def certify_step_size(
     )
 
 
-def _operator_norm(
-    cost: CostParams, model: LinearFlowModel, eta: float, tol: float = 1e-13
-) -> float:
+def _operator_norm(cost: CostParams, model: LinearFlowModel, eta: float) -> float:
     """Largest singular value of the saddle Jacobian by power iteration."""
     n = model.n
     A, B = model.A, model.B
@@ -245,7 +243,7 @@ def _operator_norm(
         if norm == 0.0:
             return 0.0
         v = w / norm
-        if abs(norm - sigma2) <= tol * max(norm, 1.0):
+        if abs(norm - sigma2) <= 1e-13 * max(norm, 1.0):
             sigma2 = norm
             break
         sigma2 = norm

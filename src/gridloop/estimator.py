@@ -65,7 +65,7 @@ class WlsEstimator:
         idx = plan.sensor_index
         self.r0_offset = model.r0[idx]
         if isinstance(model.A, np.ndarray):
-            self.U: np.ndarray | _SensorRows = model.voltage_rows(idx)
+            self.U: np.ndarray | _SensorRows = np.hstack([model.A[idx], model.B[idx]])
         else:
             self.U = _SensorRows(model, idx)
         if self.ns:

@@ -33,18 +33,12 @@ def ieee33() -> NetworkModel:
     return load_network(builtin_network_path("ieee33"))
 
 
-def synthetic_feeder(
-    n: int,
-    seed: int = 0,
-    avg_load: float = 0.00125,
-    curtail: float = 0.5,
-) -> NetworkModel:
+def synthetic_feeder(n: int, seed: int = 0) -> NetworkModel:
     """Random radial feeder with ``n`` non-slack nodes for scale tests.
 
     Parents are drawn from a sliding window of recently added nodes, which
-    keeps the tree depth near 2n/window. Loads are uniform around ``avg_load``
-    per-unit at ~0.9 power factor; boxes allow shedding ``curtail`` of each
-    load.
+    keeps the tree depth near 2n/window. Loads are uniform around 0.00125
+    per-unit at ~0.9 power factor; boxes allow shedding half of each load.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -57,7 +51,7 @@ def synthetic_feeder(
         r = float(rng.uniform(1e-4, 4e-4))
         x = r * float(rng.uniform(0.8, 1.5))
         lines.append((parent, i, r, x))
-        pload = avg_load * float(rng.uniform(0.5, 1.5))
+        pload = 0.00125 * float(rng.uniform(0.5, 1.5))
         qload = pload * float(rng.uniform(0.3, 0.6))
         nodes.append(
             dict(
@@ -66,9 +60,9 @@ def synthetic_feeder(
                 q0=-qload,
                 shunt=0j,
                 pmin=-pload,
-                pmax=-(1.0 - curtail) * pload,
+                pmax=-0.5 * pload,
                 qmin=-qload,
-                qmax=-(1.0 - curtail) * qload,
+                qmax=-0.5 * qload,
                 smax=None,
             )
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -24,8 +25,8 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.optimize as sopt
+import scipy.sparse.linalg as sspla
 
 from .controller import (
     ControllerConfig,
@@ -183,7 +184,8 @@ def _from_raw(cls, raw, key: str):
 
 def _coerce(tp, value, key: str):
     """``value`` as the annotated type ``tp``: JSON numbers may widen from int
-    to float but never narrow, and only JSON booleans are booleans."""
+    to float but never narrow, floats must be finite (JSON ``NaN`` and
+    ``Infinity`` parse), and only JSON booleans are booleans."""
     if is_dataclass(tp):
         return _from_raw(tp, value, key)
     args = get_args(tp)
@@ -197,7 +199,10 @@ def _coerce(tp, value, key: str):
     if tp in (bool, str) and type(value) is tp:
         return value
     if tp is float and type(value) in (int, float):
-        return float(value)
+        # Exact comparison: False for NaN, infinities and ints beyond floats.
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+        raise ValueError(f"scenario key {key!r} must be finite, got {value!r}")
     if tp is int and (type(value) is int or type(value) is float and value.is_integer()):
         return int(value)
     raise ValueError(f"scenario key {key!r} must be {tp.__name__}, got {value!r}")
@@ -541,8 +546,10 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     Maximizing the duals in closed form (mu = [g]_+ / eta) turns the saddle
     problem into a strongly convex box-constrained minimization of
     C(z) + ||[g(z)]_+||^2 / (2 eta), solved from three starts (agreement
-    within 1e-8 checks uniqueness) and polished by one exact solve of the
-    active-set KKT system. The result must be a fixed point of the projected
+    within 1e-8 checks uniqueness) and polished by Newton-CG steps on the
+    active set (:func:`_newton_polish`). ``G = [A B]`` is applied only
+    through the model's ``@`` and ``.T @``, so on ``PathSum`` models every
+    product is O(N). The result must be a fixed point of the projected
     primal-dual map within 1e-12.
     """
     net, model, cost, cfgc = ctx.net, ctx.model, ctx.cost, ctx.cfg.controller
@@ -553,7 +560,7 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
             "the saddle oracle supports box feasible sets only (apparent-power "
             "caps are outside the closed-form dual elimination)"
         )
-    G = model.dense_sensitivities()
+    A, B = model.A, model.B
     d_l = cfgc.v_min - model.r0
     d_u = model.r0 - cfgc.v_max
     eta = cfgc.eta
@@ -562,8 +569,14 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     lo = np.concatenate([pmin, qmin])
     hi = np.concatenate([pmax, qmax])
 
+    def g_apply(z):
+        return A @ z[:n] + B @ z[n:]
+
+    def gt_apply(r):
+        return np.concatenate([A.T @ r, B.T @ r])
+
     def objective(z):
-        r = G @ z
+        r = g_apply(z)
         gl = np.maximum(d_l - r, 0.0)
         gu = np.maximum(r + d_u, 0.0)
         agg = z[:n].sum() + cost.p0_target
@@ -572,9 +585,24 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
             + cost.alpha * agg**2
             + (gl @ gl + gu @ gu) / (2.0 * eta)
         )
-        grad = wz * (z - z_ref) + (G.T @ (gu - gl)) / eta
+        grad = wz * (z - z_ref) + gt_apply(gu - gl) / eta
         grad[:n] += 2.0 * cost.alpha * agg
         return val, grad
+
+    def hessian(z, free):
+        # H_ff of the quadratic the objective is on the active set at z.
+        r = g_apply(z)
+        active = ((d_l - r) > 0.0) | ((r + d_u) > 0.0)
+        full = np.zeros(2 * n)
+
+        def matvec(v):
+            full[free] = v.ravel()
+            hv = wz * full + gt_apply(active * g_apply(full)) / eta
+            hv[:n] += 2.0 * cost.alpha * full[:n].sum()
+            return hv[free]
+
+        k = int(free.sum())
+        return sspla.LinearOperator((k, k), matvec=matvec, dtype=float)
 
     rng = np.random.Generator(np.random.Philox(key=ctx.cfg.base_seed))
     starts = [z_ref] + [lo + rng.uniform(0.0, 1.0, 2 * n) * (hi - lo) for _ in range(2)]
@@ -597,9 +625,9 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
                     "the problem may not be strongly convex as configured"
                 )
     z = min(sols, key=lambda zz: objective(zz)[0])
-    z = _kkt_polish(z, G, d_l, d_u, eta, wz, z_ref, cost, lo, hi, n)
+    z = _newton_polish(z, objective, hessian, lo, hi)
 
-    r = G @ z
+    r = g_apply(z)
     mu_l = np.maximum(d_l - r, 0.0) / eta
     mu_u = np.maximum(r + d_u, 0.0) / eta
     x_star = ControllerState(p=z[:n], q=z[n:], mu_lower=mu_l, mu_upper=mu_u)
@@ -611,35 +639,24 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     return x_star
 
 
-def _kkt_polish(z, G, d_l, d_u, eta, wz, z_ref, cost, lo, hi, n, rounds: int = 40):
-    """Solve the active-set KKT system exactly, refining the sets as needed."""
+def _newton_polish(z, objective, hessian, lo, hi):
+    """Newton-CG on the active set (Nocedal and Wright, 2006, sec. 7.1).
+
+    Each round clamps the variables within 1e-9 of a bound onto it, then
+    takes one Newton step on the free ones: ``H_ff s = -grad_f`` by
+    conjugate gradients on Hessian-vector products. The objective is
+    quadratic on a fixed active set, so the step is exact once the sets
+    settle; rounds stop when a step moves no variable by 1e-14.
+    """
     bound_tol = 1e-9
-    for _ in range(rounds):
-        r = G @ z
-        act_l = (d_l - r) > 0.0
-        act_u = (r + d_u) > 0.0
+    for _ in range(40):
         at_lo = z <= lo + bound_tol
         at_hi = z >= hi - bound_tol
-        clamped = at_lo | at_hi
+        free = ~(at_lo | at_hi)
         z_new = np.where(at_lo, lo, np.where(at_hi, hi, z))
-
-        rows = []
-        rhs_terms = np.zeros(2 * n)
-        if act_l.any():
-            rows.append(-G[act_l])
-            rhs_terms += (-G[act_l]).T @ d_l[act_l]
-        if act_u.any():
-            rows.append(G[act_u])
-            rhs_terms += G[act_u].T @ d_u[act_u]
-        Ga = np.vstack(rows) if rows else np.zeros((0, 2 * n))
-        M = np.diag(wz) + (Ga.T @ Ga) / eta
-        M[:n, :n] += 2.0 * cost.alpha
-        b = -wz * z_ref + rhs_terms / eta
-        b[:n] += 2.0 * cost.alpha * cost.p0_target
-        free = ~clamped
         if free.any():
-            rhs = -b[free] - M[np.ix_(free, clamped)] @ z_new[clamped]
-            z_new[free] = sla.solve(M[np.ix_(free, free)], rhs, assume_a="pos")
+            step, _ = sspla.cg(hessian(z_new, free), -objective(z_new)[1][free], rtol=1e-14)
+            z_new[free] += step
         z_new = np.clip(z_new, lo, hi)
         if np.abs(z_new - z).max() < 1e-14:
             return z_new

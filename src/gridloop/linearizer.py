@@ -8,9 +8,9 @@ the duration of a run.
 
 LinDistFlow's A and B come from ``netmodel.path_sum``: dense N x N arrays on
 small networks and O(N) ``PathSum`` operators on large ones, so every consumer
-uses only ``@`` and ``.T @`` (or ``voltage_rows`` and ``dense_sensitivities``
-when it needs entries). The Jacobian model is always dense: it takes 4N
-perturbed plant solves and O(N^2) memory.
+uses only ``@`` and ``.T @`` (the dense-only WLS sensor rows index the
+arrays). The Jacobian model is always dense: it takes 4N perturbed plant
+solves and O(N^2) memory.
 """
 
 from __future__ import annotations
@@ -37,28 +37,6 @@ class LinearFlowModel:
     def n(self) -> int:
         return self.r0.shape[0]
 
-    def voltage_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows ``[A_idx B_idx]`` (len(idx) x 2N) for 0-based node indices;
-        from an operator they are one block product with unit vectors."""
-        return np.hstack([_rows(self.A, idx), _rows(self.B, idx)])
-
-    def dense_sensitivities(self) -> np.ndarray:
-        """The explicit N x 2N matrix ``[A B]`` (O(N^2) memory), for the
-        consumers that need every entry: the saddle oracle and its KKT polish."""
-        return np.hstack([_dense(self.A), _dense(self.B)])
-
-
-def _rows(m: np.ndarray | PathSum, idx: np.ndarray) -> np.ndarray:
-    if isinstance(m, np.ndarray):
-        return m[idx, :]
-    unit = np.zeros((m.shape[0], len(idx)))
-    unit[idx, np.arange(len(idx))] = 1.0
-    return (m.T @ unit).T
-
-
-def _dense(m: np.ndarray | PathSum) -> np.ndarray:
-    return m if isinstance(m, np.ndarray) else m.toarray()
-
 
 def lindistflow(net: NetworkModel) -> LinearFlowModel:
     """LinDistFlow model: A_ij sums branch resistance over the shared
@@ -77,10 +55,10 @@ def jacobian_linearize(
     net: NetworkModel,
     p_star: np.ndarray,
     q_star: np.ndarray,
-    h: float = 1e-5,
 ) -> LinearFlowModel:
-    """Central-difference Jacobian of the plant's voltage magnitudes at
-    (p*, q*); the intercept reproduces the plant exactly at the base point."""
+    """Central-difference Jacobian (step 1e-5) of the plant's voltage magnitudes
+    at (p*, q*); the intercept reproduces the plant exactly at the base point."""
+    h = 1e-5
     p_star = np.asarray(p_star, dtype=float)
     q_star = np.asarray(q_star, dtype=float)
     n = net.n

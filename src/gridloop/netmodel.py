@@ -489,10 +489,6 @@ class PathSum:
         dsub = self._subtree(np.asarray(d)[self._order])
         return self._path(dsub * w * (2.0 * r - w))[self._pos]
 
-    def toarray(self) -> np.ndarray:
-        """The explicit N x N matrix (O(N^2) memory)."""
-        return self @ np.eye(self.shape[0])
-
     def _subtree(self, xs: np.ndarray) -> np.ndarray:
         """Subtree sums per DFS slot of values given per DFS slot."""
         c = _prefix(xs)
@@ -607,13 +603,11 @@ def build_admittance(net: NetworkModel) -> tuple[sp.csr_matrix, np.ndarray, comp
 
 
 def project_feasible_net(
-    p: np.ndarray, q: np.ndarray, net: NetworkModel, tol: float = 1e-12
+    p: np.ndarray, q: np.ndarray, net: NetworkModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Node-wise projection of injection vectors onto the network's feasible sets."""
     pmin, pmax, qmin, qmax, smax = net.box
-    return project_box_disk(
-        p, q, pmin, pmax, qmin, qmax, smax if net.disk_capped else None, tol
-    )
+    return project_box_disk(p, q, pmin, pmax, qmin, qmax, smax if net.disk_capped else None)
 
 
 def project_box_disk(
@@ -624,7 +618,6 @@ def project_box_disk(
     qmin: np.ndarray,
     qmax: np.ndarray,
     smax: np.ndarray | None,
-    tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection onto box intersect origin-centered disk, per
     entry. ``smax`` is inf where an entry has no disk; None (the caller
@@ -635,6 +628,7 @@ def project_box_disk(
         return pc, qc
 
     # Already feasible within tol: return unchanged (exact idempotency).
+    tol = 1e-12
     rad = np.hypot(p, q)
     feasible = (
         (p >= pmin - tol)

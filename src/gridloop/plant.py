@@ -49,17 +49,14 @@ def solve_power_flow(
     net: NetworkModel,
     p: np.ndarray,
     q: np.ndarray,
-    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> PowerFlowSolution:
     """Solve the power flow for injections (p, q), length N each.
 
     Returns a solution whose ``converged`` flag is False when ``max_iter``
-    sweeps did not bring the mismatch under ``tol`` (the residual history is
+    sweeps did not bring the mismatch under 1e-10 (the residual history is
     kept for diagnosis); no exception is raised here so callers can decide.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     s = np.asarray(p, dtype=float) + 1j * np.asarray(q, dtype=float)
     if s.shape != (net.n,):
         raise ValueError(f"injection vectors must have length {net.n}, got {s.shape}")
@@ -92,7 +89,7 @@ def solve_power_flow(
         s_calc = v * np.conj(y_dot(v) + y_bar_v0)
         residual = float(np.maximum.reduce(np.abs(s_calc - s)))
         history.append(residual)
-        if residual <= tol:
+        if residual <= 1e-10:
             converged = True
             break
     if v_mag is None:

@@ -8,6 +8,8 @@ shares no code with the implementations under test. The references:
   polar Newton-Raphson power flow, for the sweep plant;
 - ``one_branch_voltage``: the exact two-bus voltage;
 - ``scalar_lagrangian``: the controller's Lagrangian written out longhand;
+- ``dense_sensitivities``: the explicit N x 2N matrix ``[A B]`` of a linear
+  model, from ``PathSum`` operators too;
 - ``linear_measurement_model``: the explicit dense WLS model (H, w) of a
   plan, whose channel weights are the plan's reference deviations
   (``sensing.plan_reference_sigmas``, the problem's definition, not its
@@ -102,13 +104,20 @@ def scalar_lagrangian(p, q, mu_l, mu_u, *, wp, wq, alpha, p0, q0, p0_target,
     return local + substation + coupling - tikhonov
 
 
+def dense_sensitivities(model) -> np.ndarray:
+    """The explicit N x 2N matrix ``[A B]``; a ``PathSum`` block is applied
+    to the identity (O(N^2) memory)."""
+    blocks = [m if isinstance(m, np.ndarray) else m @ np.eye(model.n) for m in (model.A, model.B)]
+    return np.hstack(blocks)
+
+
 def linear_measurement_model(plan, model):
     """Dense (H, w) of the linear WLS model for the state z = (p, q): the
     sensor rows are the voltage rows [A_i B_i] of the model (its r0
     intercept folded into y), the pseudo rows the identity, and w the
     inverse-variance channel weights. O(N^2) memory."""
     sensors = np.array(plan.sensor_nodes, dtype=int) - 1
-    G = model.dense_sensitivities()
+    G = dense_sensitivities(model)
     H = np.vstack([G[sensors], np.eye(2 * plan.n)])
     return H, plan_reference_sigmas(plan, model) ** -2.0
 

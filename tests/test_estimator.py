@@ -17,7 +17,13 @@ from gridloop.netmodel import DENSE_LIMIT, PathSum
 from gridloop.plant import solve_power_flow
 from gridloop.sensing import make_plan, sample_measurements
 
-from oracles import linear_measurement_model, state_variance, wls_closed_form, wls_gain
+from oracles import (
+    dense_sensitivities,
+    linear_measurement_model,
+    state_variance,
+    wls_closed_form,
+    wls_gain,
+)
 
 
 def _plan(net, sensors=(5, 17), sensor_sigma=0.01, pseudo_sigma=0.5, seed=7):
@@ -118,7 +124,7 @@ def test_voltage_variance_matches_dense_gain(net33, method, size):
     plan = _plan(net, sensors=tuple(range(3, net.n, max(1, net.n // 12))))
     est = WlsEstimator(plan, model)
     H, w = linear_measurement_model(plan, model)
-    g_gain = model.dense_sensitivities() @ wls_gain(H, w)
+    g_gain = dense_sensitivities(model) @ wls_gain(H, w)
     ref = (g_gain**2 / w).sum(axis=1)
     assert np.abs(est.voltage_variance() - ref).max() <= 1e-12 * ref.max()
 
@@ -150,7 +156,7 @@ def _operator_and_dense(n=400, stride=8):
     # A and B as dense arrays, with enough sensors for several GRAM_BLOCKs.
     net = synthetic_feeder(n)
     model = lindistflow(net)
-    dense = replace(model, A=model.A.toarray(), B=model.B.toarray())
+    dense = replace(model, A=model.A @ np.eye(net.n), B=model.B @ np.eye(net.n))
     plan = _plan(net, sensors=tuple(range(3, net.n, stride)))
     return WlsEstimator(plan, model), WlsEstimator(plan, dense)
 
@@ -174,7 +180,7 @@ def test_operator_estimator_matches_dense_rows():
 def test_operator_lemma_matrix_matches_explicit_rows():
     # K = W_s^-1 + U D^-1 U^T, with U = [A_S B_S] formed explicitly.
     op, _ = _operator_and_dense()
-    U = op.model.voltage_rows(op.U.idx)
+    U = dense_sensitivities(op.model)[op.U.idx]
     want = np.diag(1.0 / op.w_sensor) + (U / op.w_pseudo) @ U.T
     L = np.tril(op._K_cho[0])
     assert np.abs(L @ L.T - want).max() <= 1e-12 * np.abs(want).max()

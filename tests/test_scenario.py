@@ -66,6 +66,25 @@ def test_schema_defaults_and_coercion_by_annotation():
     assert cfg.plan == PlanSpec()
 
 
+@pytest.mark.parametrize(
+    "key", ["controller.eps_dual", "controller.eta", "cost.alpha", "load_scale", "plan.pseudo_sigma"]
+)
+@pytest.mark.parametrize("value", ["NaN", "-Infinity", "1" + "0" * 400], ids=["nan", "-inf", "1e400"])
+def test_nonfinite_numbers_rejected_by_dotted_name(tmp_path, capsys, key, value):
+    # NaN passes min()/max() based range checks and would only surface
+    # mid-run, as a diverged plant or a NaN certificate; an integer beyond
+    # the float range would overflow in the conversion.
+    out = tmp_path / "out"
+    assert cli_main(["run", str(SCEN / "twobus.json"), "--set", f"{key}={value}", "--out", str(out)]) == 1
+    assert f"scenario key {key!r} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    raw = _cfg().to_dict()
+    section, _, name = key.rpartition(".")
+    (raw[section] if section else raw)[name] = json.loads(value)
+    with pytest.raises(ValueError, match=re.escape(f"{key!r} must be finite")):
+        ScenarioConfig.from_dict(raw)
+
+
 def test_linearization_must_be_known():
     with pytest.raises(ValueError, match="linearization"):
         _cfg(linearization="lindistfow")

@@ -16,6 +16,9 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
   tree-kernel (``PathSum``) paths of the model and the estimator are
   checked too. Its network and scenario files are written to the temporary
   directory;
+- the same feeder run with ``track_saddle`` on the linear pipeline (linear
+  plant, ``linear_model`` feedback), so the saddle oracle on ``PathSum``
+  operators is checked too;
 - ``gridloop report`` on the finished ``ieee33_regulation.json`` run, which
   writes all four plot-ready series (its summary carries the confidence
   halfwidths, so ``ci_band_series.csv`` is among them).
@@ -136,6 +139,13 @@ def main_hashes() -> dict[str, str]:
         os.chdir(tmp)
         scenario = write_feeder_scenario(Path(tmp))
         hash_run(hashes, "feeder400", ["run", scenario], Path(tmp) / "feeder400")
+        hash_run(
+            hashes,
+            "feeder400_saddle",
+            ["run", scenario, "--set", "track_saddle=true", "--set", "plant_model=linear",
+             "--set", "feedback_mode=linear_model"],
+            Path(tmp) / "feeder400_saddle",
+        )
         os.chdir(ROOT)
     return hashes
 
