@@ -86,6 +86,13 @@ class PlanSpec:
             raise ValueError(
                 f"scenario key 'plan.placement_seed' must lie in [0, 2**64), got {self.placement_seed}"
             )
+        for key in ("sensor_sigma", "pseudo_sigma"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"scenario key 'plan.{key}' must be >= 0, got {getattr(self, key)}")
+        nodes = self.sensor_nodes or ()
+        if len(set(nodes)) != len(nodes):
+            dup = sorted({s for s in nodes if nodes.count(s) > 1})
+            raise ValueError(f"scenario key 'plan.sensor_nodes' repeats node(s) {dup}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.network:
             raise ValueError("scenario key 'network' must name a builtin network or a file")
+        if not self.load_scale > 0.0:
+            raise ValueError(f"scenario key 'load_scale' must be > 0, got {self.load_scale}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.trials < 1:
@@ -247,11 +256,7 @@ class RunContext:
         )
 
 
-def prepare(
-    cfg: ScenarioConfig,
-    enforce_certificate: bool = True,
-    net: NetworkModel | None = None,
-) -> RunContext:
+def prepare(cfg: ScenarioConfig, net: NetworkModel | None = None) -> RunContext:
     """Load the network, linearize, certify steps, and bind the estimator.
 
     With allow_uncertified the (possibly expensive) certificate is deferred
@@ -268,7 +273,7 @@ def prepare(
     certificate = None
     if not cfg.allow_uncertified:
         certificate = certify_step_size(cost, model, cfg.controller)
-        if enforce_certificate and not certificate.certified:
+        if not certificate.certified:
             raise CertificateError(
                 f"step size {certificate.eps_configured:.3e} is not certified "
                 f"(eps_max = {certificate.eps_max:.3e}); set allow_uncertified to override"

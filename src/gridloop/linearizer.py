@@ -8,9 +8,9 @@ the duration of a run.
 
 LinDistFlow's A and B come from ``netmodel.path_sum``: dense N x N arrays on
 small networks and O(N) ``PathSum`` operators on large ones, so every consumer
-uses only ``@`` and ``.T @`` (the dense-only WLS sensor rows index the
-arrays). The Jacobian model is always dense: it takes 4N perturbed plant
-solves and O(N^2) memory.
+uses only ``@``, ``.T @`` and the ``netmodel`` helpers that accept both forms.
+The Jacobian model is always dense: it takes 4N perturbed plant solves and
+O(N^2) memory.
 """
 
 from __future__ import annotations

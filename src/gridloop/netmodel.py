@@ -155,8 +155,10 @@ class NetworkModel:
     @cached_property
     def _sweep(self) -> tuple:
         """Operators and loop invariants of the backward/forward sweep,
-        built once per network: the common-path impedance ``Z``
-        (:func:`path_sum` of the branch impedances); the admittance
+        built once per network: the product with the common-path impedance
+        ``Z`` (:func:`path_sum` of the branch impedances), ``ndarray.dot``
+        when Z is dense (the BLAS product of ``@`` without the matmul
+        ufunc's dispatch) and ``PathSum.__matmul__`` otherwise; the admittance
         partition ``(Y, y_bar, y00)`` of :func:`build_admittance`, with
         ``Y`` dense up to ``DENSE_LIMIT`` nodes and sparse above;
         ``y_bar * v0``; the flat start ``v0`` at every node; and the shunt
@@ -168,8 +170,9 @@ class NetworkModel:
         v0 = complex(self.v0)
         flat = np.full(self.n, v0, dtype=complex)
         shunts = self.shunts if self.shunts.any() else None
+        Z = path_sum(self, self.branch_z)
         return (
-            path_sum(self, self.branch_z),
+            Z.dot if isinstance(Z, np.ndarray) else Z.__matmul__,
             _freeze(Y) if isinstance(Y, np.ndarray) else Y,
             _freeze(y_bar),
             y00,
@@ -435,7 +438,8 @@ def path_sum(net: NetworkModel, weights: np.ndarray) -> np.ndarray | PathSum:
     """The common-path product of ``weights`` in the form that is faster for
     this network: the dense :func:`path_sum_matrix` up to ``DENSE_LIMIT``
     non-slack nodes, the O(N) :class:`PathSum` above. Callers use only ``@``,
-    ``.T @`` and division by a scalar, which both forms support."""
+    ``.T @``, division by a scalar, :func:`diag_quad` and :func:`path_gram`,
+    which accept both forms."""
     if net.n <= DENSE_LIMIT:
         return _freeze(path_sum_matrix(net, weights))
     return PathSum(net, weights)
@@ -499,24 +503,34 @@ class PathSum:
         return _prefix(us)[1:] - _prefix(us[self._by_end])[self._closed]
 
 
+def diag_quad(m: np.ndarray | PathSum, d: np.ndarray) -> np.ndarray:
+    """``diag(M diag(d) M^T)`` of a dense or a path-sum operator."""
+    if isinstance(m, PathSum):
+        return m.diag_quad(d)
+    return (m * m) @ d
+
+
 def path_gram(
-    terms: tuple[tuple[PathSum, np.ndarray], ...],
+    terms: tuple[tuple[np.ndarray | PathSum, np.ndarray], ...],
     x: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``sum_m P_m diag(d_m) P_m^T x`` for path-sum operators on one tree, at
-    every node or only at the 0-based ``rows``.
+    """``sum_m M_m diag(d_m) M_m^T x`` at every node or only at the 0-based
+    ``rows``, for dense operators or path-sum operators on one tree.
 
-    The operators differ only in their branch weights (LinDistFlow's A and
-    B), so the subtree sums of ``x`` are shared and the outer path sum is
+    Path-sum operators differ only in their branch weights (LinDistFlow's A
+    and B), so the subtree sums of ``x`` are shared and the outer path sum is
     taken once for the whole sum, and the stages stay in DFS slot order: for
     two terms that is three subtree and three path passes instead of the
     four full products (each with its own subtree pass and permutations).
     """
     first = terms[0][0]
-    order, pos = first._order, first._pos
     x = np.asarray(x)
     col = (slice(None),) + (None,) * (x.ndim - 1)
+    if not isinstance(first, PathSum):
+        at = slice(None) if rows is None else rows
+        return sum(m[at] @ (np.asarray(d)[col] * (m.T @ x)) for m, d in terms)
+    order, pos = first._order, first._pos
     sub = first._subtree(x[order])
     acc = 0.0
     for op, d in terms:

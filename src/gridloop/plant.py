@@ -12,10 +12,10 @@ of numpy calls, not arithmetic. The loop invariants are built once per
 network (``NetworkModel._sweep``): the read-only flat start, ``y_bar * v0``
 and whether any node has a shunt. Each sweep takes ``|v|`` once and runs
 both divergence checks on it, reduces through the ufuncs' ``reduce``
-instead of the ``min``/``max``/``all`` wrappers, and on dense operators
-multiplies through ``ndarray.dot``. These change no arithmetic: voltages,
-sweep counts and residual histories are bit for bit those of the plain
-loop (``tests/oracles.reference_sweep``).
+instead of the ``min``/``max``/``all`` wrappers, and multiplies through the
+``Z`` product ``_sweep`` picked (``ndarray.dot`` on dense operators). These
+change no arithmetic: voltages, sweep counts and residual histories are bit
+for bit those of the plain loop (``tests/oracles.reference_sweep``).
 """
 
 from __future__ import annotations
@@ -60,10 +60,7 @@ def solve_power_flow(
     s = np.asarray(p, dtype=float) + 1j * np.asarray(q, dtype=float)
     if s.shape != (net.n,):
         raise ValueError(f"injection vectors must have length {net.n}, got {s.shape}")
-    Z, Y, y_bar, y00, y_bar_v0, flat, shunts = net._sweep
-    # On dense operators, ndarray.dot runs the same BLAS product as ``@``
-    # without the matmul ufunc's dispatch.
-    z_dot = Z.dot if isinstance(Z, np.ndarray) else Z.__matmul__
+    z_dot, Y, y_bar, y00, y_bar_v0, flat, shunts = net._sweep
     y_dot = Y.dot
     v = flat
     history: list[float] = []

@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from gridloop.netmodel import path_sum
 from gridloop.sensing import plan_reference_sigmas
 
 
@@ -145,10 +146,11 @@ def state_variance(H, w):
 def reference_sweep(net, p, q, tol=1e-10, max_iter=500):
     """The backward/forward sweep loop of ``plant.solve_power_flow`` as it
     stood before its loop invariants were hoisted, kept verbatim (on the
-    network's own sweep operators) so the lean loop can be checked bit for
-    bit: returns ``(v, iterations, residual_history)``."""
+    network's own common-path impedance and admittance) so the lean loop
+    can be checked bit for bit: returns ``(v, iterations, residual_history)``."""
     s = np.asarray(p, dtype=float) + 1j * np.asarray(q, dtype=float)
-    Z, Y, y_bar, y00 = net._sweep[:4]
+    Z = path_sum(net, net.branch_z)
+    Y, y_bar, y00 = net._sweep[1:4]
     v0 = complex(net.v0)
     v = np.full(net.n, v0, dtype=complex)
     history: list[float] = []

@@ -29,6 +29,7 @@ from gridloop.harness import (
 )
 from gridloop.linearizer import eval_linear, lindistflow
 from gridloop.plant import solve_power_flow
+from gridloop.sensing import plan_reference_sigmas
 
 from oracles import linear_measurement_model, state_variance
 
@@ -109,6 +110,7 @@ def test_criterion_3_wls_statistics(net33):
     est = WlsEstimator(ctx.plan, model)
     H, w = linear_measurement_model(ctx.plan, model)
     var = state_variance(H, w)
+    sigma = plan_reference_sigmas(ctx.plan, model)
     z_true = np.concatenate([net33.p0, net33.q0])
     y0 = H @ z_true
     rng = np.random.default_rng(20240501)
@@ -117,7 +119,7 @@ def test_criterion_3_wls_statistics(net33):
     zs = np.empty((trials, 64))
     covered = 0
     for t in range(trials):
-        y = y0 + est.sigma * rng.standard_normal(est.sigma.size)
+        y = y0 + sigma * rng.standard_normal(sigma.size)
         z = est.solve(y)
         zs[t] = z
         covered += int(np.count_nonzero(np.abs(z - z_true) <= c99 * np.sqrt(var)))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,16 @@ def test_run_determinism_identical_hashes(tmp_path):
 def test_run_unknown_scenario_errors(tmp_path, capsys):
     code = main(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_malformed_scenario_file_names_itself(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    with pytest.raises(ValueError, match=f"scenario file {re.escape(str(path))} is not valid JSON"):
+        cli.load_scenario(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Expecting property name" in err
 
 
 def test_certify_prints_constants(tmp_path, capsys):

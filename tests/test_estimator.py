@@ -15,7 +15,7 @@ from gridloop.harness import PlanSpec, ScenarioConfig, prepare
 from gridloop.linearizer import eval_linear, lindistflow, linearize
 from gridloop.netmodel import DENSE_LIMIT, PathSum
 from gridloop.plant import solve_power_flow
-from gridloop.sensing import make_plan, sample_measurements
+from gridloop.sensing import make_plan, plan_reference_sigmas, sample_measurements
 
 from oracles import (
     dense_sensitivities,
@@ -39,6 +39,11 @@ def _plan(net, sensors=(5, 17), sensor_sigma=0.01, pseudo_sigma=0.5, seed=7):
     )
 
 
+def _gain(est):
+    """The estimator's WLS gain: its solve applied to each unit measurement."""
+    return np.column_stack([est.solve(e) for e in np.eye(est.ns + 2 * est.n)])
+
+
 def test_wls_identity_model(net33):
     # Without sensors H is the identity over the pseudo channels, so the
     # estimate is the measurement itself.
@@ -51,9 +56,16 @@ def test_wls_weight_scaling_invariance(net33):
     # One factor on every channel's deviation scales all weights alike and
     # leaves the estimate unchanged.
     model = lindistflow(net33)
-    est = WlsEstimator(_plan(net33), model)
-    scaled = WlsEstimator(_plan(net33, sensor_sigma=0.01 * 37.5, pseudo_sigma=0.5 * 37.5), model)
-    assert np.allclose(scaled.sigma, 37.5 * est.sigma, rtol=1e-14, atol=0.0)
+    plan = _plan(net33)
+    plan_scaled = _plan(net33, sensor_sigma=0.01 * 37.5, pseudo_sigma=0.5 * 37.5)
+    est = WlsEstimator(plan, model)
+    scaled = WlsEstimator(plan_scaled, model)
+    assert np.allclose(
+        plan_reference_sigmas(plan_scaled, model),
+        37.5 * plan_reference_sigmas(plan, model),
+        rtol=1e-14,
+        atol=0.0,
+    )
     y = np.random.default_rng(0).normal(size=est.ns + 64)
     assert np.abs(est.solve(y) - scaled.solve(y)).max() < 1e-12
 
@@ -71,8 +83,11 @@ def test_noiseless_consistency_33bus(net33):
         assert np.abs(z_hat - z_true).max() < 1e-8
 
 
-def test_structured_solver_matches_dense_and_oracle(net33):
-    model = lindistflow(net33)
+@pytest.mark.parametrize("method", ["lindistflow", "jacobian"])
+def test_structured_solver_matches_dense_and_oracle(net33, method):
+    # The Jacobian model is not symmetric, so this fails if U^T is applied
+    # with A instead of A^T.
+    model = linearize(net33, method)
     plan = _plan(net33, sensors=(2, 9, 30))
     H, w = linear_measurement_model(plan, model)
     est = WlsEstimator(plan, model)
@@ -88,25 +103,24 @@ def test_structured_solver_matches_dense_and_oracle(net33):
 
 def test_gain_reproduces_consistent_measurements(net33):
     # Gamma H = I: the estimator reproduces any noiseless consistent y.
-    # Its gain is its normal-equation solve applied to H^T W.
     model = lindistflow(net33)
     plan = _plan(net33)
     est = WlsEstimator(plan, model)
     H, w = linear_measurement_model(plan, model)
-    GH = est.solve_normal(H.T * w) @ H
+    GH = _gain(est) @ H
     assert np.abs(GH - np.eye(64)).max() < 1e-8
 
 
 def test_variance_forms_agree(net33):
-    # Gamma^2 sigma^2 form equals diag((H^T W H)^-1) for W = Sigma^-1, the
-    # latter applied through the estimator's lemma factorization.
+    # The Gamma^2 sigma^2 form of the estimator's own gain equals that of the
+    # explicit gain and diag((H^T W H)^-1) for W = Sigma^-1.
     model = lindistflow(net33)
     plan = _plan(net33)
     est = WlsEstimator(plan, model)
     H, w = linear_measurement_model(plan, model)
     explicit = (wls_gain(H, w) ** 2 * (1.0 / w)).sum(axis=1)
     direct = state_variance(H, w)
-    var = np.diag(est.solve_normal(np.eye(64)))
+    var = (_gain(est) ** 2 * (1.0 / w)).sum(axis=1)
     assert np.abs(var - explicit).max() < 1e-12 * np.abs(explicit).max() + 1e-15
     assert np.abs(var - direct).max() < 1e-8 * np.abs(direct).max()
 
@@ -163,16 +177,13 @@ def _operator_and_dense(n=400, stride=8):
 
 def test_operator_estimator_matches_dense_rows():
     op, ref = _operator_and_dense()
-    assert isinstance(op.model.A, PathSum) and isinstance(ref.U, np.ndarray)
+    assert isinstance(op.model.A, PathSum) and isinstance(ref.model.A, np.ndarray)
     assert op.ns > 4 * GRAM_BLOCK
     rng = np.random.default_rng(11)
     for _ in range(3):
         y = rng.normal(size=ref.ns + 2 * ref.n)
         want = ref.solve(y)
         assert np.abs(op.solve(y) - want).max() <= 1e-12 * np.abs(want).max()
-    b = rng.normal(size=(2 * ref.n, 3))
-    want = ref.solve_normal(b)
-    assert np.abs(op.solve_normal(b) - want).max() <= 1e-12 * np.abs(want).max()
     want = ref.voltage_variance()
     assert np.abs(op.voltage_variance() - want).max() <= 1e-12 * want.max()
 
@@ -180,7 +191,7 @@ def test_operator_estimator_matches_dense_rows():
 def test_operator_lemma_matrix_matches_explicit_rows():
     # K = W_s^-1 + U D^-1 U^T, with U = [A_S B_S] formed explicitly.
     op, _ = _operator_and_dense()
-    U = dense_sensitivities(op.model)[op.U.idx]
+    U = dense_sensitivities(op.model)[op.idx]
     want = np.diag(1.0 / op.w_sensor) + (U / op.w_pseudo) @ U.T
     L = np.tril(op._K_cho[0])
     assert np.abs(L @ L.T - want).max() <= 1e-12 * np.abs(want).max()
@@ -196,30 +207,20 @@ def test_solves_match_cho_solve_bitwise(monkeypatch, net33, path):
         est, _ = _operator_and_dense()
     rng = np.random.default_rng(5)
     y = rng.normal(size=est.ns + 2 * est.n)
-    b = rng.normal(size=(2 * est.n, 3))
     rhs = rng.normal(size=(est.ns, 4))
-
-    def results():
-        return [est.solve(y), est.solve_normal(b[:, 0]), est.solve_normal(b)]
-
-    got = results()
+    got = est.solve(y)
     assert estimator_mod._cho_apply(est._K_cho, rhs).tobytes() == (
         sla.cho_solve(est._K_cho, rhs).tobytes()
     )
     monkeypatch.setattr(estimator_mod, "_cho_apply", sla.cho_solve)
-    for g, w in zip(got, results()):
-        assert g.tobytes() == w.tobytes() and g.flags.f_contiguous == w.flags.f_contiguous
+    assert got.tobytes() == est.solve(y).tobytes()
     monkeypatch.undo()
     for bad in (np.nan, np.inf):
         y_bad = y.copy()
         y_bad[-1] = bad
-        b_bad = b.copy()
-        b_bad[-1, 1] = bad
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 est.solve(y_bad)
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                est.solve_normal(b_bad)
 
 
 def test_operator_estimator_keeps_no_sensor_rows():
@@ -260,13 +261,14 @@ def test_unbiased_and_variance_monte_carlo(net33):
     est = WlsEstimator(plan, model)
     H, w = linear_measurement_model(plan, model)
     var = state_variance(H, w)
+    sigma = plan_reference_sigmas(plan, model)
     z_true = np.concatenate([net33.p0, net33.q0])
     y0 = H @ z_true
     rng = np.random.default_rng(123)
     trials = 2000
     zs = np.empty((trials, 64))
     for t in range(trials):
-        y = y0 + est.sigma * rng.standard_normal(est.sigma.size)
+        y = y0 + sigma * rng.standard_normal(sigma.size)
         zs[t] = est.solve(y)
     bias = zs.mean(axis=0) - z_true
     stderr = np.sqrt(var / trials)

@@ -86,7 +86,7 @@ def test_certificate_enforced():
     cfg = _cfg33(controller=ControllerConfig(eps_primal=1.0, eps_dual=1.0, eta=0.08))
     with pytest.raises(CertificateError, match="eps_max"):
         prepare(cfg)
-    prepare(replace(cfg, allow_uncertified=True), enforce_certificate=True)
+    prepare(replace(cfg, allow_uncertified=True))
 
 
 def test_trace_determinism():
@@ -232,25 +232,29 @@ def test_saddle_oracle_rejects_disk_sets(tmp_path):
             }
         )
     )
-    cfg = _cfg2(network=str(net_path))
+    cfg = _cfg2(network=str(net_path), allow_uncertified=True)
     with pytest.raises(HarnessError, match="box feasible sets"):
-        saddle_oracle(prepare(cfg, enforce_certificate=False))
+        saddle_oracle(prepare(cfg))
 
 
 def test_regularization_discrepancy_monotone_in_eta():
     # Distance from the near-unregularized saddle grows with eta.
     ref = saddle_oracle(
         prepare(
-            _cfg2(controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=1e-7, v_min=0.999, v_max=1.05)),
-            enforce_certificate=False,
+            _cfg2(
+                controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=1e-7, v_min=0.999, v_max=1.05),
+                allow_uncertified=True,
+            )
         )
     )
     dists = []
     for eta in (1e-4, 1e-3, 1e-2):
         xs = saddle_oracle(
             prepare(
-                _cfg2(controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=eta, v_min=0.999, v_max=1.05)),
-                enforce_certificate=False,
+                _cfg2(
+                    controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=eta, v_min=0.999, v_max=1.05),
+                    allow_uncertified=True,
+                )
             )
         )
         dists.append(np.linalg.norm(np.concatenate([xs.p, xs.q]) - np.concatenate([ref.p, ref.q])))

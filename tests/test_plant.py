@@ -123,7 +123,7 @@ def _dense_sweep(net, p, q, tol=1e-10, max_iter=500):
 
 def test_tree_kernel_plant_matches_dense_sweep():
     net = synthetic_feeder(DENSE_LIMIT + 100, seed=5)
-    assert isinstance(net._sweep[0], PathSum)
+    assert isinstance(net._sweep[0].__self__, PathSum)
     sol = solve_power_flow(net, net.p0, net.q0)
     v, sweeps = _dense_sweep(net, net.p0, net.q0)
     assert sol.converged and sol.iterations == sweeps

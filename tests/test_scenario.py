@@ -110,6 +110,23 @@ def test_sensor_fraction_in_unit_interval(fraction):
     PlanSpec(sensor_fraction=1.0)
 
 
+@pytest.mark.parametrize(
+    "override, key, message",
+    [
+        ("plan.sensor_sigma=-1", "plan.sensor_sigma", "must be >= 0, got -1.0"),
+        ("plan.pseudo_sigma=-0.5", "plan.pseudo_sigma", "must be >= 0, got -0.5"),
+        ("plan.sensor_nodes=[3,3]", "plan.sensor_nodes", "repeats node(s) [3]"),
+        ("load_scale=0", "load_scale", "must be > 0, got 0.0"),
+        ("load_scale=-2", "load_scale", "must be > 0, got -2.0"),
+    ],
+)
+def test_plan_and_load_scale_rejected_by_dotted_name(override, key, message):
+    # Caught at the schema, not later inside prepare as an anonymous
+    # "noise levels must be nonnegative" or "duplicate sensor nodes".
+    with pytest.raises(ValueError, match=re.escape(f"scenario key {key!r} {message}")):
+        load_scenario(SCEN / "twobus.json", [override])
+
+
 @pytest.mark.parametrize("content", ["[]", "3", "null", '"ieee33"'])
 def test_scenario_file_must_hold_an_object(tmp_path, capsys, content):
     path = tmp_path / "scenario.json"

@@ -1,6 +1,6 @@
 """Print, as JSON, the sha256 of every file a fixed set of gridloop runs writes.
 
-Usage: python3 tools/output_hashes.py
+Usage: python3 tools/output_hashes.py [--keep DIR]
 
 Runs through ``gridloop.cli.main`` from this checkout's ``src``:
 
@@ -11,6 +11,9 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
 - ``ieee33_regulation.json`` with ``plan.pseudo_fixed`` at 300 iterations,
   so the pseudo-measurement stream that restarts at counter 0 every
   iteration is checked too;
+- ``ieee33_regulation.json`` with ``linearization=jacobian`` at 100
+  iterations, so the WLS estimator on a dense non-symmetric model is
+  checked too;
 - a 40-iteration ``se_loop`` run with linear estimation on
   ``synthetic_feeder(400, seed=12)``, which is above ``DENSE_LIMIT``, so the
   tree-kernel (``PathSum``) paths of the model and the estimator are
@@ -30,14 +33,20 @@ temporary directory) with relative scenario paths, so the network paths
 What the runs print goes to stderr, so stdout is the JSON alone. Run it on
 two commits and compare the printed JSON to check that a change keeps every
 output byte-identical.
+
+``--keep DIR`` also copies every hashed file to ``DIR/<label>/``; where two
+commits' hashes differ, ``tools/output_diff.py`` on two such directories
+says by how much.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -76,6 +85,13 @@ def runs() -> list[tuple[str, list[str]]]:
             "regulation_pseudo_fixed",
             ["run", str(SCEN / "ieee33_regulation.json"),
              "--set", "plan.pseudo_fixed=true", "--set", "iterations=300"],
+        )
+    )
+    jobs.append(
+        (
+            "regulation_jacobian",
+            ["run", str(SCEN / "ieee33_regulation.json"),
+             "--set", "linearization=jacobian", "--set", "iterations=100"],
         )
     )
     return jobs
@@ -119,7 +135,9 @@ def write_feeder_scenario(directory: Path) -> str:
     return "feeder_scenario.json"
 
 
-def hash_run(hashes: dict[str, str], label: str, argv: list[str], out: Path) -> None:
+def hash_run(
+    hashes: dict[str, str], label: str, argv: list[str], out: Path, keep: Path | None
+) -> None:
     with contextlib.redirect_stdout(sys.stderr):
         rc = main([*argv, "--out", str(out)])
     if rc != 0:
@@ -127,28 +145,38 @@ def hash_run(hashes: dict[str, str], label: str, argv: list[str], out: Path) -> 
     for path in sorted(out.iterdir()):
         if path.name != "manifest.json":
             hashes[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            if keep is not None:
+                (keep / label).mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(path, keep / label / path.name)
 
 
-def main_hashes() -> dict[str, str]:
+def main_hashes(keep: Path | None = None) -> dict[str, str]:
     hashes: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(ROOT)
         for label, argv in runs():
-            hash_run(hashes, label, argv, Path(tmp) / label)
-        hash_run(hashes, "report", ["report", str(Path(tmp) / REPORTED)], Path(tmp) / "report")
+            hash_run(hashes, label, argv, Path(tmp) / label, keep)
+        hash_run(
+            hashes, "report", ["report", str(Path(tmp) / REPORTED)], Path(tmp) / "report", keep
+        )
         os.chdir(tmp)
         scenario = write_feeder_scenario(Path(tmp))
-        hash_run(hashes, "feeder400", ["run", scenario], Path(tmp) / "feeder400")
+        hash_run(hashes, "feeder400", ["run", scenario], Path(tmp) / "feeder400", keep)
         hash_run(
             hashes,
             "feeder400_saddle",
             ["run", scenario, "--set", "track_saddle=true", "--set", "plant_model=linear",
              "--set", "feedback_mode=linear_model"],
             Path(tmp) / "feeder400_saddle",
+            keep,
         )
         os.chdir(ROOT)
     return hashes
 
 
 if __name__ == "__main__":
-    print(json.dumps(main_hashes(), indent=1, sort_keys=True))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", type=Path, metavar="DIR", help="copy every hashed file here")
+    args = parser.parse_args()
+    keep = None if args.keep is None else args.keep.resolve()
+    print(json.dumps(main_hashes(keep), indent=1, sort_keys=True))
