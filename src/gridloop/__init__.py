@@ -28,6 +28,7 @@ from .harness import (
     run_closed_loop,
     run_trials,
     saddle_oracle,
+    scenario_certificate,
     tightened_bound_experiment,
     verify_error_bound,
 )

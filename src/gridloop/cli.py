@@ -3,9 +3,10 @@
 Subcommands: ``run`` prepares a scenario once, runs its trials and configured
 audits on that prepared context, and writes trace CSVs plus a summary and
 manifest; ``certify`` prints the step-size certificate; ``report`` turns a
-trace directory into plot-ready CSV series; ``compare`` runs the feedback-mode
-baselines on shared seeds. Exit codes: 0 success, 1 error, 2 step-size
-certificate violation. ``GRIDLOOP_THREADS`` caps trial parallelism.
+trace directory into plot-ready CSV series; ``compare`` prepares a scenario
+once and runs the feedback-mode baselines on it with shared seeds. Exit
+codes: 0 success, 1 error, 2 step-size certificate violation.
+``GRIDLOOP_THREADS`` caps trial parallelism.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .harness import (
     run_baseline_comparison,
     run_trials,
     running_average,
+    scenario_certificate,
     tightened_bound_experiment,
     verify_error_bound,
     write_rows,
@@ -168,8 +170,7 @@ def _run_scenario(cfg: ScenarioConfig, out: Path) -> list[str]:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    cfg = load_scenario(args.scenario, args.set)
-    cert = prepare(replace(cfg, allow_uncertified=True)).require_certificate()
+    cert = scenario_certificate(load_scenario(args.scenario, args.set))
     print(f"M        = {cert.M:.6g}")
     print(f"L        = {cert.L:.6g}")
     print(f"eps_max  = {cert.eps_max:.6g}")
@@ -260,7 +261,7 @@ def _write_series(path: Path, header: list[str], keys, *columns: np.ndarray) -> 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = load_scenario(args.scenario, args.set)
-    report = run_baseline_comparison(cfg)
+    report = run_baseline_comparison(prepare(cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for mode in report.modes:

@@ -7,8 +7,9 @@ duals ascend using the reconstructed voltages. Everything is deterministic
 given the scenario seeds; trials differ only through their measurement seed.
 
 ``prepare`` turns a ``ScenarioConfig`` into a ``RunContext``; the loop, the
-saddle oracle and the audits run on that context and read every setting
-from ``ctx.cfg``.
+saddle oracle, the audits and the baseline comparison run on that context
+and read every setting from ``ctx.cfg``. ``scenario_certificate`` builds
+only what the step-size certificate reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from types import UnionType
@@ -46,9 +47,20 @@ from .netmodel import NetworkModel, load_network, scale_injections
 from .plant import solve_power_flow
 from .sensing import SEED_LIMIT, MeasurementPlan, make_plan, sample_measurements
 
-FEEDBACK_MODES = ("se_loop", "raw_measurements", "full_exact", "pseudo_only", "linear_model")
+# A feedback mode is a plan's sensors (the scenario's, none or every node)
+# and a rule for the voltage the dual update uses: the truth, the raw sensor
+# readings, the WLS estimate reconstructed, or the linear model at the
+# injections (see ``_measurement`` and ``_feedback_rule``).
+_MODES = {
+    "se_loop": ("scenario", "estimate"),
+    "raw_measurements": ("every node", "raw"),
+    "full_exact": ("scenario", "truth"),
+    "pseudo_only": ("none", "estimate"),
+    "linear_model": ("scenario", "linear"),
+}
+FEEDBACK_MODES = tuple(_MODES)
 # Feedback modes that run the WLS estimator (and so have confidence intervals).
-ESTIMATING_MODES = ("se_loop", "pseudo_only")
+ESTIMATING_MODES = tuple(mode for mode, (_, rule) in _MODES.items() if rule == "estimate")
 BASELINE_MODES = ("se_loop", "raw_measurements", "pseudo_only")
 # Seeds key Philox streams. The sensor placement seed is a 64-bit key word;
 # the measurement seed of every trial (base_seed + trial) must stay below
@@ -82,6 +94,8 @@ class PlanSpec:
     def __post_init__(self) -> None:
         if self.sensor_fraction is not None and not 0.0 < self.sensor_fraction <= 1.0:
             raise ValueError(f"sensor_fraction must lie in (0, 1], got {self.sensor_fraction}")
+        if self.sensor_nodes is None and self.sensor_fraction is None:
+            raise ValueError("scenario keys 'plan.sensor_nodes' and 'plan.sensor_fraction' are null")
         if not 0 <= self.placement_seed < PLACEMENT_SEED_LIMIT:
             raise ValueError(
                 f"scenario key 'plan.placement_seed' must lie in [0, 2**64), got {self.placement_seed}"
@@ -90,6 +104,9 @@ class PlanSpec:
             if not getattr(self, key) >= 0.0:
                 raise ValueError(f"scenario key 'plan.{key}' must be >= 0, got {getattr(self, key)}")
         nodes = self.sensor_nodes or ()
+        below = [s for s in nodes if s < 1]
+        if below:
+            raise ValueError(f"scenario key 'plan.sensor_nodes' names node(s) {below} below 1")
         if len(set(nodes)) != len(nodes):
             dup = sorted({s for s in nodes if nodes.count(s) > 1})
             raise ValueError(f"scenario key 'plan.sensor_nodes' repeats node(s) {dup}")
@@ -245,31 +262,16 @@ class RunContext:
         var.flags.writeable = False
         return var
 
-    @property
-    def exact_full_coverage(self) -> bool:
-        """Noiseless sensors on every node: the voltage readings are the truth,
-        so the feedback short-circuits to them (and se_loop collapses to
-        full_exact bit for bit)."""
-        return (
-            self.plan.sensor_sigma == 0.0
-            and len(self.plan.sensor_nodes) == self.net.n
-        )
-
 
 def prepare(cfg: ScenarioConfig, net: NetworkModel | None = None) -> RunContext:
-    """Load the network, linearize, certify steps, and bind the estimator.
+    """Load the network, linearize, certify steps, and bind the feedback
+    mode's measurement plan and estimator.
 
     With allow_uncertified the (possibly expensive) certificate is deferred
     until something asks for it. ``net`` short-circuits file loading for
     programmatically built feeders.
     """
-    if net is None:
-        net = load_network(resolve_network(cfg.network))
-    net = scale_injections(net, cfg.load_scale)
-    model = linearize(net, cfg.linearization)
-    cost = CostParams.for_network(
-        net, wp=cfg.cost.wp, wq=cfg.cost.wq, alpha=cfg.cost.alpha, p0_target=cfg.cost.p0_target
-    )
+    net, model, cost = _problem(cfg, net)
     certificate = None
     if not cfg.allow_uncertified:
         certificate = certify_step_size(cost, model, cfg.controller)
@@ -278,36 +280,45 @@ def prepare(cfg: ScenarioConfig, net: NetworkModel | None = None) -> RunContext:
                 f"step size {certificate.eps_configured:.3e} is not certified "
                 f"(eps_max = {certificate.eps_max:.3e}); set allow_uncertified to override"
             )
-    if cfg.feedback_mode == "raw_measurements":
-        sensor_nodes: tuple[int, ...] | None = tuple(range(1, net.n + 1))
-        fraction = None
-    else:
-        sensor_nodes = cfg.plan.sensor_nodes
-        fraction = cfg.plan.sensor_fraction
-    plan = make_plan(
-        n=net.n,
-        sensor_nodes=sensor_nodes,
-        sensor_fraction=fraction,
-        placement_seed=cfg.plan.placement_seed,
-        sensor_sigma=cfg.plan.sensor_sigma,
-        pseudo_sigma=cfg.plan.pseudo_sigma,
-        pseudo_base=(net.p0, net.q0),
-        seed=cfg.base_seed,
-        pseudo_fixed=cfg.plan.pseudo_fixed,
-    )
-    estimator = WlsEstimator(plan, model) if cfg.feedback_mode in ESTIMATING_MODES else None
-    ctx = RunContext(
-        cfg=cfg,
-        net=net,
-        model=model,
-        cost=cost,
-        plan=plan,
-        certificate=certificate,
-        estimator=estimator,
-    )
+    plan, estimator = _measurement(cfg, net, model)
+    ctx = RunContext(cfg, net, model, cost, plan, certificate, estimator)
     if cfg.track_saddle:
         ctx.x_star = saddle_oracle(ctx)
     return ctx
+
+
+def scenario_certificate(cfg: ScenarioConfig) -> StepSizeCertificate:
+    """The step-size certificate of ``cfg``, built from only what it reads:
+    the network, the linear model and the cost."""
+    _, model, cost = _problem(cfg)
+    return certify_step_size(cost, model, cfg.controller)
+
+
+def _problem(cfg: ScenarioConfig, net: NetworkModel | None = None):
+    """The scaled network (loaded unless given), its linear model and the cost."""
+    if net is None:
+        net = load_network(resolve_network(cfg.network))
+    net = scale_injections(net, cfg.load_scale)
+    model = linearize(net, cfg.linearization)
+    return net, model, CostParams.for_network(net, **asdict(cfg.cost))
+
+
+def _measurement(cfg: ScenarioConfig, net: NetworkModel, model: LinearFlowModel):
+    """The plan of ``cfg.feedback_mode`` (the scenario's sensors, none or
+    every node) and, when its rule estimates, the plan's WLS estimator."""
+    spec = cfg.plan
+    beyond = [s for s in spec.sensor_nodes or () if s > net.n]
+    if beyond:
+        raise ValueError(f"scenario key 'plan.sensor_nodes' names node(s) {beyond} above {net.n}")
+    sensors, rule = _MODES[cfg.feedback_mode]
+    nodes, fraction = spec.sensor_nodes, spec.sensor_fraction
+    if sensors != "scenario":
+        nodes, fraction = (() if sensors == "none" else tuple(range(1, net.n + 1))), None
+    plan = make_plan(
+        net.n, nodes, fraction, spec.placement_seed, spec.sensor_sigma, spec.pseudo_sigma,
+        (net.p0, net.q0), cfg.base_seed, spec.pseudo_fixed,
+    )
+    return plan, WlsEstimator(plan, model) if rule == "estimate" else None
 
 
 # ---------------------------------------------------------------------------
@@ -388,36 +399,28 @@ def _plant_truth(ctx: RunContext, p: np.ndarray, q: np.ndarray, k: int):
     return sol.v_mag, sol.p_slack
 
 
-def _feedback(
-    ctx: RunContext,
-    plan: MeasurementPlan,
-    r_true: np.ndarray,
-    p: np.ndarray,
-    q: np.ndarray,
-    k: int,
-):
-    """Voltage vector handed to the dual update, per feedback mode."""
-    cfg = ctx.cfg
-    mode = cfg.feedback_mode
-    if mode == "full_exact":
-        return r_true
-    if mode == "linear_model":
-        return eval_linear(ctx.model, p, q)
-    y = sample_measurements(plan, r_true, k)
+def _feedback_rule(ctx: RunContext, plan: MeasurementPlan):
+    """The feedback mode's rule, ``rule(r_true, p, q, k)``: the voltage
+    vector iteration k hands the dual update. Noiseless sensors on every
+    node read the truth, so that plan takes the truth rule and draws no
+    sample (``r * (1 + 0 * xi)`` is ``r`` bit for bit)."""
+    rule = _MODES[ctx.cfg.feedback_mode][1]
     ns = len(plan.sensor_nodes)
-    if mode == "raw_measurements":
-        return y[:ns]
-    if mode == "se_loop":
-        if ctx.exact_full_coverage:
-            return y[:ns]
-        z_hat = ctx.estimator.solve(ctx.estimator.adjust(y))
-        r_hat, _ = estimate_voltages(z_hat, ctx.net, ctx.model, cfg.estimation_mode)
-        return r_hat
-    if mode == "pseudo_only":
-        z_hat = y[ns:]
-        r_hat, _ = estimate_voltages(z_hat, ctx.net, ctx.model, cfg.estimation_mode)
-        return r_hat
-    raise HarnessError(f"unhandled feedback mode {mode}")
+    if rule in ("raw", "estimate") and plan.sensor_sigma == 0.0 and ns == ctx.net.n:
+        rule = "truth"
+    if rule == "truth":
+        return lambda r_true, p, q, k: r_true
+    if rule == "linear":
+        return lambda r_true, p, q, k: eval_linear(ctx.model, p, q)
+    if rule == "raw":
+        return lambda r_true, p, q, k: sample_measurements(plan, r_true, k)[:ns]
+    est, net, model, recon = ctx.estimator, ctx.net, ctx.model, ctx.cfg.estimation_mode
+
+    def estimate(r_true, p, q, k):
+        z_hat = est.solve(est.adjust(sample_measurements(plan, r_true, k)))
+        return estimate_voltages(z_hat, net, model, recon)[0]
+
+    return estimate
 
 
 def run_closed_loop(ctx: RunContext, trial: int = 0) -> SimulationTrace:
@@ -432,30 +435,22 @@ def run_closed_loop(ctx: RunContext, trial: int = 0) -> SimulationTrace:
     n = ctx.net.n
     plan = replace(ctx.plan, seed=cfg.base_seed + trial)
 
-    p = np.empty((k_iter, n))
-    q = np.empty((k_iter, n))
-    v_true = np.empty((k_iter, n))
-    r_hat_arr = np.empty((k_iter, n))
-    mu_l = np.empty((k_iter, n))
-    mu_u = np.empty((k_iter, n))
-    mu_l_norm = np.empty(k_iter)
-    mu_u_norm = np.empty(k_iter)
-    cost_local = np.empty(k_iter)
-    cost_sub = np.empty(k_iter)
-    violation = np.empty(k_iter)
-    se_mean = np.empty(k_iter)
-    se_max = np.empty(k_iter)
+    p, q, v_true, r_hat_arr, mu_l, mu_u = (np.empty((k_iter, n)) for _ in range(6))
+    mu_l_norm, mu_u_norm, cost_local, cost_sub, violation, se_mean, se_max = (
+        np.empty(k_iter) for _ in range(7)
+    )
     dist = np.full(k_iter, np.nan)
 
     x_star_vec = None if ctx.x_star is None else ctx.x_star.as_vector()
     state = initial_state(ctx.net)
     cfgc = cfg.controller
+    feedback = _feedback_rule(ctx, plan)
     # The bookkeeping below calls the ufunc reductions directly, which is
     # what norm, mean, min and max reduce to, without their Python wrappers.
     for k in range(k_iter):
         p_k, q_k, mu_lower, mu_upper = state.p, state.q, state.mu_lower, state.mu_upper
         r_true, p_slack = _plant_truth(ctx, p_k, q_k, k)
-        r_hat = _feedback(ctx, plan, r_true, p_k, q_k, k)
+        r_hat = feedback(r_true, p_k, q_k, k)
 
         p[k] = p_k
         q[k] = q_k
@@ -806,22 +801,22 @@ def running_average(series: np.ndarray) -> np.ndarray:
     return np.cumsum(series) / np.arange(1, series.size + 1)
 
 
-def run_baseline_comparison(cfg: ScenarioConfig) -> ComparisonReport:
-    """Run the configured scenario under each baseline feedback mode with
-    shared seeds (the tightening experiment is not part of a comparison)."""
+def run_baseline_comparison(ctx: RunContext) -> ComparisonReport:
+    """Run trial 0 of the prepared scenario under each baseline feedback
+    mode with shared seeds (the tightening experiment is not part of a
+    comparison): on ``ctx`` with the mode's own plan and estimator, so the
+    network, linear model, certificate and saddle point are built once."""
     err_mean: dict[str, np.ndarray] = {}
     err_max: dict[str, np.ndarray] = {}
-    run_mean: dict[str, np.ndarray] = {}
-    run_max: dict[str, np.ndarray] = {}
     violations: dict[str, int] = {}
     for mode in BASELINE_MODES:
-        trace = run_closed_loop(prepare(replace(cfg, feedback_mode=mode, tighten_ci=None)))
-        err_mean[mode] = trace.se_err_mean
-        err_max[mode] = trace.se_err_max
-        run_mean[mode] = running_average(trace.se_err_mean)
-        run_max[mode] = running_average(trace.se_err_max)
+        mode_cfg = replace(ctx.cfg, feedback_mode=mode, tighten_ci=None)
+        plan, estimator = _measurement(mode_cfg, ctx.net, ctx.model)
+        trace = run_closed_loop(replace(ctx, cfg=mode_cfg, plan=plan, estimator=estimator))
+        err_mean[mode], err_max[mode] = trace.se_err_mean, trace.se_err_max
         violations[mode] = trace.summary["final_nodes_below_vmin"]
-    tail = slice(min(100, cfg.iterations - 1), None)
+    run_mean = {mode: running_average(err) for mode, err in err_mean.items()}
+    tail = slice(min(100, ctx.cfg.iterations - 1), None)
 
     def _ratio(other: str) -> float:
         denom = run_mean[other][tail].mean()
@@ -832,7 +827,7 @@ def run_baseline_comparison(cfg: ScenarioConfig) -> ComparisonReport:
         err_mean=err_mean,
         err_max=err_max,
         running_avg_mean=run_mean,
-        running_avg_max=run_max,
+        running_avg_max={mode: running_average(err) for mode, err in err_max.items()},
         final_violations=violations,
         reduction_vs_raw=_ratio("raw_measurements"),
         reduction_vs_pseudo=_ratio("pseudo_only"),

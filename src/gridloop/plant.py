@@ -29,16 +29,16 @@ from .netmodel import NetworkModel
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    """Voltages and substation injection for one operating point.
+    """Voltages and substation active power for one operating point.
 
-    ``v_mag``/``v_ang`` cover the N non-slack nodes; ``residual`` is the worst
-    per-node complex power mismatch |s_computed - s_specified|.
+    ``v`` (complex) and its magnitude ``v_mag`` cover the N non-slack nodes;
+    ``residual`` is the worst per-node complex power mismatch
+    |s_computed - s_specified|.
     """
 
+    v: np.ndarray
     v_mag: np.ndarray
-    v_ang: np.ndarray
     p_slack: float
-    q_slack: float
     converged: bool
     iterations: int
     residual: float
@@ -94,10 +94,9 @@ def solve_power_flow(
     v0 = complex(net.v0)
     s_slack = v0 * np.conj(y00 * v0 + y_bar @ v)
     return PowerFlowSolution(
+        v=v,
         v_mag=v_mag,
-        v_ang=np.arctan2(v.imag, v.real),
         p_slack=float(s_slack.real),
-        q_slack=float(s_slack.imag),
         converged=converged,
         iterations=iterations,
         residual=float(residual),

@@ -140,7 +140,7 @@ def test_criterion_3_wls_statistics(net33):
 
 def test_criterion_4_estimation_error_comparison():
     cfg = load_scenario(SCEN / "ieee33_compare.json")
-    rep = run_baseline_comparison(cfg)
+    rep = run_baseline_comparison(prepare(cfg))
     se = rep.running_avg_mean["se_loop"]
     raw = rep.running_avg_mean["raw_measurements"]
     pseudo = rep.running_avg_mean["pseudo_only"]

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from gridloop import cli, harness
 from gridloop.cli import main
 from gridloop.estimator import WlsEstimator
+from gridloop.sensing import make_plan
 
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -194,6 +196,31 @@ def test_certify_decoupled_closed_form(tmp_path, capsys):
     assert float(eps_line.split("=")[1]) == pytest.approx(2 * 0.01 / 4.0, rel=1e-6)
 
 
+def test_certify_builds_only_what_the_certificate_reads(tmp_path, capsys, monkeypatch):
+    # No estimator and no saddle point: an apparent-power cap, which the
+    # saddle oracle rejects, does not stop a track_saddle scenario's
+    # certificate from printing.
+    network = json.loads((SCEN / "networks" / "twobus.json").read_text())
+    network["nodes"][1]["smax"] = 10.0
+    (tmp_path / "capped.json").write_text(json.dumps(network))
+    raw = json.loads((SCEN / "twobus.json").read_text())
+    raw.update(network=str(tmp_path / "capped.json"), track_saddle=True)
+    scen = tmp_path / "capped_scen.json"
+    scen.write_text(json.dumps(raw))
+    cert = harness.prepare(replace(cli.load_scenario(scen), track_saddle=False)).certificate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify built more than the certificate reads")
+
+    monkeypatch.setattr(harness, "WlsEstimator", forbidden)
+    monkeypatch.setattr(harness, "saddle_oracle", forbidden)
+    assert main(["certify", str(scen)]) == 0
+    out = capsys.readouterr().out
+    assert f"eps_max  = {cert.eps_max:.6g}\n" in out
+    assert f"delta    = {cert.delta():.10g}\n" in out
+    assert "certified: True" in out
+
+
 def test_certify_oversized_step_exit_2(tmp_path):
     code = main(
         ["certify", str(SCEN / "ieee33_regulation.json"), "--set", "controller.eps_dual=0.1"]
@@ -259,6 +286,69 @@ def test_compare_emits_series_and_ratios(tmp_path, capsys):
     assert summary["reduction_vs_raw"] < 1.0
     for mode in summary["modes"]:
         assert (out / f"comparison_{mode}.csv").exists()
+
+
+def test_compare_prepares_once_and_matches_per_mode_runs(tmp_path, monkeypatch):
+    # One prepared context serves every baseline: the network is linearized,
+    # certified and (under track_saddle) solved for its saddle point once,
+    # and each mode's trace is that of a run prepared for the mode alone.
+    calls = dict.fromkeys(["prepare", "linearize", "certify_step_size", "saddle_oracle"], 0)
+    traces = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    monkeypatch.setattr(cli, "prepare", harness.prepare)
+    real_run = harness.run_closed_loop
+
+    def recording(*args):
+        traces.append(real_run(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(harness, "run_closed_loop", recording)
+    sets = ["iterations=120", "track_saddle=true"]
+    scenario = SCEN / "ieee33_compare.json"
+    args = ["compare", str(scenario), "--out", str(tmp_path / "cmp")]
+    assert main(args + [arg for item in sets for arg in ("--set", item)]) == 0
+    assert calls == dict.fromkeys(calls, 1)
+    monkeypatch.undo()
+    cfg = cli.load_scenario(scenario, sets)
+    assert len(traces) == len(harness.BASELINE_MODES)
+    for mode, trace in zip(harness.BASELINE_MODES, traces):
+        ref = harness.run_closed_loop(harness.prepare(replace(cfg, feedback_mode=mode)))
+        assert trace.summary == ref.summary, mode
+        for f in fields(harness.SimulationTrace):
+            if f.name != "summary":
+                assert getattr(trace, f.name).tobytes() == getattr(ref, f.name).tobytes(), mode
+
+
+def test_run_pseudo_only_ci_is_the_sensorless_estimators(tmp_path):
+    # pseudo_only estimates from the pseudo-measurements alone, so its
+    # confidence halfwidths, and the tightening, are those of the estimator
+    # on a plan without sensors, not of the scenario's sensor plan.
+    scenario = SCEN / "ieee33_regulation.json"
+    out = tmp_path / "out"
+    args = ["run", str(scenario), "--out", str(out), "--mode", "pseudo_only",
+            "--set", "iterations=3", "--set", "tighten_ci=2.576"]
+    assert main(args) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    ctx = harness.prepare(cli.load_scenario(scenario))
+    plan = make_plan(
+        n=ctx.net.n, sensor_nodes=(), sensor_fraction=None, placement_seed=0,
+        sensor_sigma=0.01, pseudo_sigma=0.5, pseudo_base=(ctx.net.p0, ctx.net.q0), seed=3,
+    )
+    halfwidth = 2.576 * np.sqrt(WlsEstimator(plan, ctx.model).voltage_variance())
+    assert summary["voltage_ci_halfwidth_99"] == halfwidth.tolist()
+    assert summary["tightening"]["halfwidth"] == halfwidth.max()
+    assert halfwidth.max() == pytest.approx(0.028118, abs=5e-7)
+    # The scenario's own sensor plan gives narrower intervals.
+    assert 2.576 * np.sqrt(ctx.voltage_variance.max()) == pytest.approx(0.024142, abs=5e-7)
 
 
 def test_run_ci_band_in_report(tmp_path):

@@ -117,6 +117,36 @@ def test_mode_collapse_bitwise():
         assert np.array_equal(getattr(se, field), getattr(fx, field)), field
 
 
+@pytest.mark.parametrize("mode", ["se_loop", "raw_measurements"])
+def test_noiseless_full_coverage_reads_truth_without_sampling(monkeypatch, mode):
+    # Noiseless sensors on every node read the truth, so the feedback is
+    # the truth rule: no sample is drawn and the run is full_exact's.
+    plan = PlanSpec(sensor_nodes=tuple(range(1, 33)), sensor_fraction=None, sensor_sigma=0.0)
+    cfg = _cfg33(plan=plan, iterations=40, feedback_mode=mode)
+    fx = run_closed_loop(prepare(replace(cfg, feedback_mode="full_exact")))
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled under noiseless full coverage")
+
+    monkeypatch.setattr(harness_mod, "sample_measurements", no_sample)
+    run = run_closed_loop(prepare(cfg))
+    for field in ("p", "q", "v_true", "r_hat", "mu_lower_norm", "mu_upper_norm"):
+        assert np.array_equal(getattr(run, field), getattr(fx, field)), field
+
+
+@pytest.mark.parametrize("estimation_mode", ["nonlinear", "linear"])
+def test_pseudo_only_is_se_loop_without_sensors(estimation_mode):
+    cfg = _cfg33(iterations=60, estimation_mode=estimation_mode)
+    pseudo = prepare(replace(cfg, feedback_mode="pseudo_only"))
+    sensorless = prepare(replace(cfg, plan=replace(cfg.plan, sensor_nodes=(), sensor_fraction=None)))
+    assert pseudo.plan.sensor_nodes == ()
+    assert np.array_equal(pseudo.voltage_variance, sensorless.voltage_variance)
+    a, b = run_closed_loop(pseudo), run_closed_loop(sensorless)
+    for f in fields(SimulationTrace):
+        if f.name != "summary":
+            assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
+
+
 def test_trial_parallelism_matches_serial(monkeypatch):
     cfg = _cfg33(iterations=60, trials=3)
     monkeypatch.setenv("GRIDLOOP_THREADS", "1")
@@ -421,7 +451,7 @@ def test_baseline_comparison_noiseless_identical():
                       sensor_sigma=0.0, pseudo_sigma=0.0),
         iterations=100,
     )
-    rep = run_baseline_comparison(cfg)
+    rep = run_baseline_comparison(prepare(cfg))
     for mode in rep.modes:
         assert rep.err_mean[mode].max() <= 1e-12, mode
         assert rep.final_violations[mode] == 0
@@ -429,7 +459,7 @@ def test_baseline_comparison_noiseless_identical():
 
 def test_baseline_comparison_default_noise_ordering():
     cfg = _cfg33(iterations=500)
-    rep = run_baseline_comparison(cfg)
+    rep = run_baseline_comparison(prepare(cfg))
     se = rep.running_avg_mean["se_loop"][100:]
     assert (se < rep.running_avg_mean["raw_measurements"][100:]).all()
     assert (se < rep.running_avg_mean["pseudo_only"][100:]).all()

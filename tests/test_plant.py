@@ -15,7 +15,12 @@ def test_no_load_flat_solution(net33):
     assert sol.converged
     assert np.allclose(sol.v_mag, 1.0, atol=1e-14)
     assert sol.p_slack == pytest.approx(0.0, abs=1e-12)
-    assert sol.q_slack == pytest.approx(0.0, abs=1e-12)
+    # The slack power, active and reactive, from the complex voltages.
+    _, y_bar, y00 = build_admittance(net33)
+    v0 = complex(net33.v0)
+    s_slack = v0 * np.conj(y00 * v0 + y_bar @ sol.v)
+    assert s_slack.real == sol.p_slack
+    assert s_slack.imag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_bus_matches_closed_form(twobus_json):
@@ -29,8 +34,9 @@ def test_two_bus_matches_closed_form(twobus_json):
 def test_ieee33_matches_newton_oracle(net33):
     sol = solve_power_flow(net33, net33.p0, net33.q0)
     assert sol.converged
-    v_oracle = np.abs(newton_power_flow(net33, net33.p0, net33.q0))
-    assert np.abs(sol.v_mag - v_oracle).max() < 1e-8
+    v_oracle = newton_power_flow(net33, net33.p0, net33.q0)
+    assert np.abs(sol.v - v_oracle).max() < 1e-8
+    assert np.abs(sol.v_mag - np.abs(v_oracle)).max() < 1e-8
     # Published profile: minimum voltage ~0.9131 pu at the last main-feeder bus.
     assert sol.v_mag.min() == pytest.approx(0.9131, abs=1e-3)
     assert int(np.argmin(sol.v_mag)) == 16
@@ -52,8 +58,7 @@ def test_random_loadings_match_newton_oracle(net33):
 def test_energy_consistency(net33):
     # Slack injection covers total load plus line losses.
     sol = solve_power_flow(net33, net33.p0, net33.q0)
-    v = sol.v_mag * np.exp(1j * sol.v_ang)
-    full_v = np.concatenate(([net33.v0], v))
+    full_v = np.concatenate(([net33.v0], sol.v))
     losses = 0.0
     for ln in net33.lines:
         i_line = (full_v[ln.from_bus] - full_v[ln.to_bus]) / ln.z
@@ -127,8 +132,8 @@ def test_tree_kernel_plant_matches_dense_sweep():
     sol = solve_power_flow(net, net.p0, net.q0)
     v, sweeps = _dense_sweep(net, net.p0, net.q0)
     assert sol.converged and sol.iterations == sweeps
+    assert np.abs(sol.v - v).max() < 1e-12
     assert np.abs(sol.v_mag - np.abs(v)).max() < 1e-12
-    assert np.abs(sol.v_ang - np.angle(v)).max() < 1e-12
 
 
 def test_true_quantities_shape(net33):
@@ -143,8 +148,8 @@ def _assert_sweep_matches_reference(net, p, q, **kw):
     v, iterations, history = reference_sweep(net, p, q, **kw)
     assert sol.iterations == iterations
     assert np.array(sol.residual_history).tobytes() == np.array(history).tobytes()
+    assert sol.v.tobytes() == v.tobytes()
     assert sol.v_mag.tobytes() == np.abs(v).tobytes()
-    assert sol.v_ang.tobytes() == np.angle(v).tobytes()
     return sol
 
 

@@ -9,7 +9,7 @@ import pytest
 from gridloop.cli import load_scenario
 from gridloop.cli import main as cli_main
 from gridloop.controller import ControllerConfig
-from gridloop.harness import PlanSpec, ScenarioConfig
+from gridloop.harness import FEEDBACK_MODES, PlanSpec, ScenarioConfig
 
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 CTL = ControllerConfig(eps_primal=7e-4, eps_dual=1e-3)
@@ -125,6 +125,37 @@ def test_plan_and_load_scale_rejected_by_dotted_name(override, key, message):
     # "noise levels must be nonnegative" or "duplicate sensor nodes".
     with pytest.raises(ValueError, match=re.escape(f"scenario key {key!r} {message}")):
         load_scenario(SCEN / "twobus.json", [override])
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["plan.sensor_nodes=[0]"], "scenario key 'plan.sensor_nodes' names node(s) [0] below 1"),
+        (["plan.sensor_nodes=[2,-1,0]"], "'plan.sensor_nodes' names node(s) [-1, 0] below 1"),
+        (
+            ["plan.sensor_nodes=null", "plan.sensor_fraction=null"],
+            "scenario keys 'plan.sensor_nodes' and 'plan.sensor_fraction' are null",
+        ),
+        (["plan.sensor_fraction=null"], "'plan.sensor_nodes' and 'plan.sensor_fraction' are null"),
+    ],
+    ids=["zero", "negative", "both-null", "fraction-null"],
+)
+def test_sensor_set_rejected_by_dotted_name(overrides, message):
+    # Caught at the schema, not later inside prepare as "sensor nodes must
+    # lie in 1..N" or "either sensor_nodes or sensor_fraction is required".
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_scenario(SCEN / "ieee33_regulation.json", overrides)
+
+
+@pytest.mark.parametrize("mode", FEEDBACK_MODES)
+def test_sensor_ids_above_network_rejected_by_dotted_name(tmp_path, capsys, mode):
+    # Only the loaded network knows N; every mode checks the scenario's ids,
+    # also those whose plan does not use them.
+    args = ["run", str(SCEN / "ieee33_regulation.json"), "--out", str(tmp_path / "o"),
+            "--mode", mode, "--set", "plan.sensor_nodes=[3,40,33]", "--set", "iterations=2"]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert "scenario key 'plan.sensor_nodes' names node(s) [40, 33] above 32" in err
 
 
 @pytest.mark.parametrize("content", ["[]", "3", "null", '"ieee33"'])

@@ -14,6 +14,10 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
 - ``ieee33_regulation.json`` with ``linearization=jacobian`` at 100
   iterations, so the WLS estimator on a dense non-symmetric model is
   checked too;
+- ``ieee33_regulation.json`` at 300 iterations under ``--mode``
+  ``raw_measurements``, ``full_exact`` and ``pseudo_only``, so every
+  feedback mode's rule but the linear model's is checked on a run of its
+  own (``linear_model`` is the ``feeder400_saddle`` run's);
 - a 40-iteration ``se_loop`` run with linear estimation on
   ``synthetic_feeder(400, seed=12)``, which is above ``DENSE_LIMIT``, so the
   tree-kernel (``PathSum``) paths of the model and the estimator are
@@ -94,6 +98,14 @@ def runs() -> list[tuple[str, list[str]]]:
              "--set", "linearization=jacobian", "--set", "iterations=100"],
         )
     )
+    for mode in ("raw_measurements", "full_exact", "pseudo_only"):
+        jobs.append(
+            (
+                f"regulation_{mode}",
+                ["run", str(SCEN / "ieee33_regulation.json"), "--mode", mode,
+                 "--set", "iterations=300"],
+            )
+        )
     return jobs
 
 
