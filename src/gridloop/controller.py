@@ -64,12 +64,10 @@ class CostParams:
             q_ref=net.q0.copy(),
         )
 
-    def local_cost(self, p: np.ndarray, q: np.ndarray) -> float:
-        # np.add.reduce is np.sum of an array without its Python wrapper.
-        return float(
-            np.add.reduce(self.wp * (p - self.p_ref) ** 2)
-            + np.add.reduce(self.wq * (q - self.q_ref) ** 2)
-        )
+    def local_cost(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The local cost of each row of the (K, N) injection blocks p and q."""
+        dp = np.add.reduce(self.wp * (p - self.p_ref) ** 2, axis=-1)
+        return dp + np.add.reduce(self.wq * (q - self.q_ref) ** 2, axis=-1)
 
     def substation_cost(self, p0_actual: float) -> float:
         return float(self.alpha * (p0_actual - self.p0_target) ** 2)
@@ -86,10 +84,15 @@ class ControllerConfig:
     v_max: float = 1.05
 
     def __post_init__(self) -> None:
-        if min(self.eps_primal, self.eps_dual, self.eta) <= 0:
-            raise ValueError("step sizes and eta must be positive")
+        for key in ("eps_primal", "eps_dual", "eta"):
+            value = getattr(self, key)
+            if not value > 0.0:
+                raise ValueError(f"scenario key 'controller.{key}' must be > 0, got {value}")
         if not self.v_min < self.v_max:
-            raise ValueError("v_min must be below v_max")
+            raise ValueError(
+                f"scenario key 'controller.v_min' must be below 'controller.v_max', "
+                f"got {self.v_min} and {self.v_max}"
+            )
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,13 @@ class CostSpec:
     alpha: float = 0.0005
     p0_target: float | None = None
 
+    def __post_init__(self) -> None:
+        for key in ("wp", "wq"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"scenario key 'cost.{key}' must be > 0, got {getattr(self, key)}")
+        if not self.alpha >= 0.0:
+            raise ValueError(f"scenario key 'cost.alpha' must be >= 0, got {self.alpha}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -146,10 +153,9 @@ class ScenarioConfig:
             raise ValueError("scenario key 'network' must name a builtin network or a file")
         if not self.load_scale > 0.0:
             raise ValueError(f"scenario key 'load_scale' must be > 0, got {self.load_scale}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for key in ("iterations", "trials"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"scenario key {key!r} must be >= 1, got {getattr(self, key)}")
         if not 0 <= self.base_seed <= SEED_LIMIT - self.trials:
             raise ValueError(
                 f"scenario key 'base_seed' must be >= 0 with base_seed + trials - 1 < 2**63, "
@@ -428,59 +434,46 @@ def run_closed_loop(ctx: RunContext, trial: int = 0) -> SimulationTrace:
     collect its trace.
 
     The measurement seed for trial t is base_seed + t; everything else is
-    shared across trials.
+    shared across trials. An iteration records the iterate, the plant's
+    response and the feedback, then steps; :func:`_derive_trace` does the rest.
     """
-    cfg = ctx.cfg
-    k_iter = cfg.iterations
-    n = ctx.net.n
+    cfg, cfgc = ctx.cfg, ctx.cfg.controller
     plan = replace(ctx.plan, seed=cfg.base_seed + trial)
-
-    p, q, v_true, r_hat_arr, mu_l, mu_u = (np.empty((k_iter, n)) for _ in range(6))
-    mu_l_norm, mu_u_norm, cost_local, cost_sub, violation, se_mean, se_max = (
-        np.empty(k_iter) for _ in range(7)
-    )
-    dist = np.full(k_iter, np.nan)
-
-    x_star_vec = None if ctx.x_star is None else ctx.x_star.as_vector()
+    p, q, mu_l, mu_u, v_true, r_hat = (np.empty((cfg.iterations, ctx.net.n)) for _ in range(6))
+    p_slack = np.empty(cfg.iterations)
     state = initial_state(ctx.net)
-    cfgc = cfg.controller
     feedback = _feedback_rule(ctx, plan)
-    # The bookkeeping below calls the ufunc reductions directly, which is
-    # what norm, mean, min and max reduce to, without their Python wrappers.
-    for k in range(k_iter):
-        p_k, q_k, mu_lower, mu_upper = state.p, state.q, state.mu_lower, state.mu_upper
-        r_true, p_slack = _plant_truth(ctx, p_k, q_k, k)
-        r_hat = feedback(r_true, p_k, q_k, k)
-
-        p[k] = p_k
-        q[k] = q_k
-        v_true[k] = r_true
-        r_hat_arr[k] = r_hat
-        mu_l[k] = mu_lower
-        mu_u[k] = mu_upper
-        mu_l_norm[k] = math.sqrt(mu_lower.dot(mu_lower))
-        mu_u_norm[k] = math.sqrt(mu_upper.dot(mu_upper))
-        cost_local[k] = ctx.cost.local_cost(p_k, q_k)
-        cost_sub[k] = ctx.cost.substation_cost(p_slack)
-        violation[k] = max(
-            0.0,
-            float(cfgc.v_min - np.minimum.reduce(r_true)),
-            float(np.maximum.reduce(r_true) - cfgc.v_max),
-        )
-        err = np.abs(r_hat - r_true)
-        se_mean[k] = float(np.add.reduce(err)) / n
-        se_max[k] = np.maximum.reduce(err)
-        if x_star_vec is not None:
-            dist[k] = np.linalg.norm(state.as_vector() - x_star_vec)
-
+    for k in range(cfg.iterations):
+        p[k], q[k], mu_l[k], mu_u[k] = state.p, state.q, state.mu_lower, state.mu_upper
+        v_true[k], p_slack[k] = _plant_truth(ctx, state.p, state.q, k)
+        r_hat[k] = feedback(v_true[k], state.p, state.q, k)
         grads = primal_grad(state, ctx.cost, ctx.model)
         # The primal step keeps the duals and the dual step keeps the
         # primal variables, so chaining them gives the next iterate.
-        state = dual_step(primal_step(state, grads, ctx.net, cfgc), r_hat, cfgc)
+        state = dual_step(primal_step(state, grads, ctx.net, cfgc), r_hat[k], cfgc)
+    return _derive_trace(ctx, plan.seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack)
 
+
+def _derive_trace(ctx, seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack) -> SimulationTrace:
+    """The trace of one trial from its records (row k for iteration k), each
+    scalar column and the summary derived one statistic at a time. Sums,
+    minima and maxima reduce the rows of C-order (K, N) blocks, which gives
+    each row the bytes of its own 1-D reduction. The norms keep one ``dot``
+    per row and the substation cost Python-float ``pow``: a row sum of
+    ``mu * mu`` and numpy's square can differ from these in the last bit."""
+    cfgc, n = ctx.cfg.controller, p.shape[1]
+    cost_local = ctx.cost.local_cost(p, q)
+    cost_sub = np.array([ctx.cost.substation_cost(s) for s in p_slack.tolist()])
+    below = cfgc.v_min - np.minimum.reduce(v_true, axis=1)
+    violation = np.maximum(0.0, np.maximum(below, np.maximum.reduce(v_true, axis=1) - cfgc.v_max))
+    err = np.abs(r_hat - v_true)
+    se_mean = np.add.reduce(err, axis=1) / n
+    dist = np.full(len(p), np.nan)
+    if ctx.x_star is not None:
+        dist = _row_norms(_saddle_gaps(p, q, mu_l, mu_u, ctx.x_star.as_vector()))
     summary = {
         "trial": trial,
-        "seed": plan.seed,
+        "seed": seed,
         "final_cost_local": float(cost_local[-1]),
         "final_cost_substation": float(cost_sub[-1]),
         "final_max_violation": float(violation[-1]),
@@ -488,22 +481,20 @@ def run_closed_loop(ctx: RunContext, trial: int = 0) -> SimulationTrace:
         "se_err_mean_avg": float(se_mean.mean()),
     }
     return SimulationTrace(
-        p=p,
-        q=q,
-        v_true=v_true,
-        r_hat=r_hat_arr,
-        mu_lower=mu_l,
-        mu_upper=mu_u,
-        mu_lower_norm=mu_l_norm,
-        mu_upper_norm=mu_u_norm,
-        cost_local=cost_local,
-        cost_substation=cost_sub,
-        max_violation=violation,
-        se_err_mean=se_mean,
-        se_err_max=se_max,
-        dist_to_saddle=dist,
-        summary=summary,
+        p, q, v_true, r_hat, mu_l, mu_u, _row_norms(mu_l), _row_norms(mu_u), cost_local,
+        cost_sub, violation, se_mean, np.maximum.reduce(err, axis=1), dist, summary,
     )
+
+
+def _row_norms(rows: Iterable[np.ndarray]) -> np.ndarray:
+    """The Euclidean norm of each row, ``sqrt(x.dot(x))`` as ``np.linalg.norm`` takes it."""
+    return np.array([math.sqrt(x.dot(x)) for x in rows])
+
+
+def _saddle_gaps(p, q, mu_l, mu_u, x_star_vec: np.ndarray) -> Iterable[np.ndarray]:
+    """``x_k - x_star`` of each iterate ``x_k = (p, q, mu_l, mu_u)``, one row
+    at a time: a whole (K, 4N) block would copy four of the trace's six blocks."""
+    return (np.concatenate(x) - x_star_vec for x in zip(p, q, mu_l, mu_u))
 
 
 def run_trials(ctx: RunContext) -> list[SimulationTrace]:
@@ -765,17 +756,14 @@ def verify_error_bound(ctx: RunContext, traces: Iterable[SimulationTrace]) -> Bo
 
 
 def _bound_terms(trace: SimulationTrace, model: LinearFlowModel, x_star_vec: np.ndarray):
-    """Per-iteration gradient-map gaps and squared saddle distance of one trace."""
-    k_iter = trace.iterations
-    d_alpha = np.empty(k_iter)
-    d_rho = np.empty(k_iter)
-    dist_sq = np.empty(k_iter)
-    for k in range(k_iter):
-        r_lin = eval_linear(model, trace.p[k], trace.q[k])
-        d_alpha[k] = 2.0 * float(np.sum((r_lin - trace.r_hat[k]) ** 2))
-        d_rho[k] = 2.0 * float(np.sum((trace.r_hat[k] - trace.v_true[k]) ** 2))
-        x = np.concatenate([trace.p[k], trace.q[k], trace.mu_lower[k], trace.mu_upper[k]])
-        dist_sq[k] = float(np.sum((x - x_star_vec) ** 2))
+    """Per-iteration gradient-map gaps and squared saddle distance of one
+    trace. The linear model is evaluated one row at a time: a block product
+    through BLAS is not bitwise the per-row one."""
+    r_lin = (eval_linear(model, p, q) for p, q in zip(trace.p, trace.q))
+    d_alpha = np.array([2.0 * np.add.reduce((r - h) ** 2) for r, h in zip(r_lin, trace.r_hat)])
+    d_rho = 2.0 * np.add.reduce((trace.r_hat - trace.v_true) ** 2, axis=1)
+    gaps = _saddle_gaps(trace.p, trace.q, trace.mu_lower, trace.mu_upper, x_star_vec)
+    dist_sq = np.array([np.add.reduce(g**2) for g in gaps])
     return d_alpha, d_rho, dist_sq
 
 

@@ -17,7 +17,10 @@ shares no code with the implementations under test. The references:
 - ``wls_gain``, ``wls_closed_form`` and ``state_variance``: the WLS gain,
   the estimate by orthogonal factorization and the per-state variance
   diag((H^T W H)^-1), all dense;
-- ``reference_sweep``: the sweep loop before its invariants were hoisted.
+- ``reference_sweep``: the sweep loop before its invariants were hoisted;
+- ``reference_trace_statistics`` and ``reference_bound_terms``: a trace's
+  statistics and the bound audit's terms computed one iteration at a time,
+  as the loop and the audit did before they were derived from whole rows.
 """
 
 from __future__ import annotations
@@ -167,3 +170,77 @@ def reference_sweep(net, p, q, tol=1e-10, max_iter=500):
         if residual <= tol:
             break
     return v, iterations, tuple(history)
+
+
+def reference_trace_statistics(trace, ctx, p_slack):
+    """The per-iteration bookkeeping of the closed loop as it stood when the
+    loop computed its statistics one iteration at a time, kept verbatim (the
+    cost formulas written out) so the statistics derived after the loop can
+    be checked bit for bit. ``p_slack`` holds the plant's slack power per
+    iteration as Python floats. Returns ``(columns, summary)``, the columns
+    keyed by trace field."""
+    cfgc, cost = ctx.cfg.controller, ctx.cost
+    k_iter, n = trace.p.shape
+    mu_l_norm, mu_u_norm, cost_local, cost_sub, violation, se_mean, se_max = (
+        np.empty(k_iter) for _ in range(7)
+    )
+    dist = np.full(k_iter, np.nan)
+    x_star_vec = None if ctx.x_star is None else ctx.x_star.as_vector()
+    for k in range(k_iter):
+        p_k, q_k = trace.p[k], trace.q[k]
+        mu_lower, mu_upper = trace.mu_lower[k], trace.mu_upper[k]
+        r_true, r_hat = trace.v_true[k], trace.r_hat[k]
+        mu_l_norm[k] = math.sqrt(mu_lower.dot(mu_lower))
+        mu_u_norm[k] = math.sqrt(mu_upper.dot(mu_upper))
+        cost_local[k] = float(
+            np.add.reduce(cost.wp * (p_k - cost.p_ref) ** 2)
+            + np.add.reduce(cost.wq * (q_k - cost.q_ref) ** 2)
+        )
+        cost_sub[k] = float(cost.alpha * (p_slack[k] - cost.p0_target) ** 2)
+        violation[k] = max(
+            0.0,
+            float(cfgc.v_min - np.minimum.reduce(r_true)),
+            float(np.maximum.reduce(r_true) - cfgc.v_max),
+        )
+        err = np.abs(r_hat - r_true)
+        se_mean[k] = float(np.add.reduce(err)) / n
+        se_max[k] = np.maximum.reduce(err)
+        if x_star_vec is not None:
+            dist[k] = np.linalg.norm(np.concatenate([p_k, q_k, mu_lower, mu_upper]) - x_star_vec)
+    columns = {
+        "mu_lower_norm": mu_l_norm,
+        "mu_upper_norm": mu_u_norm,
+        "cost_local": cost_local,
+        "cost_substation": cost_sub,
+        "max_violation": violation,
+        "se_err_mean": se_mean,
+        "se_err_max": se_max,
+        "dist_to_saddle": dist,
+    }
+    summary = {
+        "trial": trace.summary["trial"],
+        "seed": trace.summary["seed"],
+        "final_cost_local": float(cost_local[-1]),
+        "final_cost_substation": float(cost_sub[-1]),
+        "final_max_violation": float(violation[-1]),
+        "final_nodes_below_vmin": int((trace.v_true[-1] < cfgc.v_min).sum()),
+        "se_err_mean_avg": float(se_mean.mean()),
+    }
+    return columns, summary
+
+
+def reference_bound_terms(trace, model, x_star_vec):
+    """The bound audit's per-iteration gradient-map gaps and squared saddle
+    distance as they stood when computed one iteration at a time, kept
+    verbatim (the linear model written out as ``A p + B q + r0``)."""
+    k_iter = trace.iterations
+    d_alpha = np.empty(k_iter)
+    d_rho = np.empty(k_iter)
+    dist_sq = np.empty(k_iter)
+    for k in range(k_iter):
+        r_lin = model.A @ trace.p[k] + model.B @ trace.q[k] + model.r0
+        d_alpha[k] = 2.0 * float(np.sum((r_lin - trace.r_hat[k]) ** 2))
+        d_rho[k] = 2.0 * float(np.sum((trace.r_hat[k] - trace.v_true[k]) ** 2))
+        x = np.concatenate([trace.p[k], trace.q[k], trace.mu_lower[k], trace.mu_upper[k]])
+        dist_sq[k] = float(np.sum((x - x_star_vec) ** 2))
+    return d_alpha, d_rho, dist_sq

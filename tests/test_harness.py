@@ -34,6 +34,7 @@ from gridloop.feeders import synthetic_feeder
 from gridloop.linearizer import eval_linear
 from gridloop.netmodel import PathSum
 from gridloop.plant import solve_power_flow
+from oracles import reference_bound_terms, reference_trace_statistics
 
 TWOBUS = Path(__file__).resolve().parents[1] / "scenarios" / "networks" / "twobus.json"
 
@@ -304,6 +305,17 @@ def test_contraction_two_bus_linear_pipeline():
     assert (ratios[10:] <= bound + 1e-6).all()
 
 
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of its Python-heap allocations in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def test_contraction_at_paper_scale():
     # The paper's 4,521-node network size: set-up with the saddle oracle
     # stays O(N) in memory (one 4521 x 9042 float64 G alone would be 327 MB),
@@ -313,12 +325,7 @@ def test_contraction_at_paper_scale():
         4521, feedback_mode="linear_model", plant_model="linear", track_saddle=True,
         iterations=60,
     )
-    tracemalloc.start()
-    try:
-        ctx = prepare(cfg, net=net)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ctx, peak = _traced_peak(prepare, cfg, net)
     assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
     eps = max(cfg.controller.eps_primal, cfg.controller.eps_dual)
     assert eps < ctx.certificate.eps_max
@@ -373,6 +380,51 @@ def test_bound_audit_reads_run_traces_bitwise():
     for bad in ([], [short]):
         with pytest.raises(HarnessError, match="120 iterations per trial"):
             verify_error_bound(ctx, bad)
+
+
+@pytest.mark.parametrize("setup", ["ieee33_se_loop", "twobus_linear_plant", "feeder400"])
+def test_derived_statistics_match_per_iteration_reference(setup):
+    # The scalar columns, the summary and the bound terms are derived from
+    # the recorded rows; each must equal, byte for byte, what the loop and
+    # the audit computed one iteration at a time. On the 33-bus run numpy's
+    # square of the slack deviation is off in the last bit at iteration 601
+    # of trial 0 and 678 of trial 1, where the substation cost needs C pow.
+    net = None
+    if setup == "ieee33_se_loop":
+        cfg = _cfg33(track_saddle=True, trials=2, iterations=700)
+    elif setup == "twobus_linear_plant":
+        cfg = _cfg2(plant_model="linear", track_saddle=True, trials=2)
+    else:
+        cfg, net = _binding_feeder_cfg(400, track_saddle=True, iterations=40, trials=2)
+    ctx = prepare(cfg, net=net)
+    assert isinstance(ctx.model.A, PathSum) == (setup == "feeder400")
+    x_star_vec = ctx.x_star.as_vector()
+    for trace in run_trials(ctx):
+        if cfg.plant_model == "linear":
+            p_slack = [float(-p.sum()) for p in trace.p]
+        else:
+            p_slack = [solve_power_flow(ctx.net, p, q).p_slack for p, q in zip(trace.p, trace.q)]
+        columns, summary = reference_trace_statistics(trace, ctx, p_slack)
+        for name, ref in columns.items():
+            assert getattr(trace, name).tobytes() == ref.tobytes(), name
+        assert json.dumps(trace.summary) == json.dumps(summary)
+        ours = harness_mod._bound_terms(trace, ctx.model, x_star_vec)
+        ref = reference_bound_terms(trace, ctx.model, x_star_vec)
+        for name, a, b in zip(("d_alpha", "d_rho", "dist_sq"), ours, ref):
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_loop_and_audit_hold_no_whole_trace_temporaries():
+    # Deriving the statistics reads (K, N) blocks and (4N,) rows. The loop
+    # peaks about 1 MB above its trace; with the saddle distance taken from
+    # a whole (K, 4N) block of the iterates it peaked 4.7 MB above.
+    ctx = prepare(_cfg33(track_saddle=True, estimation_mode="linear", iterations=2000))
+    trace, peak = _traced_peak(run_closed_loop, ctx, 0)
+    trace_bytes = sum(getattr(trace, f.name).nbytes for f in fields(trace) if f.name != "summary")
+    assert peak <= trace_bytes + 1.5e6, f"peak {peak / 1e6:.2f} MB, trace {trace_bytes / 1e6:.2f} MB"
+    traces = [trace, run_closed_loop(ctx, 1)]
+    _, peak = _traced_peak(verify_error_bound, ctx, traces)
+    assert peak <= 1.5e6, f"audit peak {peak / 1e6:.2f} MB"
 
 
 def test_bound_scales_with_noise_linear_plant():

@@ -128,6 +128,37 @@ def test_plan_and_load_scale_rejected_by_dotted_name(override, key, message):
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("cost.wp", 0, "must be > 0, got 0.0"),
+        ("cost.wq", -1, "must be > 0, got -1.0"),
+        ("cost.alpha", -1, "must be >= 0, got -1.0"),
+        ("controller.eps_primal", 0, "must be > 0, got 0.0"),
+        ("controller.eps_dual", -1, "must be > 0, got -1.0"),
+        ("controller.eta", 0, "must be > 0, got 0.0"),
+        ("controller.v_min", 1.1, "must be below 'controller.v_max', got 1.1 and 1.05"),
+        ("iterations", 0, "must be >= 1, got 0"),
+        ("trials", 0, "must be >= 1, got 0"),
+    ],
+)
+def test_cost_controller_and_counts_rejected_by_dotted_name(tmp_path, capsys, key, value, message):
+    # Caught at the schema, not later inside prepare as an anonymous "step
+    # sizes and eta must be positive" or "per-node cost weights must be
+    # positive".
+    expected = f"scenario key {key!r} {message}"
+    out = tmp_path / "out"
+    args = ["run", str(SCEN / "twobus.json"), "--set", f"{key}={value}", "--out", str(out)]
+    assert cli_main(args) == 1
+    assert f"error: {expected}" in capsys.readouterr().err
+    assert not out.exists()
+    raw = _cfg().to_dict()
+    section, _, name = key.rpartition(".")
+    (raw[section] if section else raw)[name] = value
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        ScenarioConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
     "overrides, message",
     [
         (["plan.sensor_nodes=[0]"], "scenario key 'plan.sensor_nodes' names node(s) [0] below 1"),

@@ -26,6 +26,8 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
 - the same feeder run with ``track_saddle`` on the linear pipeline (linear
   plant, ``linear_model`` feedback), so the saddle oracle on ``PathSum``
   operators is checked too;
+- the same feeder run with ``verify_bound`` over 2 trials, so the bound
+  audit on ``PathSum`` operators is checked too;
 - ``gridloop report`` on the finished ``ieee33_regulation.json`` run, which
   writes all four plot-ready series (its summary carries the confidence
   halfwidths, so ``ci_band_series.csv`` is among them).
@@ -65,6 +67,13 @@ REDUCED = {"ieee33_bound.json": ["--set", "iterations=200", "--trials", "2"]}
 REPORTED = "ieee33_regulation"
 FEEDER_NODES = 400
 FEEDER_SEED = 12
+# (label, extra argv) of each run of the synthetic feeder's scenario.
+FEEDER_RUNS = (
+    ("feeder400", []),
+    ("feeder400_saddle", ["--set", "track_saddle=true", "--set", "plant_model=linear",
+                          "--set", "feedback_mode=linear_model"]),
+    ("feeder400_audit", ["--set", "verify_bound=true", "--trials", "2"]),
+)
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -173,15 +182,8 @@ def main_hashes(keep: Path | None = None) -> dict[str, str]:
         )
         os.chdir(tmp)
         scenario = write_feeder_scenario(Path(tmp))
-        hash_run(hashes, "feeder400", ["run", scenario], Path(tmp) / "feeder400", keep)
-        hash_run(
-            hashes,
-            "feeder400_saddle",
-            ["run", scenario, "--set", "track_saddle=true", "--set", "plant_model=linear",
-             "--set", "feedback_mode=linear_model"],
-            Path(tmp) / "feeder400_saddle",
-            keep,
-        )
+        for label, extra in FEEDER_RUNS:
+            hash_run(hashes, label, ["run", scenario, *extra], Path(tmp) / label, keep)
         os.chdir(ROOT)
     return hashes
 
