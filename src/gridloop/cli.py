@@ -4,9 +4,10 @@ Subcommands: ``run`` prepares a scenario once, runs its trials and configured
 audits on that prepared context, and writes trace CSVs plus a summary and
 manifest; ``certify`` prints the step-size certificate; ``report`` turns a
 trace directory into plot-ready CSV series; ``compare`` prepares a scenario
-once and runs the feedback-mode baselines on it with shared seeds. Exit
-codes: 0 success, 1 error, 2 step-size certificate violation.
-``GRIDLOOP_THREADS`` caps trial parallelism.
+once and runs the feedback-mode baselines on it with shared seeds.
+``--set KEY=VALUE`` is the only way to override a scenario key. Exit codes:
+0 success, 1 error (usage errors included), 2 step-size certificate
+violation. ``GRIDLOOP_THREADS`` caps trial parallelism.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .harness import (
-    FEEDBACK_MODES,
     CertificateError,
     ScenarioConfig,
     prepare,
@@ -104,9 +104,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_scenario(args.scenario, args.set)
-    flags = {"trials": args.trials, "base_seed": args.seed, "feedback_mode": args.mode}
-    cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -182,12 +179,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def _read_trace(path: Path) -> tuple[list[str], np.ndarray]:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    if not rows:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
         raise ValueError(f"trace {path} is empty")
-    return header, np.array(rows)
+    try:
+        return rows[0], np.array(rows[1:], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"cannot read trace {path}: {exc}") from exc
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -196,14 +194,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not trace_path.exists():
         candidates = sorted(trace_dir.glob("trace_*.csv"))
         if not candidates:
-            print(f"no trace CSV found in {trace_dir}", file=sys.stderr)
-            return EXIT_ERROR
+            raise FileNotFoundError(f"no trace CSV found in {trace_dir}")
         trace_path = candidates[0]
-    try:
-        header, data = _read_trace(trace_path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    header, data = _read_trace(trace_path)
     out = Path(args.out) if args.out else trace_dir
     out.mkdir(parents=True, exist_ok=True)
     col = {name: i for i, name in enumerate(header)}
@@ -290,8 +283,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (its subcommands' too) whose usage errors raise
+    ``ValueError``, so that ``main`` reports them like every other failure."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gridloop", description=__doc__)
+    parser = _Parser(prog="gridloop", description=__doc__)
     parser.add_argument("--version", action="version", version=f"gridloop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -299,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario")
     run.add_argument("--out", required=True)
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    run.add_argument("--trials", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--mode", choices=FEEDBACK_MODES)
     run.set_defaults(func=cmd_run)
 
     cert = sub.add_parser("certify", help="print the step-size certificate")
@@ -323,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CertificateError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)

@@ -92,9 +92,10 @@ class PlanSpec:
     pseudo_fixed: bool = False
 
     def __post_init__(self) -> None:
-        if self.sensor_fraction is not None and not 0.0 < self.sensor_fraction <= 1.0:
-            raise ValueError(f"sensor_fraction must lie in (0, 1], got {self.sensor_fraction}")
-        if self.sensor_nodes is None and self.sensor_fraction is None:
+        fraction = self.sensor_fraction
+        if fraction is not None and not 0.0 < fraction <= 1.0:
+            raise ValueError(f"scenario key 'plan.sensor_fraction' must lie in (0, 1], got {fraction}")
+        if self.sensor_nodes is None and fraction is None:
             raise ValueError("scenario keys 'plan.sensor_nodes' and 'plan.sensor_fraction' are null")
         if not 0 <= self.placement_seed < PLACEMENT_SEED_LIMIT:
             raise ValueError(
@@ -161,19 +162,22 @@ class ScenarioConfig:
                 f"scenario key 'base_seed' must be >= 0 with base_seed + trials - 1 < 2**63, "
                 f"got {self.base_seed} with {self.trials} trials"
             )
-        if self.feedback_mode not in FEEDBACK_MODES:
-            raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
-        if self.plant_model not in ("nonlinear", "linear"):
-            raise ValueError("plant_model must be 'nonlinear' or 'linear'")
-        if self.estimation_mode not in ("nonlinear", "linear"):
-            raise ValueError("estimation_mode must be 'nonlinear' or 'linear'")
-        if self.linearization not in LINEARIZATIONS:
-            raise ValueError(f"linearization must be one of {LINEARIZATIONS}")
-        if self.tighten_ci is not None:
-            if not (math.isfinite(self.tighten_ci) and self.tighten_ci > 0):
-                raise ValueError(f"tighten_ci must be finite and > 0, got {self.tighten_ci}")
+        models = ("nonlinear", "linear")
+        choices = {"feedback_mode": FEEDBACK_MODES, "plant_model": models,
+                   "estimation_mode": models, "linearization": LINEARIZATIONS}
+        for key, options in choices.items():
+            value = getattr(self, key)
+            if value not in options:
+                raise ValueError(f"scenario key {key!r} must be one of {options}, got {value!r}")
+        c = self.tighten_ci
+        if c is not None:
+            if not (math.isfinite(c) and c > 0):
+                raise ValueError(f"scenario key 'tighten_ci' must be finite and > 0, got {c}")
             if self.feedback_mode not in ESTIMATING_MODES:
-                raise ValueError(f"tighten_ci requires a feedback_mode in {ESTIMATING_MODES}")
+                raise ValueError(
+                    f"scenario key 'feedback_mode' must be one of {ESTIMATING_MODES}, as "
+                    f"tighten_ci requires an estimating mode, got {self.feedback_mode!r}"
+                )
 
     def to_dict(self) -> dict:
         return _to_raw(self)
@@ -447,11 +451,16 @@ def run_closed_loop(ctx: RunContext, trial: int = 0) -> SimulationTrace:
         p[k], q[k], mu_l[k], mu_u[k] = state.p, state.q, state.mu_lower, state.mu_upper
         v_true[k], p_slack[k] = _plant_truth(ctx, state.p, state.q, k)
         r_hat[k] = feedback(v_true[k], state.p, state.q, k)
-        grads = primal_grad(state, ctx.cost, ctx.model)
-        # The primal step keeps the duals and the dual step keeps the
-        # primal variables, so chaining them gives the next iterate.
-        state = dual_step(primal_step(state, grads, ctx.net, cfgc), r_hat[k], cfgc)
+        state = _step(ctx, state, r_hat[k], cfgc)
     return _derive_trace(ctx, plan.seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack)
+
+
+def _step(ctx: RunContext, state: ControllerState, r: np.ndarray, cfgc: ControllerConfig):
+    """The next iterate: a projected primal step, then a dual step with the
+    voltage feedback ``r``. The primal step keeps the duals and the dual
+    step keeps the primal variables, so chaining them gives the iterate."""
+    grads = primal_grad(state, ctx.cost, ctx.model)
+    return dual_step(primal_step(state, grads, ctx.net, cfgc), r, cfgc)
 
 
 def _derive_trace(ctx, seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack) -> SimulationTrace:
@@ -658,14 +667,7 @@ def _newton_polish(z, objective, hessian, lo, hi):
 def _fixed_point_residual(state: ControllerState, ctx: RunContext, eps: float) -> float:
     """Distance moved by one exact primal-dual step from the candidate point."""
     single = replace(ctx.cfg.controller, eps_primal=eps, eps_dual=eps)
-    grads = primal_grad(state, ctx.cost, ctx.model)
-    stepped = primal_step(state, grads, ctx.net, single)
-    r_lin = eval_linear(ctx.model, state.p, state.q)
-    stepped_dual = dual_step(state, r_lin, single)
-    moved = ControllerState(
-        p=stepped.p, q=stepped.q, mu_lower=stepped_dual.mu_lower, mu_upper=stepped_dual.mu_upper
-    )
-    return state.distance(moved)
+    return state.distance(_step(ctx, state, eval_linear(ctx.model, state.p, state.q), single))
 
 
 # ---------------------------------------------------------------------------

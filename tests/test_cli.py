@@ -48,7 +48,7 @@ def test_run_bound_audit_solves_plant_once_per_iteration(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_power_flow", counting)
-    extra = ["--trials", "2", "--set", "iterations=50", "--set", "verify_bound=true"]
+    extra = ["--set", "trials=2", "--set", "iterations=50", "--set", "verify_bound=true"]
     assert main(_twobus_args(tmp_path, extra=extra)) == 0
     assert len(solves) == 50 * 2
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -94,7 +94,8 @@ def test_run_uncertified_step_exits_2(tmp_path, capsys):
     [
         (["--set", "controller.eps_primal=1.0"], 2, "CertificateError"),
         (
-            ["--set", "load_scale=500", "--mode", "full_exact", "--set", "allow_uncertified=true"],
+            ["--set", "load_scale=500", "--set", "feedback_mode=full_exact",
+             "--set", "allow_uncertified=true"],
             1,
             "PlantDivergence: plant diverged at iteration 0",
         ),
@@ -231,7 +232,7 @@ def test_certify_oversized_step_exit_2(tmp_path):
 def test_report_full_exact_zero_errors(tmp_path):
     out = tmp_path / "run"
     assert main(
-        ["run", str(SCEN / "twobus.json"), "--out", str(out), "--mode", "full_exact"]
+        ["run", str(SCEN / "twobus.json"), "--out", str(out), "--set", "feedback_mode=full_exact"]
     ) == 0
     assert main(["report", str(out)]) == 0
     series = (out / "se_error_series.csv").read_text().splitlines()[1:]
@@ -266,6 +267,52 @@ def test_report_missing_dir_errors(tmp_path, capsys):
     code = main(["report", str(tmp_path / "nothing")])
     assert code == 1
     assert "no trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("", "is empty"), ("iter,v_true_1\n", "is empty"), ("iter,v_true_1\n0,x\n", "could not convert")],
+    ids=["zero-bytes", "header-only", "not-a-number"],
+)
+def test_report_unreadable_trace_errors(tmp_path, capsys, content, message):
+    # One "error:" line naming the trace, whatever is wrong with it.
+    path = tmp_path / "trace.csv"
+    path.write_text(content)
+    assert main(["report", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", str(SCEN / "twobus.json")], "gridloop run: the following arguments are required: --out"),
+        (["run", str(SCEN / "twobus.json"), "--out", "o", "--mode", "se_loop"],
+         "gridloop: unrecognized arguments: --mode se_loop"),
+        (["run", str(SCEN / "twobus.json"), "--out", "o", "--trials", "2"],
+         "gridloop: unrecognized arguments: --trials 2"),
+        (["run", str(SCEN / "twobus.json"), "--out", "o", "--seed", "1"],
+         "gridloop: unrecognized arguments: --seed 1"),
+        ([], "gridloop: the following arguments are required: command"),
+    ],
+    ids=["missing-out", "mode-flag", "trials-flag", "seed-flag", "missing-subcommand"],
+)
+def test_usage_errors_return_1_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    # A usage error leaves main like every other failure: exit code 1 and
+    # one "error:" line, no usage text and no SystemExit. Exit 2 is left to
+    # step-size certificate violations. No run starts, so nothing is written.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_compare_emits_series_and_ratios(tmp_path, capsys):
@@ -334,7 +381,7 @@ def test_run_pseudo_only_ci_is_the_sensorless_estimators(tmp_path):
     # on a plan without sensors, not of the scenario's sensor plan.
     scenario = SCEN / "ieee33_regulation.json"
     out = tmp_path / "out"
-    args = ["run", str(scenario), "--out", str(out), "--mode", "pseudo_only",
+    args = ["run", str(scenario), "--out", str(out), "--set", "feedback_mode=pseudo_only",
             "--set", "iterations=3", "--set", "tighten_ci=2.576"]
     assert main(args) == 0
     summary = json.loads((out / "summary.json").read_text())

@@ -139,12 +139,18 @@ def test_plan_and_load_scale_rejected_by_dotted_name(override, key, message):
         ("controller.v_min", 1.1, "must be below 'controller.v_max', got 1.1 and 1.05"),
         ("iterations", 0, "must be >= 1, got 0"),
         ("trials", 0, "must be >= 1, got 0"),
+        ("feedback_mode", "bogus", f"must be one of {FEEDBACK_MODES}, got 'bogus'"),
+        ("plant_model", "x", "must be one of ('nonlinear', 'linear'), got 'x'"),
+        ("estimation_mode", "y", "must be one of ('nonlinear', 'linear'), got 'y'"),
+        ("linearization", "foo", "must be one of ('lindistflow', 'jacobian'), got 'foo'"),
+        ("tighten_ci", 0, "must be finite and > 0, got 0.0"),
+        ("plan.sensor_fraction", 2, "must lie in (0, 1], got 2.0"),
     ],
 )
 def test_cost_controller_and_counts_rejected_by_dotted_name(tmp_path, capsys, key, value, message):
-    # Caught at the schema, not later inside prepare as an anonymous "step
-    # sizes and eta must be positive" or "per-node cost weights must be
-    # positive".
+    # Caught at the schema with the dotted key and the value, not later
+    # inside prepare as an anonymous "step sizes and eta must be positive"
+    # or "per-node cost weights must be positive".
     expected = f"scenario key {key!r} {message}"
     out = tmp_path / "out"
     args = ["run", str(SCEN / "twobus.json"), "--set", f"{key}={value}", "--out", str(out)]
@@ -183,7 +189,8 @@ def test_sensor_ids_above_network_rejected_by_dotted_name(tmp_path, capsys, mode
     # Only the loaded network knows N; every mode checks the scenario's ids,
     # also those whose plan does not use them.
     args = ["run", str(SCEN / "ieee33_regulation.json"), "--out", str(tmp_path / "o"),
-            "--mode", mode, "--set", "plan.sensor_nodes=[3,40,33]", "--set", "iterations=2"]
+            "--set", f"feedback_mode={mode}", "--set", "plan.sensor_nodes=[3,40,33]",
+            "--set", "iterations=2"]
     assert cli_main(args) == 1
     err = capsys.readouterr().err
     assert "scenario key 'plan.sensor_nodes' names node(s) [40, 33] above 32" in err
@@ -233,9 +240,9 @@ def test_last_trial_seed_must_fit_philox_key():
         _cfg(base_seed=last - 1, trials=3)
 
 
-def test_cli_seed_flag_is_checked(tmp_path, capsys):
+def test_cli_base_seed_override_is_checked(tmp_path, capsys):
     out = tmp_path / "out"
-    rc = cli_main(["run", str(SCEN / "twobus.json"), "--out", str(out), "--seed", "-1"])
+    rc = cli_main(["run", str(SCEN / "twobus.json"), "--out", str(out), "--set", "base_seed=-1"])
     assert rc == 1
     assert "'base_seed'" in capsys.readouterr().err
     assert not out.exists()

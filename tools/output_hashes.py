@@ -14,7 +14,7 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
 - ``ieee33_regulation.json`` with ``linearization=jacobian`` at 100
   iterations, so the WLS estimator on a dense non-symmetric model is
   checked too;
-- ``ieee33_regulation.json`` at 300 iterations under ``--mode``
+- ``ieee33_regulation.json`` at 300 iterations with ``feedback_mode``
   ``raw_measurements``, ``full_exact`` and ``pseudo_only``, so every
   feedback mode's rule but the linear model's is checked on a run of its
   own (``linear_model`` is the ``feeder400_saddle`` run's);
@@ -63,7 +63,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from gridloop.cli import main  # noqa: E402
 
 SCEN = Path("scenarios")
-REDUCED = {"ieee33_bound.json": ["--set", "iterations=200", "--trials", "2"]}
+REDUCED = {"ieee33_bound.json": ["--set", "iterations=200", "--set", "trials=2"]}
 REPORTED = "ieee33_regulation"
 FEEDER_NODES = 400
 FEEDER_SEED = 12
@@ -72,7 +72,7 @@ FEEDER_RUNS = (
     ("feeder400", []),
     ("feeder400_saddle", ["--set", "track_saddle=true", "--set", "plant_model=linear",
                           "--set", "feedback_mode=linear_model"]),
-    ("feeder400_audit", ["--set", "verify_bound=true", "--trials", "2"]),
+    ("feeder400_audit", ["--set", "verify_bound=true", "--set", "trials=2"]),
 )
 
 
@@ -89,7 +89,7 @@ def runs() -> list[tuple[str, list[str]]]:
     jobs.append(
         (
             "twobus_audit",
-            ["run", str(SCEN / "twobus.json"), "--trials", "3",
+            ["run", str(SCEN / "twobus.json"), "--set", "trials=3",
              "--set", "verify_bound=true", "--set", "track_saddle=true"],
         )
     )
@@ -111,7 +111,7 @@ def runs() -> list[tuple[str, list[str]]]:
         jobs.append(
             (
                 f"regulation_{mode}",
-                ["run", str(SCEN / "ieee33_regulation.json"), "--mode", mode,
+                ["run", str(SCEN / "ieee33_regulation.json"), "--set", f"feedback_mode={mode}",
                  "--set", "iterations=300"],
             )
         )
