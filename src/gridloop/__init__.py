@@ -18,7 +18,7 @@ from .controller import (
     primal_step,
 )
 from .estimator import WlsEstimator, estimate_voltages
-from .feeders import ieee33, resolve_network, synthetic_feeder
+from .feeders import resolve_network, synthetic_feeder
 from .harness import (
     BoundReport,
     ScenarioConfig,

@@ -7,7 +7,7 @@ trace directory into plot-ready CSV series; ``compare`` prepares a scenario
 once and runs the feedback-mode baselines on it with shared seeds.
 ``--set KEY=VALUE`` is the only way to override a scenario key. Exit codes:
 0 success, 1 error (usage errors included), 2 step-size certificate
-violation. ``GRIDLOOP_THREADS`` caps trial parallelism.
+violation.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .feeders import BUILTIN_NETWORKS
 from .harness import (
     CertificateError,
     ScenarioConfig,
@@ -49,9 +50,9 @@ FAILURES = (RuntimeError, OSError, ValueError, KeyError)
 def load_scenario(path: str | Path, overrides: list[str] | None = None) -> ScenarioConfig:
     """Parse a scenario file and apply dotted-path --set overrides.
 
-    A network given as a relative path is resolved against the scenario
-    file's directory (builtin aliases like "ieee33" pass through untouched).
-    An override may only set a key the scenario schema has.
+    A relative network path is joined to the scenario file's directory, even
+    if no file is there; builtin aliases ("ieee33") and absolute paths pass
+    through. An override may only set a key the scenario schema has.
     """
     path = Path(path)
     try:
@@ -66,10 +67,9 @@ def load_scenario(path: str | Path, overrides: list[str] | None = None) -> Scena
         key, _, value = item.partition("=")
         _set_dotted(raw, key.strip(), _parse_value(value.strip()))
     network = raw.get("network")
-    if isinstance(network, str) and network and not network.startswith("/"):
-        candidate = path.parent / network
-        if candidate.exists():
-            raw["network"] = str(candidate)
+    if isinstance(network, str) and network and network not in BUILTIN_NETWORKS:
+        if not Path(network).is_absolute():
+            raw["network"] = str(path.parent / network)
     return ScenarioConfig.from_dict(raw)
 
 
@@ -197,10 +197,16 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise FileNotFoundError(f"no trace CSV found in {trace_dir}")
         trace_path = candidates[0]
     header, data = _read_trace(trace_path)
+    col = {name: i for i, name in enumerate(header)}
+    # Every network has node 1, so a trace without v_true_ columns lacks v_true_1.
+    nodes = range(1, max(1, sum(name.startswith("v_true_") for name in header)) + 1)
+    read = ["iter", "se_err_mean", "se_err_max", "cost_local", "cost_substation"]
+    read += [f"v_{kind}_{i}" for kind in ("true", "hat") for i in nodes]
+    missing = [name for name in read if name not in col]
+    if missing:
+        raise ValueError(f"trace {trace_path} lacks column(s) {', '.join(missing)}")
     out = Path(args.out) if args.out else trace_dir
     out.mkdir(parents=True, exist_ok=True)
-    col = {name: i for i, name in enumerate(header)}
-    nodes = range(1, sum(1 for name in header if name.startswith("v_true_")) + 1)
     iters = data[:, col["iter"]].astype(int)
     v_true_cols = [col[f"v_true_{i}"] for i in nodes]
     v_hat_cols = [col[f"v_hat_{i}"] for i in nodes]

@@ -7,30 +7,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .netmodel import NetworkModel, build_network, load_network
+from .netmodel import NetworkModel, build_network
 
-_BUILTIN = ("ieee33",)
+BUILTIN_NETWORKS = ("ieee33",)
 
 
 def builtin_network_path(name: str) -> Path:
     """Filesystem path of a bundled network file."""
-    if name not in _BUILTIN:
-        raise KeyError(f"unknown builtin network {name!r}; available: {_BUILTIN}")
+    if name not in BUILTIN_NETWORKS:
+        raise KeyError(f"unknown builtin network {name!r}; available: {BUILTIN_NETWORKS}")
     return Path(str(resources.files("gridloop") / "data" / f"{name}.json"))
 
 
 def resolve_network(name_or_path: str | Path) -> Path:
     """Map a builtin alias (e.g. "ieee33") or a filesystem path to a file path."""
     name = str(name_or_path)
-    if name in _BUILTIN:
+    if name in BUILTIN_NETWORKS:
         return builtin_network_path(name)
     return Path(name_or_path)
-
-
-def ieee33() -> NetworkModel:
-    """The 33-bus radial test feeder (12.66 kV, 10 MVA base), loads as negative
-    injections, each node able to curtail up to half of its nominal load."""
-    return load_network(builtin_network_path("ieee33"))
 
 
 def synthetic_feeder(n: int, seed: int = 0) -> NetworkModel:

@@ -8,17 +8,17 @@ given the scenario seeds; trials differ only through their measurement seed.
 
 ``prepare`` turns a ``ScenarioConfig`` into a ``RunContext``; the loop, the
 saddle oracle, the audits and the baseline comparison run on that context
-and read every setting from ``ctx.cfg``. ``scenario_certificate`` builds
-only what the step-size certificate reads.
+and read every setting from ``ctx.cfg``. ``run_trials`` runs a scenario's
+trials one after another on that one context, in the process that prepared
+it. ``scenario_certificate`` builds only what the step-size certificate
+reads.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -507,36 +507,12 @@ def _saddle_gaps(p, q, mu_l, mu_u, x_star_vec: np.ndarray) -> Iterable[np.ndarra
 
 
 def run_trials(ctx: RunContext) -> list[SimulationTrace]:
-    """All trials, optionally in parallel (GRIDLOOP_THREADS), in trial order.
-
-    Results are aggregated in trial order regardless of scheduling, so
-    parallel and serial runs produce identical output. Workers receive the
-    prepared context, so none of them repeats ``prepare``.
-    """
-    trials = ctx.cfg.trials
-    threads = _threads()
-    if trials == 1 or threads == 1:
-        return [run_closed_loop(ctx, t) for t in range(trials)]
-    with ProcessPoolExecutor(max_workers=min(threads, trials)) as pool:
-        return list(pool.map(run_closed_loop, [ctx] * trials, range(trials)))
+    """Every trial, in trial order, on the one prepared context ``ctx``."""
+    return [run_closed_loop(ctx, t) for t in range(ctx.cfg.trials)]
 
 
 # ---------------------------------------------------------------------------
 # Saddle-point oracle
-
-
-def _threads() -> int:
-    """Worker count from GRIDLOOP_THREADS: unset or empty means 1."""
-    raw = os.environ.get("GRIDLOOP_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"GRIDLOOP_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
 
 
 def saddle_oracle(ctx: RunContext) -> ControllerState:

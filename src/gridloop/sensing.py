@@ -18,7 +18,7 @@ generators per iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,8 +48,7 @@ class MeasurementPlan:
     means (normally the nominal load pattern). With ``pseudo_fixed`` the
     pseudo noise drawn at iteration 0 is reused every iteration. The arrays
     every iteration reads (sensor indices, pseudo means and deviations) and
-    the two noise streams are derived once per plan, the arrays read-only;
-    none of them is pickled.
+    the two noise streams are derived once per plan, the arrays read-only.
     """
 
     n: int
@@ -71,11 +70,6 @@ class MeasurementPlan:
             raise ValueError("pseudo_base must provide (p, q) for every node")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"measurement seed must lie in [0, 2**63), got {self.seed}")
-
-    def __getstate__(self) -> dict:
-        # Pickle the fields only: the derived arrays and noise streams are
-        # rebuilt on first use.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def sensor_index(self) -> np.ndarray:

@@ -7,12 +7,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gridloop.feeders import ieee33
+from gridloop.feeders import resolve_network
+from gridloop.netmodel import load_network
 
 
 @pytest.fixture(scope="session")
 def net33():
-    return ieee33()
+    return load_network(resolve_network("ieee33"))
 
 
 @pytest.fixture()

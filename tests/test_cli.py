@@ -3,7 +3,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -39,7 +42,6 @@ def test_run_twobus_success(tmp_path):
 
 def test_run_bound_audit_solves_plant_once_per_iteration(tmp_path, monkeypatch):
     # The bound audit reads the run's traces instead of re-running the trials.
-    monkeypatch.delenv("GRIDLOOP_THREADS", raising=False)
     solves = []
     real = harness.solve_power_flow
 
@@ -119,6 +121,36 @@ def test_failed_run_manifest_says_so(tmp_path, capsys, extra, code, error):
     assert manifest["status"] == "failed"
     assert manifest["error"].startswith(error)
     assert "outputs" not in manifest
+
+
+def test_relative_network_resolves_against_the_scenario_only(tmp_path, monkeypatch, capsys):
+    # A relative network is never looked up in the working directory: the
+    # manifest would then record a name that resolves from there only.
+    (tmp_path / "net.json").write_text((SCEN / "networks" / "twobus.json").read_text())
+    scenario = tmp_path / "scen" / "s.json"
+    scenario.parent.mkdir()
+    raw = json.loads((SCEN / "twobus.json").read_text())
+    scenario.write_text(json.dumps({**raw, "network": "net.json"}))
+    monkeypatch.chdir(tmp_path)
+    tried = str(scenario.parent / "net.json")
+    assert cli.load_scenario(scenario).network == tried
+    assert main(["run", str(scenario), "--out", "out"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot parse network file {tried}: ")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["config"]["network"] == tried
+    for network in ("ieee33", str(tmp_path / "net.json")):
+        scenario.write_text(json.dumps({**raw, "network": network}))
+        assert cli.load_scenario(scenario).network == network
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # Trials run in the process that prepared them, so the command line
+    # needs no process machinery.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gridloop.cli; print([m for m in sys.modules if m.startswith('multiprocessing')])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_determinism_identical_hashes(tmp_path):
@@ -271,8 +303,16 @@ def test_report_missing_dir_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content, message",
-    [("", "is empty"), ("iter,v_true_1\n", "is empty"), ("iter,v_true_1\n0,x\n", "could not convert")],
-    ids=["zero-bytes", "header-only", "not-a-number"],
+    [
+        ("", "is empty"),
+        ("iter,v_true_1\n", "is empty"),
+        ("iter,v_true_1\n0,x\n", "could not convert"),
+        ("a,b\n1,2\n", "lacks column(s) iter, se_err_mean, se_err_max, cost_local, "
+         "cost_substation, v_true_1, v_hat_1"),
+        ("iter,v_true_1,v_true_2,v_hat_1,se_err_mean,se_err_max,cost_local,cost_substation\n"
+         "0,1,1,1,0,0,0,0\n", "lacks column(s) v_hat_2"),
+    ],
+    ids=["zero-bytes", "header-only", "not-a-number", "foreign-columns", "missing-node-column"],
 )
 def test_report_unreadable_trace_errors(tmp_path, capsys, content, message):
     # One "error:" line naming the trace, whatever is wrong with it.

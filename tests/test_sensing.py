@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -117,18 +116,14 @@ def test_pseudo_floor_guards_zero_load_nodes(net33):
     assert sigma[5] == pytest.approx(0.5 * 0.01)
 
 
-def test_plan_arrays_are_derived_once_read_only_and_not_pickled(net33):
+def test_plan_arrays_are_derived_once_and_read_only(net33):
     # The pseudo means and deviations are built once per plan, not per
-    # sample; equality, replace and pickling see only the fields.
+    # sample; equality and replace see only the fields.
     plan = _plan33(net33)
-    pickled = pickle.dumps(plan)
-    y = sample_measurements(plan, np.ones(32), iter=4)
+    sample_measurements(plan, np.ones(32), iter=4)
     assert plan.pseudo_std is plan.pseudo_std
     assert not plan.pseudo_mean.flags.writeable and not plan.pseudo_std.flags.writeable
-    assert pickle.dumps(plan) == pickled
-    again = pickle.loads(pickled)
-    assert again == plan
-    assert np.array_equal(sample_measurements(again, np.ones(32), iter=4), y)
+    assert plan == _plan33(net33)
     halved = replace(plan, pseudo_sigma=0.25)
     assert halved != plan
     assert np.array_equal(halved.pseudo_std, 0.5 * plan.pseudo_std)
@@ -161,20 +156,6 @@ def test_kept_streams_match_fresh_philox(net33):
             for lane, stream in enumerate(plan.streams):
                 got = stream.normals(k, 7)
                 assert got.tobytes() == _fresh_normals(plan.seed, lane, k, 7).tobytes()
-
-
-def test_plan_pickles_fields_only_after_sampling(net33):
-    plan = _plan33(net33)
-    pickled = pickle.dumps(plan)
-    sample_measurements(plan, np.ones(32), iter=2)
-    assert "streams" in vars(plan)
-    assert pickle.dumps(plan) == pickled
-    again = pickle.loads(pickled)
-    assert "streams" not in vars(again)
-    assert np.array_equal(
-        sample_measurements(again, np.ones(32), iter=2),
-        sample_measurements(plan, np.ones(32), iter=2),
-    )
 
 
 def test_place_sensors_fraction():
