@@ -65,9 +65,16 @@ class CostParams:
         )
 
     def local_cost(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The local cost of each row of the (K, N) injection blocks p and q."""
-        dp = np.add.reduce(self.wp * (p - self.p_ref) ** 2, axis=-1)
-        return dp + np.add.reduce(self.wq * (q - self.q_ref) ** 2, axis=-1)
+        """The local cost of each row of the (K, N) injection blocks p and q,
+        squared and weighted in one (K, N) temporary."""
+        d = p - self.p_ref
+        d *= d
+        d *= self.wp
+        cost = np.add.reduce(d, axis=-1)
+        np.subtract(q, self.q_ref, out=d)
+        d *= d
+        d *= self.wq
+        return cost + np.add.reduce(d, axis=-1)
 
     def substation_cost(self, p0_actual: float) -> float:
         return float(self.alpha * (p0_actual - self.p0_target) ** 2)

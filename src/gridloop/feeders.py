@@ -12,18 +12,11 @@ from .netmodel import NetworkModel, build_network
 BUILTIN_NETWORKS = ("ieee33",)
 
 
-def builtin_network_path(name: str) -> Path:
-    """Filesystem path of a bundled network file."""
-    if name not in BUILTIN_NETWORKS:
-        raise KeyError(f"unknown builtin network {name!r}; available: {BUILTIN_NETWORKS}")
-    return Path(str(resources.files("gridloop") / "data" / f"{name}.json"))
-
-
 def resolve_network(name_or_path: str | Path) -> Path:
     """Map a builtin alias (e.g. "ieee33") or a filesystem path to a file path."""
     name = str(name_or_path)
     if name in BUILTIN_NETWORKS:
-        return builtin_network_path(name)
+        return Path(str(resources.files("gridloop") / "data" / f"{name}.json"))
     return Path(name_or_path)
 
 
@@ -38,26 +31,17 @@ def synthetic_feeder(n: int, seed: int = 0) -> NetworkModel:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     window = max(2, n // 20)
-    nodes = [dict(id=0, p0=0.0, q0=0.0, shunt=0j)]
+    nodes = [{"id": 0}]
     lines = []
     for i in range(1, n + 1):
         parent = 0 if i == 1 else int(rng.integers(max(0, i - window), i))
         r = float(rng.uniform(1e-4, 4e-4))
         x = r * float(rng.uniform(0.8, 1.5))
-        lines.append((parent, i, r, x))
+        lines.append({"from": parent, "to": i, "r": r, "x": x})
         pload = 0.00125 * float(rng.uniform(0.5, 1.5))
         qload = pload * float(rng.uniform(0.3, 0.6))
         nodes.append(
-            dict(
-                id=i,
-                p0=-pload,
-                q0=-qload,
-                shunt=0j,
-                pmin=-pload,
-                pmax=-0.5 * pload,
-                qmin=-qload,
-                qmax=-0.5 * qload,
-                smax=None,
-            )
+            {"id": i, "p0": -pload, "q0": -qload,
+             "pmin": -pload, "pmax": -0.5 * pload, "qmin": -qload, "qmax": -0.5 * qload}
         )
-    return build_network(1.0, nodes, lines)
+    return build_network({"v0": 1.0, "nodes": nodes, "lines": lines})

@@ -475,7 +475,8 @@ def _derive_trace(ctx, seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack) ->
     cost_sub = np.array([ctx.cost.substation_cost(s) for s in p_slack.tolist()])
     below = cfgc.v_min - np.minimum.reduce(v_true, axis=1)
     violation = np.maximum(0.0, np.maximum(below, np.maximum.reduce(v_true, axis=1) - cfgc.v_max))
-    err = np.abs(r_hat - v_true)
+    err = r_hat - v_true
+    np.abs(err, out=err)
     se_mean = np.add.reduce(err, axis=1) / n
     dist = np.full(len(p), np.nan)
     if ctx.x_star is not None:

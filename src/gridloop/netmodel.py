@@ -9,9 +9,10 @@ graph must be a spanning tree rooted at node 0.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
+import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -206,121 +207,117 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Loading
 
+# The network document, the parsed form of a network file: the keys each
+# object may hold and the kind of value each takes (see build_network).
+_INT, _NUMBER, _BOUND = "an integer", "a finite number", "a finite number or null"
+_ARRAY = "an array"
+_DOCUMENT_KEYS = {"v0": _NUMBER, "nodes": _ARRAY, "lines": _ARRAY}
+_NODE_KEYS = {
+    "id": _INT, "p0": _NUMBER, "q0": _NUMBER, "shunt_g": _NUMBER, "shunt_b": _NUMBER,
+    "pmin": _BOUND, "pmax": _BOUND, "qmin": _BOUND, "qmax": _BOUND, "smax": _BOUND,
+}
+_LINE_KEYS = {"from": _INT, "to": _INT, "r": _NUMBER, "x": _NUMBER}
+_FLOAT_MAX = sys.float_info.max
+
 
 def load_network(path: str | Path) -> NetworkModel:
-    """Load and validate a network from a JSON file or a buses/branches CSV pair.
+    """Read a network file and build its model with :func:`build_network`.
 
-    A directory or a ``*.csv`` path selects the CSV pair, anything else is
-    read as JSON. Raises :class:`NetworkError` naming the offending entity on
-    any validation failure.
+    Raises :class:`NetworkError` naming the file when it cannot be read or
+    parsed as JSON, or when its document fails a check.
     """
-    path = Path(path)
-    if path.is_dir() or path.suffix == ".csv":
-        return _load_csv_pair(path)
-    return _load_json(path)
-
-
-def _load_json(path: Path) -> NetworkModel:
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
         raise NetworkError(f"cannot parse network file {path}: {exc}") from exc
     try:
-        v0 = float(raw.get("v0", 1.0))
-        nodes = [
-            dict(
-                id=int(nd["id"]),
-                p0=float(nd.get("p0", 0.0)),
-                q0=float(nd.get("q0", 0.0)),
-                shunt=complex(float(nd.get("shunt_g", 0.0)), float(nd.get("shunt_b", 0.0))),
-                pmin=nd.get("pmin"),
-                pmax=nd.get("pmax"),
-                qmin=nd.get("qmin"),
-                qmax=nd.get("qmax"),
-                smax=nd.get("smax"),
-            )
-            for nd in raw["nodes"]
-        ]
-        lines = [
-            (int(ln["from"]), int(ln["to"]), float(ln["r"]), float(ln["x"]))
-            for ln in raw["lines"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkError(f"malformed network file {path}: {exc}") from exc
-    return build_network(v0, nodes, lines)
+        return build_network(doc)
+    except NetworkError as exc:
+        raise NetworkError(f"network file {path}: {exc}") from exc
 
 
-def _load_csv_pair(path: Path) -> NetworkModel:
-    """CSV pair: ``buses.csv`` (id,p0,q0,pmin,pmax,qmin,qmax,smax) and
-    ``branches.csv`` (from,to,r,x). v0 defaults to 1.0 and shunts to zero."""
-    base = path if path.is_dir() else path.parent
-    bus_path, br_path = base / "buses.csv", base / "branches.csv"
-    for p in (bus_path, br_path):
-        if not p.exists():
-            raise NetworkError(f"missing CSV file {p}")
-
-    def _opt(row: dict, key: str) -> float | None:
-        val = row.get(key, "")
-        return None if val in ("", None) else float(val)
-
-    try:
-        with open(bus_path, newline="") as fh:
-            nodes = [
-                dict(
-                    id=int(row["id"]),
-                    p0=float(row.get("p0") or 0.0),
-                    q0=float(row.get("q0") or 0.0),
-                    shunt=0j,
-                    pmin=_opt(row, "pmin"),
-                    pmax=_opt(row, "pmax"),
-                    qmin=_opt(row, "qmin"),
-                    qmax=_opt(row, "qmax"),
-                    smax=_opt(row, "smax"),
-                )
-                for row in csv.DictReader(fh)
-            ]
-        with open(br_path, newline="") as fh:
-            lines = [
-                (int(row["from"]), int(row["to"]), float(row["r"]), float(row["x"]))
-                for row in csv.DictReader(fh)
-            ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkError(f"malformed CSV network at {base}: {exc}") from exc
-    return build_network(1.0, nodes, lines)
+def _checked(obj, where: str, keys: dict[str, str], required: Iterable[str]) -> dict:
+    """``obj`` once it is an object holding ``required`` and other ``keys``
+    only, each value of the kind ``keys`` names. A number is a JSON int or
+    float (not a bool) that a float holds finitely."""
+    if type(obj) is not dict:
+        raise NetworkError(f"{where} must be an object, got {_shown(obj)}")
+    for key, val in obj.items():
+        kind = keys.get(key)
+        if kind is None:
+            raise NetworkError(f"{where}: unknown key {key!r}; known keys: {', '.join(keys)}")
+        if kind is _INT:
+            ok = type(val) is int
+        elif kind is _ARRAY:
+            ok = type(val) is list
+        elif val is None:
+            ok = kind is _BOUND
+        else:
+            ok = (type(val) is float or type(val) is int) and abs(val) <= _FLOAT_MAX
+        if not ok:
+            raise NetworkError(f"{where}: {key!r} must be {kind}, got {_shown(val)}")
+    for key in required:
+        if key not in obj:
+            raise NetworkError(f"{where}: missing key {key!r}")
+    return obj
 
 
-def build_network(
-    v0: float,
-    node_rows: list[dict],
-    line_rows: list[tuple[int, int, float, float]],
-) -> NetworkModel:
-    """Assemble and validate a NetworkModel from parsed rows.
+def _shown(val) -> str:
+    """A document value as its JSON text."""
+    return json.dumps(val, default=repr)
 
-    Line orientation is normalized to point away from the substation; a node
-    without explicit bounds gets the degenerate box fixing it at (p0, q0).
+
+def build_network(doc: dict) -> NetworkModel:
+    """Check a network document and build its model.
+
+    The document is ``{"v0", "nodes": [{"id", "p0", "q0", "shunt_g",
+    "shunt_b", "pmin", "pmax", "qmin", "qmax", "smax"}], "lines": [{"from",
+    "to", "r", "x"}]}``: objects with these keys only. ``nodes``, ``lines``,
+    each ``id`` and every line key are required. Ids and endpoints are
+    integers, every other value a finite number (:func:`_checked`), and only
+    the bounds may be null. ``v0`` defaults to 1.0 and the injections and
+    shunts to 0.0; a missing or null bound fixes the node at p0 or q0, and a
+    missing or null smax means no apparent-power cap. Line orientation is
+    normalized to point away from the substation. Raises
+    :class:`NetworkError` naming the offending node, line, key or value.
     """
-    ids = [nd["id"] for nd in node_rows]
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})
-        raise NetworkError(f"duplicate node id(s): {dup}")
-    if 0 not in ids:
+    doc = _checked(doc, "the document", _DOCUMENT_KEYS, ("nodes", "lines"))
+    v0 = float(doc.get("v0", 1.0))
+    by_id: dict[int, Node] = {}
+    boxes: dict[int, FeasibleSet] = {}
+    for k, row in enumerate(doc["nodes"]):
+        get = _checked(row, f"nodes[{k}]", _NODE_KEYS, ("id",)).get
+        nid = row["id"]
+        if nid in by_id:
+            raise NetworkError(f"duplicate node id {nid}")
+        p0, q0 = float(get("p0", 0.0)), float(get("q0", 0.0))
+        shunt = complex(float(get("shunt_g", 0.0)), float(get("shunt_b", 0.0)))
+        by_id[nid] = Node(id=nid, p0=p0, q0=q0, shunt=shunt)
+        if nid != 0:
+            boxes[nid] = fs = FeasibleSet(
+                p_min=p0 if get("pmin") is None else float(row["pmin"]),
+                p_max=p0 if get("pmax") is None else float(row["pmax"]),
+                q_min=q0 if get("qmin") is None else float(row["qmin"]),
+                q_max=q0 if get("qmax") is None else float(row["qmax"]),
+                s_max=None if get("smax") is None else float(row["smax"]),
+            )
+            _check_feasible_set(fs, nid)
+    if 0 not in by_id:
         raise NetworkError("node 0 (substation) is missing")
-    n = len(ids) - 1
+    n = len(by_id) - 1
     if n < 1:
         raise NetworkError("network needs at least one non-slack node")
-    if sorted(ids) != list(range(n + 1)):
-        raise NetworkError(f"node ids must be contiguous 0..{n}, got {sorted(ids)}")
-    if not (v0 > 0.0 and math.isfinite(v0)):
-        raise NetworkError(f"slack voltage v0 must be positive and finite, got {v0}")
-
-    by_id = {nd["id"]: nd for nd in node_rows}
-    for nd in node_rows:
-        if not (math.isfinite(nd["p0"]) and math.isfinite(nd["q0"])):
-            raise NetworkError(f"node {nd['id']}: p0/q0 must be finite")
+    if sorted(by_id) != list(range(n + 1)):
+        raise NetworkError(f"node ids must be contiguous 0..{n}, got {sorted(by_id)}")
+    if not v0 > 0.0:
+        raise NetworkError(f"slack voltage v0 must be positive, got {v0}")
 
     # Validate lines and build adjacency for orientation.
+    lines: list[Line] = []
     adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n + 1)}
-    for k, (a, b, r, x) in enumerate(line_rows):
+    for k, row in enumerate(doc["lines"]):
+        _checked(row, f"lines[{k}]", _LINE_KEYS, _LINE_KEYS)
+        a, b, r, x = row["from"], row["to"], row["r"], row["x"]
         for endpoint in (a, b):
             if endpoint not in by_id:
                 raise NetworkError(
@@ -332,12 +329,13 @@ def build_network(
             raise NetworkError(f"line {k} ({a} -> {b}): negative resistance {r}")
         if math.hypot(r, x) == 0.0:
             raise NetworkError(f"line {k} ({a} -> {b}): zero impedance")
+        lines.append(Line(from_bus=a, to_bus=b, z=complex(float(r), float(x))))
         adjacency[a].append((b, k))
         adjacency[b].append((a, k))
 
-    if len(line_rows) != n:
+    if len(lines) != n:
         raise NetworkError(
-            f"non-radial topology: {len(line_rows)} lines for {n} non-slack nodes "
+            f"non-radial topology: {len(lines)} lines for {n} non-slack nodes "
             f"(a spanning tree needs exactly {n})"
         )
 
@@ -352,38 +350,24 @@ def build_network(
                 if v in seen:
                     continue
                 seen.add(v)
-                a, b, r, x = line_rows[k]
-                oriented[k] = Line(from_bus=u, to_bus=v, z=complex(r, x))
+                ln = lines[k]
+                oriented[k] = ln if ln.from_bus == u else Line(from_bus=u, to_bus=v, z=ln.z)
                 nxt.append(v)
         frontier = nxt
     if len(seen) != n + 1:
         missing = sorted(set(range(n + 1)) - seen)
         raise NetworkError(f"non-radial topology: node(s) {missing} unreachable from the substation")
-    if len(oriented) != len(line_rows):
-        extra = sorted(set(range(len(line_rows))) - set(oriented))
-        k = extra[0]
-        a, b, *_ = line_rows[k]
+    if len(oriented) != len(lines):
+        k = min(set(range(len(lines))) - set(oriented))
+        a, b = lines[k].from_bus, lines[k].to_bus
         raise NetworkError(f"non-radial topology: line {k} ({a} -> {b}) closes a cycle")
 
-    feasible = []
-    for i in range(1, n + 1):
-        nd = by_id[i]
-        fs = FeasibleSet(
-            p_min=nd["p0"] if nd.get("pmin") is None else float(nd["pmin"]),
-            p_max=nd["p0"] if nd.get("pmax") is None else float(nd["pmax"]),
-            q_min=nd["q0"] if nd.get("qmin") is None else float(nd["qmin"]),
-            q_max=nd["q0"] if nd.get("qmax") is None else float(nd["qmax"]),
-            s_max=None if nd.get("smax") is None else float(nd["smax"]),
-        )
-        _check_feasible_set(fs, i)
-        feasible.append(fs)
-
-    nodes = tuple(
-        Node(id=i, p0=by_id[i]["p0"], q0=by_id[i]["q0"], shunt=by_id[i]["shunt"])
-        for i in range(n + 1)
+    return NetworkModel(
+        nodes=tuple(by_id[i] for i in range(n + 1)),
+        lines=tuple(oriented[k] for k in sorted(oriented)),
+        v0=v0,
+        feasible=tuple(boxes[i] for i in range(1, n + 1)),
     )
-    lines = tuple(oriented[k] for k in sorted(oriented))
-    return NetworkModel(nodes=nodes, lines=lines, v0=v0, feasible=tuple(feasible))
 
 
 def _check_feasible_set(fs: FeasibleSet, node_id: int) -> None:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,18 +113,6 @@ def test_zero_impedance_rejected(tmp_path):
         load_network(path)
 
 
-def test_csv_pair_roundtrip(tmp_path):
-    (tmp_path / "buses.csv").write_text(
-        "id,p0,q0,pmin,pmax,qmin,qmax,smax\n"
-        "0,0,0,,,,,\n"
-        "1,-0.1,-0.05,-0.1,0,-0.05,0,\n"
-    )
-    (tmp_path / "branches.csv").write_text("from,to,r,x\n0,1,0.01,0.02\n")
-    net = load_network(tmp_path)
-    assert net.n == 1
-    assert net.feasible[0].p_max == 0.0
-
-
 def test_line_orientation_normalized(tmp_path):
     path = tmp_path / "reversed.json"
     path.write_text(
@@ -139,6 +129,100 @@ def test_line_orientation_normalized(tmp_path):
     )
     net = load_network(path)
     assert [(ln.from_bus, ln.to_bus) for ln in net.lines] == [(0, 1), (1, 2)]
+
+
+TWOBUS = {
+    "v0": 1.0,
+    "nodes": [
+        {"id": 0},
+        {"id": 1, "p0": -0.1, "q0": -0.05, "pmin": -0.1, "pmax": 0.0, "qmin": -0.05, "qmax": 0.0},
+    ],
+    "lines": [{"from": 0, "to": 1, "r": 0.01, "x": 0.02}],
+}
+
+
+def _edited(section: str | None, index: int, key: str, value):
+    """TWOBUS with ``key`` set to ``value`` in ``section[index]`` (the
+    document itself when ``section`` is None)."""
+    doc = copy.deepcopy(TWOBUS)
+    (doc if section is None else doc[section][index])[key] = value
+    return doc
+
+
+BAD_DOCUMENTS = {
+    "top-level array": ([], "the document must be an object, got []"),
+    "unknown top-level key": (
+        _edited(None, 0, "base_kv", 12.66), "the document: unknown key 'base_kv'"
+    ),
+    "nan resistance": (
+        _edited("lines", 0, "r", math.nan), "lines[0]: 'r' must be a finite number, got NaN"
+    ),
+    "string resistance": (
+        _edited("lines", 0, "r", "0.01"), "lines[0]: 'r' must be a finite number, got \"0.01\""
+    ),
+    "fractional endpoint": (
+        _edited("lines", 0, "to", 1.0), "lines[0]: 'to' must be an integer, got 1.0"
+    ),
+    "unknown line key": (_edited("lines", 0, "b", 0.001), "lines[0]: unknown key 'b'"),
+    "nan bound": (
+        _edited("nodes", 1, "pmin", math.nan),
+        "nodes[1]: 'pmin' must be a finite number or null, got NaN",
+    ),
+    "infinite shunt": (
+        _edited("nodes", 1, "shunt_g", math.inf),
+        "nodes[1]: 'shunt_g' must be a finite number, got Infinity",
+    ),
+    "integer beyond float": (
+        _edited("nodes", 1, "p0", 10**400), "nodes[1]: 'p0' must be a finite number, got 1000"
+    ),
+    "fractional id": (_edited("nodes", 1, "id", 1.7), "nodes[1]: 'id' must be an integer, got 1.7"),
+    "boolean injection": (
+        _edited("nodes", 1, "p0", True), "nodes[1]: 'p0' must be a finite number, got true"
+    ),
+    "string injection": (
+        _edited("nodes", 1, "q0", "-0.05"),
+        "nodes[1]: 'q0' must be a finite number, got \"-0.05\"",
+    ),
+    "misspelt bound": (_edited("nodes", 1, "pmni", -0.1), "nodes[1]: unknown key 'pmni'"),
+    "directory": (None, "cannot parse network file"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DOCUMENTS)
+def test_bad_network_document_rejected_where_it_enters(tmp_path, case):
+    # Each message names the file, then the node or line, the key and the value.
+    doc, message = BAD_DOCUMENTS[case]
+    path = tmp_path
+    if doc is not None:
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkError, match=re.escape(f"network file {path}")) as info:
+        load_network(path)
+    assert message in str(info.value)
+
+
+def _document(net) -> dict:
+    """The network file that perfbench and tools/output_hashes.py write for
+    a synthetic feeder: box bounds and smax on every non-slack node, no
+    shunts."""
+    nodes = [{"id": 0, "p0": 0.0, "q0": 0.0}]
+    for nd, fs in zip(net.nodes[1:], net.feasible):
+        nodes.append(
+            {"id": nd.id, "p0": nd.p0, "q0": nd.q0, "pmin": fs.p_min, "pmax": fs.p_max,
+             "qmin": fs.q_min, "qmax": fs.q_max, "smax": fs.s_max}
+        )
+    lines = [
+        {"from": ln.from_bus, "to": ln.to_bus, "r": ln.z.real, "x": ln.z.imag} for ln in net.lines
+    ]
+    return {"v0": net.v0, "nodes": nodes, "lines": lines}
+
+
+@pytest.mark.parametrize("feeder", ["ieee33", "synthetic-400"])
+def test_benchmark_network_files_rebuild_the_model(net33, feeder):
+    net = net33 if feeder == "ieee33" else synthetic_feeder(400, seed=12)
+    rebuilt = build_network(json.loads(json.dumps(_document(net))))
+    for field in ("nodes", "lines", "feasible", "v0"):
+        assert getattr(rebuilt, field) == getattr(net, field)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +308,12 @@ def test_path_sum_matrix_shared_root_branch(tmp_path):
 def _tree(parents: list[int], seed: int = 0):
     """Feeder whose node i + 1 hangs below parents[i], random impedances."""
     rng = np.random.default_rng(seed)
-    nodes = [dict(id=i, p0=0.0, q0=0.0, shunt=0j) for i in range(len(parents) + 1)]
     lines = [
-        (par, i + 1, float(rng.uniform(1e-4, 4e-3)), float(rng.uniform(1e-4, 4e-3)))
+        {"from": par, "to": i + 1, "r": float(rng.uniform(1e-4, 4e-3)),
+         "x": float(rng.uniform(1e-4, 4e-3))}
         for i, par in enumerate(parents)
     ]
-    return build_network(1.0, nodes, lines)
+    return build_network({"nodes": [{"id": i} for i in range(len(parents) + 1)], "lines": lines})
 
 
 FEEDERS = {
