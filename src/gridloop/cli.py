@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import deque
 from dataclasses import asdict
 from pathlib import Path
 
@@ -93,8 +94,12 @@ def _set_dotted(raw: dict, dotted: str, value) -> None:
 
 
 def _sha256(path: Path) -> str:
+    """The file's sha256, read in 1 MB blocks into one reused buffer."""
     digest = hashlib.sha256()
-    digest.update(path.read_bytes())
+    block = bytearray(1 << 20)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(block):
+            digest.update(memoryview(block)[:size])
     return digest.hexdigest()
 
 
@@ -134,34 +139,33 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_scenario(cfg: ScenarioConfig, out: Path) -> list[str]:
-    """Prepare the scenario once, run every trial and the configured audits
-    on that context (the audits read the trials' traces), write the traces
-    and the summary into ``out``, and return the names of the files written."""
+    """Prepare the scenario once and go through its trials once, holding one
+    trace: as each trial ends, write its trace into ``out``, keep its summary
+    and fold it into the configured audit. Return the names of the files written."""
     ctx = prepare(cfg)
-    traces = run_trials(ctx)
-    names = []
-    for t, trace in enumerate(traces):
-        name = "trace.csv" if cfg.trials == 1 else f"trace_{t:03d}.csv"
-        trace.to_csv(out / name)
-        names.append(name)
-
-    summary = {
-        "config": cfg.to_dict(),
-        "trials": [tr.summary for tr in traces],
-    }
-    cert = ctx.certificate
+    summary = {"config": cfg.to_dict(), "trials": []}
+    cert = ctx.certificate  # before the audit, which may build a deferred one
     if cert is not None:
         derived = {"delta": cert.delta(), "certified": cert.certified}
         summary["certificate"] = {**asdict(cert), **derived}
     if ctx.estimator is not None:
-        summary["voltage_ci_halfwidth_99"] = (
-            2.576 * np.sqrt(ctx.voltage_variance)
-        ).tolist()
+        summary["voltage_ci_halfwidth_99"] = (2.576 * np.sqrt(ctx.voltage_variance)).tolist()
+    names = []
+
+    def written(trace):
+        names.append("trace.csv" if cfg.trials == 1 else f"trace_{len(names):03d}.csv")
+        trace.to_csv(out / names[-1])
+        summary["trials"].append(trace.summary)
+        return trace
+
+    traces = map(written, run_trials(ctx))  # neither map nor the deque keeps a trace
     if cfg.verify_bound:
-        report = verify_error_bound(ctx, traces)
-        summary["bound_report"] = report.to_dict()
+        summary["bound_report"] = verify_error_bound(ctx, traces).to_dict()
+    else:
+        deque(traces, maxlen=0)
     if cfg.tighten_ci is not None:
-        summary["tightening"] = asdict(tightened_bound_experiment(ctx, cfg.tighten_ci, traces[0]))
+        base = summary["trials"][0]
+        summary["tightening"] = asdict(tightened_bound_experiment(ctx, cfg.tighten_ci, base))
     _write_json(out / "summary.json", summary)
     return names + ["summary.json"]
 

@@ -8,19 +8,19 @@ given the scenario seeds; trials differ only through their measurement seed.
 
 ``prepare`` turns a ``ScenarioConfig`` into a ``RunContext``; the loop, the
 saddle oracle, the audits and the baseline comparison run on that context
-and read every setting from ``ctx.cfg``. ``run_trials`` runs a scenario's
-trials one after another on that one context, in the process that prepared
-it. ``scenario_certificate`` builds only what the step-size certificate
-reads.
+and read every setting from ``ctx.cfg``. ``run_trials`` yields a scenario's
+trials one after another, each run on that one context in the process that
+prepared it. ``scenario_certificate`` builds only what the step-size
+certificate reads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -507,9 +507,10 @@ def _saddle_gaps(p, q, mu_l, mu_u, x_star_vec: np.ndarray) -> Iterable[np.ndarra
     return (np.concatenate(x) - x_star_vec for x in zip(p, q, mu_l, mu_u))
 
 
-def run_trials(ctx: RunContext) -> list[SimulationTrace]:
-    """Every trial, in trial order, on the one prepared context ``ctx``."""
-    return [run_closed_loop(ctx, t) for t in range(ctx.cfg.trials)]
+def run_trials(ctx: RunContext) -> Iterator[SimulationTrace]:
+    """Every trial in order, each run on the prepared ``ctx`` when asked for."""
+    for t in range(ctx.cfg.trials):
+        yield run_closed_loop(ctx, t)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +689,10 @@ def verify_error_bound(ctx: RunContext, traces: Iterable[SimulationTrace]) -> Bo
     """Measure the stochastic-feedback error terms and audit the bound.
 
     The terms are read off the realized trajectories ``traces``, one per
-    trial: the list ``run_trials`` returns, or a generator such as
-    ``(run_closed_loop(ctx, t) for t in range(trials))`` to hold one trace
-    at a time. The reference point is ``ctx.x_star``, or the saddle oracle's
-    when the context has none. Per iteration and trial the three gradient
+    trial, such as the stream ``run_trials`` yields; each trace is dropped
+    before the next is asked for. The reference point, ``ctx.x_star`` or
+    the saddle oracle's when the context has none, and the certificate are
+    taken before the first trace. Per iteration and trial the three gradient
     maps differ only in the voltage vector entering the dual ascent, so the
     squared map gaps reduce to 2 ||r_a - r_b||^2 of the corresponding
     voltage vectors.
@@ -708,7 +709,8 @@ def verify_error_bound(ctx: RunContext, traces: Iterable[SimulationTrace]) -> Bo
         )
 
     k_iter = ctx.cfg.iterations
-    terms = [_bound_terms(trace, ctx.model, x_star_vec) for trace in traces]
+    # map, unlike a comprehension's loop variable, holds no trace while the next one runs
+    terms = list(map(partial(_bound_terms, model=ctx.model, x_star_vec=x_star_vec), traces))
     if not terms or any(gaps.size != k_iter for gaps, _, _ in terms):
         raise HarnessError(f"bound audit needs one trace of {k_iter} iterations per trial")
     d_alpha, d_rho, dist_sq = (np.array(series) for series in zip(*terms))
@@ -815,13 +817,11 @@ class TighteningReport:
     tightened_cost: float
 
 
-def tightened_bound_experiment(
-    ctx: RunContext, c: float, base: SimulationTrace
-) -> TighteningReport:
+def tightened_bound_experiment(ctx: RunContext, c: float, base: dict) -> TighteningReport:
     """Re-run trial 0 with the lower voltage bound raised by the worst
     analytic confidence halfwidth of the reconstructed voltages, and compare
     true violations of the original bound plus cost against ``base``, the
-    trial-0 trace of the untightened scenario.
+    trial-0 trace summary of the untightened scenario.
 
     The tightened trial runs on ``ctx`` with only ``v_min`` changed: the
     network, linear model, cost, plan, estimator and certificate do not
@@ -848,8 +848,8 @@ def tightened_bound_experiment(
         halfwidth=halfwidth,
         v_min_original=v_min0,
         v_min_tightened=v_min_new,
-        base_violations=int((base.v_true[-1] < v_min0).sum()),
+        base_violations=base["final_nodes_below_vmin"],
         tightened_violations=int((tight.v_true[-1] < v_min0).sum()),
-        base_cost=float(base.cost_local[-1] + base.cost_substation[-1]),
+        base_cost=base["final_cost_local"] + base["final_cost_substation"],
         tightened_cost=float(tight.cost_local[-1] + tight.cost_substation[-1]),
     )

@@ -164,7 +164,7 @@ def test_criterion_5_voltage_regulation(net33):
     v_final = trace.v_true[-1]
     reg_ok = bool((v_final >= 0.95 - 0.005).mean() >= 0.99)
 
-    tight = tightened_bound_experiment(ctx, 2.576, trace)
+    tight = tightened_bound_experiment(ctx, 2.576, trace.summary)
     zero_viol = tight.tightened_violations == 0
     cost_up = tight.tightened_cost > tight.base_cost
     assert _verdict(

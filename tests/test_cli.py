@@ -17,6 +17,7 @@ from gridloop import cli, harness
 from gridloop.cli import main
 from gridloop.estimator import WlsEstimator
 from gridloop.sensing import make_plan
+from test_harness import _traced_peak
 
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -121,6 +122,53 @@ def test_failed_run_manifest_says_so(tmp_path, capsys, extra, code, error):
     assert manifest["status"] == "failed"
     assert manifest["error"].startswith(error)
     assert "outputs" not in manifest
+
+
+def test_run_dying_mid_way_keeps_finished_traces(tmp_path, monkeypatch, capsys):
+    # Each trace is written as its trial ends: a plant failure in trial 1
+    # leaves trial 0's trace, byte for byte, and no trace of trial 1.
+    extra = ["--set", "trials=3", "--set", "iterations=20"]
+    assert main(_twobus_args(tmp_path, "ok", extra)) == 0
+    real = harness.solve_power_flow
+    calls = []
+
+    def failing_in_trial_1(*args, **kwargs):
+        calls.append(1)
+        sol = real(*args, **kwargs)
+        return replace(sol, converged=False) if len(calls) == 25 else sol
+
+    monkeypatch.setattr(harness, "solve_power_flow", failing_in_trial_1)
+    assert main(_twobus_args(tmp_path, "dead", extra)) == 1
+    assert capsys.readouterr().err.startswith("error: plant diverged at iteration 4")
+    dead = tmp_path / "dead"
+    assert (dead / "trace_000.csv").read_bytes() == (tmp_path / "ok" / "trace_000.csv").read_bytes()
+    assert not (dead / "trace_001.csv").exists()
+    assert json.loads((dead / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_run_holds_one_trace_at_a_time(tmp_path):
+    # Three 500-iteration trials with the bound audit: each trace is written,
+    # audited and dropped before the next trial runs. Holding every trace
+    # peaked at 2.85 MB in this test, and holding the previous trace through the
+    # next trial at 2.0 MB; one trace peaks near 1.25 MB.
+    scenario = str(SCEN / "ieee33_bound.json")
+    overrides = ["trials=3", "iterations=500"]
+    argv = ["run", scenario, "--out", str(tmp_path / "out")]
+    for item in overrides:
+        argv += ["--set", item]
+    code, peak = _traced_peak(main, argv)
+    assert code == 0
+    trace = harness.run_closed_loop(harness.prepare(cli.load_scenario(scenario, overrides)))
+    trace_bytes = sum(getattr(trace, f.name).nbytes for f in fields(trace) if f.name != "summary")
+    assert peak <= trace_bytes + 0.8e6, f"peak {peak / 1e6:.2f} MB, trace {trace_bytes / 1e6:.2f} MB"
+
+
+def test_output_hash_reads_in_blocks(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(0).bytes(6_000_000))
+    digest, peak = _traced_peak(cli._sha256, path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_relative_network_resolves_against_the_scenario_only(tmp_path, monkeypatch, capsys):

@@ -369,7 +369,7 @@ def test_bound_audit_reads_run_traces_bitwise():
         base_seed=11,
     )
     ctx = prepare(cfg)
-    traces = run_trials(ctx)
+    traces = list(run_trials(ctx))
     for trace in traces:
         assert trace.mu_lower.shape == trace.mu_upper.shape == trace.p.shape
         assert np.linalg.norm(trace.mu_lower[-1]) == trace.mu_lower_norm[-1]
@@ -540,7 +540,7 @@ def test_tightening_zero_confidence_identical(monkeypatch):
     ctx = prepare(_cfg33(iterations=150))
     base = run_closed_loop(ctx)
     tightened = _tightened_traces(monkeypatch)
-    rep = tightened_bound_experiment(ctx, 0.0, base)
+    rep = tightened_bound_experiment(ctx, 0.0, base.summary)
     assert rep.halfwidth == 0.0
     assert rep.v_min_tightened == rep.v_min_original
     assert np.array_equal(base.p, tightened[0].p)
@@ -552,11 +552,11 @@ def test_tightening_reads_given_base_trace(monkeypatch):
     ctx = prepare(cfg)
     base = run_closed_loop(ctx)
     tightened = _tightened_traces(monkeypatch)
-    rep = tightened_bound_experiment(ctx, 2.576, base)
+    rep = tightened_bound_experiment(ctx, 2.576, base.summary)
     assert rep.base_cost == float(base.cost_local[-1] + base.cost_substation[-1])
     assert rep.base_violations == int((base.v_true[-1] < rep.v_min_original).sum())
     fresh = prepare(cfg)
-    own = tightened_bound_experiment(fresh, 2.576, run_closed_loop(fresh))
+    own = tightened_bound_experiment(fresh, 2.576, run_closed_loop(fresh).summary)
     assert np.array_equal(tightened[0].p, tightened[-1].p)
     assert own == rep
 
@@ -569,7 +569,7 @@ def test_tightening_reuses_context_with_moved_saddle(monkeypatch):
     ctx = prepare(cfg)
     base = run_closed_loop(ctx)
     tightened = _tightened_traces(monkeypatch)
-    rep = tightened_bound_experiment(ctx, 2.576, base)
+    rep = tightened_bound_experiment(ctx, 2.576, base.summary)
     monkeypatch.undo()
     tight_cfg = replace(cfg, controller=replace(cfg.controller, v_min=rep.v_min_tightened))
     ref = run_closed_loop(prepare(tight_cfg))
@@ -583,13 +583,13 @@ def test_tightening_reuses_context_with_moved_saddle(monkeypatch):
 def test_tightening_requires_estimating_mode():
     ctx = prepare(_cfg33(feedback_mode="full_exact", iterations=50))
     with pytest.raises(HarnessError, match="estimating feedback"):
-        tightened_bound_experiment(ctx, 2.576, run_closed_loop(ctx))
+        tightened_bound_experiment(ctx, 2.576, run_closed_loop(ctx).summary)
 
 
 def test_tightening_infeasible_bound_rejected():
     ctx = prepare(_cfg33(iterations=50))
     with pytest.raises(HarnessError, match="reaches v_max"):
-        tightened_bound_experiment(ctx, 1e4, run_closed_loop(ctx))
+        tightened_bound_experiment(ctx, 1e4, run_closed_loop(ctx).summary)
 
 
 def test_tightening_noiseless_zero_width():
@@ -601,7 +601,7 @@ def test_tightening_noiseless_zero_width():
         iterations=60,
     )
     ctx = prepare(cfg)
-    rep = tightened_bound_experiment(ctx, 2.576, run_closed_loop(ctx))
+    rep = tightened_bound_experiment(ctx, 2.576, run_closed_loop(ctx).summary)
     assert rep.halfwidth < 1e-5
     assert rep.v_min_tightened == pytest.approx(rep.v_min_original, abs=1e-5)
 

@@ -8,6 +8,9 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
   to 200 iterations and 2 trials);
 - ``gridloop compare`` on ``ieee33_compare.json`` at 300 iterations;
 - a 3-trial ``twobus.json`` run with ``verify_bound`` and ``track_saddle``;
+- a 2-trial ``twobus.json`` run with ``verify_bound`` and
+  ``allow_uncertified``, whose audit builds the deferred certificate after
+  the summary's certificate block is decided, so that summary has none;
 - ``ieee33_regulation.json`` with ``plan.pseudo_fixed`` at 300 iterations,
   so the pseudo-measurement stream that restarts at counter 0 every
   iteration is checked too;
@@ -91,6 +94,13 @@ def runs() -> list[tuple[str, list[str]]]:
             "twobus_audit",
             ["run", str(SCEN / "twobus.json"), "--set", "trials=3",
              "--set", "verify_bound=true", "--set", "track_saddle=true"],
+        )
+    )
+    jobs.append(
+        (
+            "twobus_uncertified_audit",
+            ["run", str(SCEN / "twobus.json"), "--set", "trials=2",
+             "--set", "verify_bound=true", "--set", "allow_uncertified=true"],
         )
     )
     jobs.append(
