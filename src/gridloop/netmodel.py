@@ -9,13 +9,14 @@ graph must be a spanning tree rooted at node 0.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,94 +36,66 @@ class ProjectionError(RuntimeError):
     """Alternating projection failed to reach tolerance (tolerance too tight)."""
 
 
-@dataclass(frozen=True)
-class Node:
-    """A bus. ``p0``/``q0`` are nominal injections (negative for loads);
-    ``shunt`` is the self admittance to ground."""
-
-    id: int
-    p0: float = 0.0
-    q0: float = 0.0
-    shunt: complex = 0j
-
-
-@dataclass(frozen=True)
-class Line:
-    """A branch with series impedance ``z``, oriented away from the substation."""
-
-    from_bus: int
-    to_bus: int
-    z: complex
-
-    @property
-    def y(self) -> complex:
-        return 1.0 / self.z
-
-
-@dataclass(frozen=True)
-class FeasibleSet:
-    """Injection limits for one node: a (p, q) box, optionally intersected with
-    an origin-centered apparent-power disk of radius ``s_max``."""
-
-    p_min: float
-    p_max: float
-    q_min: float
-    q_max: float
-    s_max: float | None = None
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """Immutable radial network. ``nodes`` includes the slack (id 0);
-    ``feasible[i]`` bounds node ``i + 1``. Safe to share across trials."""
+    """Immutable radial network as read-only arrays, safe to share across
+    trials. Entry i of every array belongs to non-slack node i + 1:
+    ``p0``/``q0`` are its nominal injections (negative for loads),
+    ``shunts`` its self admittance to ground, ``parent`` the id of its
+    upstream node (0 = substation), ``branch_z`` the impedance of the line
+    feeding it, and ``box`` = (p_min, p_max, q_min, q_max, s_max) its
+    injection limits: a (p, q) box, intersected with an origin-centered
+    apparent-power disk of radius s_max (inf for none). ``shunt0`` is the
+    substation's shunt."""
 
-    nodes: tuple[Node, ...]
-    lines: tuple[Line, ...]
     v0: float
-    feasible: tuple[FeasibleSet, ...]
+    shunt0: complex
+    p0: np.ndarray
+    q0: np.ndarray
+    shunts: np.ndarray
+    parent: np.ndarray
+    branch_z: np.ndarray
+    box: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    # Derived structure below is cached; ids are contiguous so node i maps to
-    # array index i - 1.
+    def __post_init__(self):
+        for a in (self.p0, self.q0, self.shunts, self.parent, self.branch_z, *self.box):
+            _freeze(a)
 
     @cached_property
     def n(self) -> int:
-        return len(self.nodes) - 1
+        return len(self.p0)
 
-    @cached_property
-    def p0(self) -> np.ndarray:
-        return _freeze(np.array([nd.p0 for nd in self.nodes[1:]], dtype=float))
+    # Record views with Python scalars and s_max None where uncapped, read
+    # only by perfbench/workloads.py (_write_feeder), which writes them to
+    # JSON. network_document is the serializer everything else uses.
 
-    @cached_property
-    def q0(self) -> np.ndarray:
-        return _freeze(np.array([nd.q0 for nd in self.nodes[1:]], dtype=float))
+    @property
+    def nodes(self) -> list[SimpleNamespace]:
+        p0, q0 = [0.0, *self.p0.tolist()], [0.0, *self.q0.tolist()]
+        return [SimpleNamespace(id=i, p0=p, q0=q) for i, (p, q) in enumerate(zip(p0, q0))]
 
-    @cached_property
-    def shunts(self) -> np.ndarray:
-        return _freeze(np.array([nd.shunt for nd in self.nodes[1:]], dtype=complex))
+    @property
+    def feasible(self) -> list[SimpleNamespace]:
+        return [
+            SimpleNamespace(p_min=a, p_max=b, q_min=c, q_max=d, s_max=None if math.isinf(s) else s)
+            for a, b, c, d, s in zip(*(col.tolist() for col in self.box))
+        ]
 
-    @cached_property
-    def parent(self) -> np.ndarray:
-        """parent[i] = id of the upstream node of node i+1 (0 = substation)."""
-        par = np.zeros(self.n, dtype=int)
-        for ln in self.lines:
-            par[ln.to_bus - 1] = ln.from_bus
-        return _freeze(par)
-
-    @cached_property
-    def branch_z(self) -> np.ndarray:
-        """branch_z[i] = impedance of the line feeding node i+1."""
-        z = np.zeros(self.n, dtype=complex)
-        for ln in self.lines:
-            z[ln.to_bus - 1] = ln.z
-        return _freeze(z)
+    @property
+    def lines(self) -> list[SimpleNamespace]:
+        return [
+            SimpleNamespace(from_bus=a, to_bus=i, z=z)
+            for i, (a, z) in enumerate(zip(self.parent.tolist(), self.branch_z.tolist()), 1)
+        ]
 
     @cached_property
     def _dfs_span(self) -> tuple[np.ndarray, np.ndarray]:
         """DFS preorder slot and subtree end slot per non-slack node, so the
-        subtree of node i+1 occupies slots [pos[i], end[i])."""
-        children: dict[int, list[int]] = {i: [] for i in range(self.n + 1)}
-        for ln in self.lines:
-            children[ln.from_bus].append(ln.to_bus)
+        subtree of node i+1 occupies slots [pos[i], end[i]). Children are
+        visited in id order."""
+        children: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for i, a in enumerate(self.parent.tolist(), 1):
+            children[a].append(i)
         pos = np.zeros(self.n, dtype=int)
         end = np.zeros(self.n, dtype=int)
         slot = 0
@@ -181,17 +154,6 @@ class NetworkModel:
             _freeze(flat),
             shunts,
         )
-
-    @cached_property
-    def box(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked (p_min, p_max, q_min, q_max, s_max) arrays; s_max = inf if absent."""
-        fs = self.feasible
-        pmin = np.array([f.p_min for f in fs])
-        pmax = np.array([f.p_max for f in fs])
-        qmin = np.array([f.q_min for f in fs])
-        qmax = np.array([f.q_max for f in fs])
-        smax = np.array([math.inf if f.s_max is None else f.s_max for f in fs])
-        return tuple(_freeze(a) for a in (pmin, pmax, qmin, qmax, smax))  # type: ignore[return-value]
 
     @cached_property
     def disk_capped(self) -> bool:
@@ -277,118 +239,134 @@ def build_network(doc: dict) -> NetworkModel:
     integers, every other value a finite number (:func:`_checked`), and only
     the bounds may be null. ``v0`` defaults to 1.0 and the injections and
     shunts to 0.0; a missing or null bound fixes the node at p0 or q0, and a
-    missing or null smax means no apparent-power cap. Line orientation is
-    normalized to point away from the substation. Raises
-    :class:`NetworkError` naming the offending node, line, key or value.
+    missing or null smax means no apparent-power cap. Neither the order of
+    the nodes and lines nor the direction of a line matters. Raises
+    :class:`NetworkError` naming the offending node, line, key or value:
+    each check runs over all nodes or lines and names the first in id or
+    line order.
     """
     doc = _checked(doc, "the document", _DOCUMENT_KEYS, ("nodes", "lines"))
     v0 = float(doc.get("v0", 1.0))
-    by_id: dict[int, Node] = {}
-    boxes: dict[int, FeasibleSet] = {}
-    for k, row in enumerate(doc["nodes"]):
-        get = _checked(row, f"nodes[{k}]", _NODE_KEYS, ("id",)).get
-        nid = row["id"]
-        if nid in by_id:
-            raise NetworkError(f"duplicate node id {nid}")
-        p0, q0 = float(get("p0", 0.0)), float(get("q0", 0.0))
-        shunt = complex(float(get("shunt_g", 0.0)), float(get("shunt_b", 0.0)))
-        by_id[nid] = Node(id=nid, p0=p0, q0=q0, shunt=shunt)
-        if nid != 0:
-            boxes[nid] = fs = FeasibleSet(
-                p_min=p0 if get("pmin") is None else float(row["pmin"]),
-                p_max=p0 if get("pmax") is None else float(row["pmax"]),
-                q_min=q0 if get("qmin") is None else float(row["qmin"]),
-                q_max=q0 if get("qmax") is None else float(row["qmax"]),
-                s_max=None if get("smax") is None else float(row["smax"]),
-            )
-            _check_feasible_set(fs, nid)
-    if 0 not in by_id:
+    rows = sorted(
+        (_checked(row, f"nodes[{k}]", _NODE_KEYS, ("id",)) for k, row in enumerate(doc["nodes"])),
+        key=lambda row: row["id"],
+    )
+    ids = [row["id"] for row in rows]
+    dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+    if dup is not None:
+        raise NetworkError(f"duplicate node id {dup}")
+    if 0 not in ids:
         raise NetworkError("node 0 (substation) is missing")
-    n = len(by_id) - 1
+    n = len(ids) - 1
     if n < 1:
         raise NetworkError("network needs at least one non-slack node")
-    if sorted(by_id) != list(range(n + 1)):
-        raise NetworkError(f"node ids must be contiguous 0..{n}, got {sorted(by_id)}")
+    if ids != list(range(n + 1)):
+        raise NetworkError(f"node ids must be contiguous 0..{n}, got {ids}")
     if not v0 > 0.0:
         raise NetworkError(f"slack voltage v0 must be positive, got {v0}")
 
-    # Validate lines and build adjacency for orientation.
-    lines: list[Line] = []
-    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n + 1)}
-    for k, row in enumerate(doc["lines"]):
-        _checked(row, f"lines[{k}]", _LINE_KEYS, _LINE_KEYS)
-        a, b, r, x = row["from"], row["to"], row["r"], row["x"]
+    def column(key: str, default) -> np.ndarray:
+        """The non-slack nodes' ``key``, ``default`` where missing or null."""
+        col = [math.nan if row.get(key) is None else row[key] for row in rows[1:]]
+        col = np.array(col, dtype=float)
+        return np.where(np.isnan(col), default, col)
+
+    shunts = np.array([complex(row.get("shunt_g", 0.0), row.get("shunt_b", 0.0)) for row in rows])
+    p0, q0 = column("p0", 0.0), column("q0", 0.0)
+    pmin, pmax = column("pmin", p0), column("pmax", p0)
+    qmin, qmax = column("qmin", q0), column("qmax", q0)
+    smax = column("smax", math.inf)
+    empty = "empty feasible set at node"
+    _reject(pmin > pmax, lambda k: f"{empty} {k + 1}: p_min {pmin[k]} > p_max {pmax[k]}")
+    _reject(qmin > qmax, lambda k: f"{empty} {k + 1}: q_min {qmin[k]} > q_max {qmax[k]}")
+    _reject(smax <= 0.0, lambda k: f"node {k + 1}: s_max must be positive, got {smax[k]}")
+    # The box point nearest the origin must lie inside the disk.
+    near = np.hypot(pmin.clip(0.0, pmax), qmin.clip(0.0, qmax))
+    _reject(near > smax, lambda k: f"{empty} {k + 1}: box and s_max={smax[k]} disk are disjoint")
+
+    lines = [
+        _checked(row, f"lines[{k}]", _LINE_KEYS, _LINE_KEYS) for k, row in enumerate(doc["lines"])
+    ]
+    frm, to = [row["from"] for row in lines], [row["to"] for row in lines]
+    for k, (a, b) in enumerate(zip(frm, to)):
         for endpoint in (a, b):
-            if endpoint not in by_id:
+            if not 0 <= endpoint <= n:
                 raise NetworkError(
                     f"dangling line endpoint: line {k} ({a} -> {b}) references unknown node {endpoint}"
                 )
-        if a == b:
-            raise NetworkError(f"non-radial topology: line {k} is a self-loop at node {a}")
-        if r < 0.0:
-            raise NetworkError(f"line {k} ({a} -> {b}): negative resistance {r}")
-        if math.hypot(r, x) == 0.0:
-            raise NetworkError(f"line {k} ({a} -> {b}): zero impedance")
-        lines.append(Line(from_bus=a, to_bus=b, z=complex(float(r), float(x))))
-        adjacency[a].append((b, k))
-        adjacency[b].append((a, k))
-
+    z = np.array([complex(row["r"], row["x"]) for row in lines], dtype=complex)
+    radial = "non-radial topology:"
+    _reject(np.equal(frm, to), lambda k: f"{radial} line {k} is a self-loop at node {frm[k]}")
+    _reject(
+        z.real < 0.0,
+        lambda k: f"line {k} ({frm[k]} -> {to[k]}): negative resistance {lines[k]['r']}",
+    )
+    _reject(z == 0.0, lambda k: f"line {k} ({frm[k]} -> {to[k]}): zero impedance")
     if len(lines) != n:
         raise NetworkError(
-            f"non-radial topology: {len(lines)} lines for {n} non-slack nodes "
-            f"(a spanning tree needs exactly {n})"
+            f"{radial} {len(lines)} lines for {n} non-slack nodes (a spanning tree needs exactly {n})"
         )
 
-    # BFS from the substation, orienting each line away from it.
-    oriented: dict[int, Line] = {}
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, k in adjacency[u]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                ln = lines[k]
-                oriented[k] = ln if ln.from_bus == u else Line(from_bus=u, to_bus=v, z=ln.z)
-                nxt.append(v)
-        frontier = nxt
-    if len(seen) != n + 1:
-        missing = sorted(set(range(n + 1)) - seen)
-        raise NetworkError(f"non-radial topology: node(s) {missing} unreachable from the substation")
-    if len(oriented) != len(lines):
-        k = min(set(range(len(lines))) - set(oriented))
-        a, b = lines[k].from_bus, lines[k].to_bus
-        raise NetworkError(f"non-radial topology: line {k} ({a} -> {b}) closes a cycle")
+    # Search from the substation for each node's parent and feeding line.
+    # With n lines, reaching all n + 1 nodes uses every line once: a tree.
+    incident: list[list[int]] = [[] for _ in range(n + 1)]
+    for k, (a, b) in enumerate(zip(frm, to)):
+        incident[a].append(k)
+        incident[b].append(k)
+    parent, feeder = [-1] * (n + 1), [0] * (n + 1)
+    parent[0], stack = 0, [0]
+    while stack:
+        u = stack.pop()
+        for k in incident[u]:
+            v = frm[k] + to[k] - u
+            if parent[v] < 0:
+                parent[v], feeder[v] = u, k
+                stack.append(v)
+    missing = [i for i, a in enumerate(parent) if a < 0]
+    if missing:
+        raise NetworkError(f"{radial} node(s) {missing} unreachable from the substation")
 
     return NetworkModel(
-        nodes=tuple(by_id[i] for i in range(n + 1)),
-        lines=tuple(oriented[k] for k in sorted(oriented)),
         v0=v0,
-        feasible=tuple(boxes[i] for i in range(1, n + 1)),
+        shunt0=complex(shunts[0]),
+        p0=p0,
+        q0=q0,
+        shunts=shunts[1:],
+        parent=np.array(parent[1:]),
+        branch_z=z[feeder[1:]],
+        box=(pmin, pmax, qmin, qmax, smax),
     )
 
 
-def _check_feasible_set(fs: FeasibleSet, node_id: int) -> None:
-    if fs.p_min > fs.p_max:
-        raise NetworkError(
-            f"empty feasible set at node {node_id}: p_min {fs.p_min} > p_max {fs.p_max}"
+def _reject(bad: np.ndarray, message) -> None:
+    """Raise :class:`NetworkError` with ``message(k)`` for the first index
+    ``k`` where ``bad`` holds."""
+    hit = np.flatnonzero(bad)
+    if hit.size:
+        raise NetworkError(message(int(hit[0])))
+
+
+def network_document(net: NetworkModel) -> dict:
+    """The network document of ``net``, the inverse of :func:`build_network`:
+    the node rows in id order (the slack's injection as 0.0, shunt keys only
+    where nonzero, smax null where uncapped) and one line per non-slack
+    node, from its parent, in id order."""
+
+    def shunt(y: complex) -> dict:
+        return {"shunt_g": y.real, "shunt_b": y.imag} if y else {}
+
+    nodes = [{"id": 0, "p0": 0.0, "q0": 0.0, **shunt(net.shunt0)}]
+    columns = zip(net.p0.tolist(), net.q0.tolist(), net.shunts.tolist(), *(b.tolist() for b in net.box))
+    for i, (p, q, y, pmin, pmax, qmin, qmax, smax) in enumerate(columns, 1):
+        nodes.append(
+            {"id": i, "p0": p, "q0": q, **shunt(y), "pmin": pmin, "pmax": pmax, "qmin": qmin,
+             "qmax": qmax, "smax": None if math.isinf(smax) else smax}
         )
-    if fs.q_min > fs.q_max:
-        raise NetworkError(
-            f"empty feasible set at node {node_id}: q_min {fs.q_min} > q_max {fs.q_max}"
-        )
-    if fs.s_max is not None:
-        if not fs.s_max > 0.0:
-            raise NetworkError(f"node {node_id}: s_max must be positive, got {fs.s_max}")
-        # Nearest box point to the origin must lie inside the disk.
-        p_near = min(max(0.0, fs.p_min), fs.p_max)
-        q_near = min(max(0.0, fs.q_min), fs.q_max)
-        if math.hypot(p_near, q_near) > fs.s_max:
-            raise NetworkError(
-                f"empty feasible set at node {node_id}: box and s_max={fs.s_max} disk are disjoint"
-            )
+    lines = [
+        {"from": a, "to": i, "r": z.real, "x": z.imag}
+        for i, (a, z) in enumerate(zip(net.parent.tolist(), net.branch_z.tolist()), 1)
+    ]
+    return {"v0": net.v0, "nodes": nodes, "lines": lines}
 
 
 def scale_injections(net: NetworkModel, factor: float) -> NetworkModel:
@@ -401,21 +379,9 @@ def scale_injections(net: NetworkModel, factor: float) -> NetworkModel:
         raise ValueError("load scale must be positive")
     if factor == 1.0:
         return net
-    nodes = tuple(
-        Node(id=nd.id, p0=factor * nd.p0, q0=factor * nd.q0, shunt=nd.shunt)
-        for nd in net.nodes
+    return dataclasses.replace(
+        net, p0=factor * net.p0, q0=factor * net.q0, box=tuple(factor * b for b in net.box)
     )
-    feasible = tuple(
-        FeasibleSet(
-            p_min=factor * fs.p_min,
-            p_max=factor * fs.p_max,
-            q_min=factor * fs.q_min,
-            q_max=factor * fs.q_max,
-            s_max=None if fs.s_max is None else factor * fs.s_max,
-        )
-        for fs in net.feasible
-    )
-    return NetworkModel(nodes=nodes, lines=net.lines, v0=net.v0, feasible=feasible)
 
 
 def path_sum(net: NetworkModel, weights: np.ndarray) -> np.ndarray | PathSum:
@@ -565,35 +531,27 @@ def build_admittance(net: NetworkModel) -> tuple[sp.csr_matrix, np.ndarray, comp
     Y is the N x N block over non-slack nodes with Y_ii = sum of incident line
     admittances plus the node's shunt and Y_ij = -y_ij for lines; y_bar is the
     slack coupling column and y00 the slack self-admittance, so that
-    [I0; i] = [[y00, y_bar^T]; [y_bar, Y]] [V0; v].
+    [I0; i] = [[y00, y_bar^T]; [y_bar, Y]] [V0; v]. Each Y_ii adds the
+    node's own line, then its children's in id order.
     """
     n = net.n
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
+    # CPython's complex division, one line at a time: numpy's 1.0 / z
+    # differs from it in the last bit.
+    y = np.array([1.0 / z for z in net.branch_z.tolist()], dtype=complex)
+    node = np.arange(n)
+    up = net.parent - 1
+    inner = up >= 0
+    diag = net.shunts + y
+    np.add.at(diag, up[inner], y[inner])
     y_bar = np.zeros(n, dtype=complex)
-    y00 = complex(net.nodes[0].shunt)
-    diag = np.array([complex(nd.shunt) for nd in net.nodes[1:]])
-    for ln in net.lines:
-        y = ln.y
-        a, b = ln.from_bus, ln.to_bus
-        if a == 0:
-            y00 += y
-            y_bar[b - 1] += -y
-            diag[b - 1] += y
-        else:
-            diag[a - 1] += y
-            diag[b - 1] += y
-            rows += [a - 1, b - 1]
-            cols += [b - 1, a - 1]
-            vals += [-y, -y]
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(diag)
-    Y = sp.csr_matrix(
-        (np.array(vals, dtype=complex), (np.array(rows), np.array(cols))), shape=(n, n)
-    )
-    return Y, y_bar, y00
+    y_bar[~inner] -= y[~inner]
+    y00 = net.shunt0
+    for y_k in y[~inner].tolist():  # summed in order, like the rows above
+        y00 += y_k
+    rows = np.concatenate((up[inner], node[inner], node))
+    cols = np.concatenate((node[inner], up[inner], node))
+    vals = np.concatenate((-y[inner], -y[inner], diag))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), y_bar, y00
 
 
 # ---------------------------------------------------------------------------

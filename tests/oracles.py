@@ -37,15 +37,13 @@ def full_ybus(net) -> np.ndarray:
     """(N+1) x (N+1) dense bus admittance matrix, substation row/col included."""
     nb = net.n + 1
     Y = np.zeros((nb, nb), dtype=complex)
-    for ln in net.lines:
-        y = 1.0 / ln.z
-        a, b = ln.from_bus, ln.to_bus
+    for b, (a, z) in enumerate(zip(net.parent, net.branch_z), start=1):
+        y = 1.0 / z
         Y[a, a] += y
         Y[b, b] += y
         Y[a, b] -= y
         Y[b, a] -= y
-    for nd in net.nodes:
-        Y[nd.id, nd.id] += nd.shunt
+    Y[np.diag_indices(nb)] += np.concatenate(([net.shunt0], net.shunts))
     return Y
 
 

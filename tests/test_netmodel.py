@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -10,32 +11,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridloop.feeders import synthetic_feeder
+from gridloop.feeders import resolve_network, synthetic_feeder
 from gridloop.netmodel import (
-    FeasibleSet,
     NetworkError,
     PathSum,
     build_admittance,
     build_network,
     load_network,
+    network_document,
     path_gram,
     path_sum_matrix,
     project_box_disk,
 )
+
+from oracles import full_ybus
 
 
 def test_load_minimal_two_bus(twobus_json):
     net = load_network(twobus_json)
     assert net.n == 1
     assert net.v0 == 1.0
-    assert net.lines[0].z == complex(0.01, 0.02)
-    assert net.nodes[1].p0 == -0.1 and net.nodes[1].q0 == -0.05
+    assert net.branch_z.tolist() == [complex(0.01, 0.02)]
+    assert net.p0.tolist() == [-0.1] and net.q0.tolist() == [-0.05]
 
 
 def test_load_ieee33_counts_and_depth(net33):
     # Published 33-bus feeder: 32 PQ nodes, 32 branches, main feeder 17 deep.
     assert net33.n == 32
-    assert len(net33.lines) == 32
+    assert len(net33.branch_z) == 32
 
     def depth(node):  # lines between the substation and the node
         return 0 if node == 0 else 1 + depth(net33.parent[node - 1])
@@ -128,7 +131,26 @@ def test_line_orientation_normalized(tmp_path):
         )
     )
     net = load_network(path)
-    assert [(ln.from_bus, ln.to_bus) for ln in net.lines] == [(0, 1), (1, 2)]
+    assert net.parent.tolist() == [0, 1]
+
+
+def _assert_same_model(a, b):
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def test_model_does_not_depend_on_line_order(net33):
+    doc = json.loads(resolve_network("ieee33").read_text())
+    order = np.random.default_rng(0).permutation(len(doc["lines"]))
+    shuffled = [
+        {**doc["lines"][k], "from": doc["lines"][k]["to"], "to": doc["lines"][k]["from"]}
+        for k in order
+    ]
+    for lines in (doc["lines"][::-1], shuffled):
+        net = build_network({**doc, "lines": lines})
+        _assert_same_model(net, net33)
+        for a, b in zip(net._tree, net33._tree):
+            assert np.array_equal(a, b)
 
 
 TWOBUS = {
@@ -141,10 +163,10 @@ TWOBUS = {
 }
 
 
-def _edited(section: str | None, index: int, key: str, value):
-    """TWOBUS with ``key`` set to ``value`` in ``section[index]`` (the
-    document itself when ``section`` is None)."""
-    doc = copy.deepcopy(TWOBUS)
+def _edited(section: str | None, index: int, key: str, value, base: dict = TWOBUS):
+    """``base`` (TWOBUS by default) with ``key`` set to ``value`` in
+    ``section[index]`` (the document itself when ``section`` is None)."""
+    doc = copy.deepcopy(base)
     (doc if section is None else doc[section][index])[key] = value
     return doc
 
@@ -184,6 +206,60 @@ BAD_DOCUMENTS = {
         "nodes[1]: 'q0' must be a finite number, got \"-0.05\"",
     ),
     "misspelt bound": (_edited("nodes", 1, "pmni", -0.1), "nodes[1]: unknown key 'pmni'"),
+    "duplicate id": ({**TWOBUS, "nodes": [*TWOBUS["nodes"], {"id": 1}]}, "duplicate node id 1"),
+    "missing node 0": (_edited("nodes", 0, "id", 2), "node 0 (substation) is missing"),
+    "substation only": (
+        {"nodes": [{"id": 0}], "lines": []}, "network needs at least one non-slack node"
+    ),
+    "non-contiguous ids": (
+        _edited("nodes", 1, "id", 2), "node ids must be contiguous 0..1, got [0, 2]"
+    ),
+    "v0 not positive": (_edited(None, 0, "v0", 0), "slack voltage v0 must be positive, got 0.0"),
+    "self-loop": (
+        _edited("lines", 0, "from", 1), "non-radial topology: line 0 is a self-loop at node 1"
+    ),
+    "negative resistance": (
+        _edited("lines", 0, "r", -0.01), "line 0 (0 -> 1): negative resistance -0.01"
+    ),
+    "qmin above qmax": (
+        _edited("nodes", 1, "qmin", 0.1), "empty feasible set at node 1: q_min 0.1 > q_max 0.0"
+    ),
+    "zero smax": (_edited("nodes", 1, "smax", 0), "node 1: s_max must be positive, got 0.0"),
+    "box and disk disjoint": (
+        _edited("nodes", 1, "smax", 0.05, _edited("nodes", 1, "pmax", -0.08)),
+        "empty feasible set at node 1: box and s_max=0.05 disk are disjoint",
+    ),
+    "unreachable node": (
+        {
+            "nodes": [{"id": i} for i in range(5)],
+            "lines": [{"from": a, "to": b, "r": 0.01, "x": 0.01}
+                      for a, b in ((0, 1), (2, 3), (3, 4), (4, 2))],
+        },
+        "non-radial topology: node(s) [2, 3, 4] unreachable from the substation",
+    ),
+    # A document with several faults of one kind names the first node in id
+    # order, wherever its row stands.
+    "duplicates in id order": (
+        {**TWOBUS, "nodes": [*TWOBUS["nodes"], {"id": 1}, {"id": 0}]}, "duplicate node id 0"
+    ),
+    "empty boxes in id order": (
+        {
+            "nodes": [{"id": 0}, {"id": 2, "pmin": 0.3, "pmax": 0.1},
+                      {"id": 1, "pmin": 0.2, "pmax": 0.1}],
+            "lines": [{"from": 0, "to": 1, "r": 0.01, "x": 0.01},
+                      {"from": 1, "to": 2, "r": 0.01, "x": 0.01}],
+        },
+        "empty feasible set at node 1: p_min 0.2 > p_max 0.1",
+    ),
+    # Two lines from 0 to 1 leave node 2 unattached: with as many lines as
+    # non-slack nodes, the unreachable node is what the search reports.
+    "parallel lines": (
+        {
+            "nodes": [{"id": i} for i in range(3)],
+            "lines": [{"from": 0, "to": 1, "r": 0.01, "x": 0.01}] * 2,
+        },
+        "non-radial topology: node(s) [2] unreachable from the substation",
+    ),
     "directory": (None, "cannot parse network file"),
 }
 
@@ -201,10 +277,10 @@ def test_bad_network_document_rejected_where_it_enters(tmp_path, case):
     assert message in str(info.value)
 
 
-def _document(net) -> dict:
-    """The network file that perfbench and tools/output_hashes.py write for
-    a synthetic feeder: box bounds and smax on every non-slack node, no
-    shunts."""
+def _written_by_perfbench(net) -> dict:
+    """The network file perfbench writes for its synthetic feeder, built the
+    way perfbench/workloads.py builds it: through the model's record views
+    (``nodes``, ``feasible``, ``lines``)."""
     nodes = [{"id": 0, "p0": 0.0, "q0": 0.0}]
     for nd, fs in zip(net.nodes[1:], net.feasible):
         nodes.append(
@@ -220,9 +296,9 @@ def _document(net) -> dict:
 @pytest.mark.parametrize("feeder", ["ieee33", "synthetic-400"])
 def test_benchmark_network_files_rebuild_the_model(net33, feeder):
     net = net33 if feeder == "ieee33" else synthetic_feeder(400, seed=12)
-    rebuilt = build_network(json.loads(json.dumps(_document(net))))
-    for field in ("nodes", "lines", "feasible", "v0"):
-        assert getattr(rebuilt, field) == getattr(net, field)
+    text = json.dumps(network_document(net))
+    _assert_same_model(build_network(json.loads(text)), net)
+    assert text == json.dumps(_written_by_perfbench(net))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +448,17 @@ def test_path_gram_matches_dense_matrices(net33, feeder):
         path_gram(((terms[0][0], d_r), (PathSum(_tree([0] * n), z.real), d_x)), x)
 
 
+@pytest.mark.parametrize("feeder", FEEDERS)
+def test_admittance_matches_full_bus_matrix(net33, feeder):
+    net = FEEDERS[feeder](net33)
+    full = full_ybus(net)
+    Y, y_bar, y00 = build_admittance(net)
+    scale = np.abs(full).max()
+    assert np.abs(Y.toarray() - full[1:, 1:]).max() <= 1e-12 * scale
+    assert np.abs(y_bar - full[1:, 0]).max() <= 1e-12 * scale
+    assert abs(y00 - full[0, 0]) <= 1e-12 * scale
+
+
 def test_path_sum_kernel_rejects_wrong_length(net33):
     with pytest.raises(ValueError, match="expected 32"):
         PathSum(net33, net33.branch_z.real) @ np.ones(31)
@@ -381,14 +468,14 @@ def test_path_sum_kernel_rejects_wrong_length(net33):
 # Projection
 
 
-BOX = FeasibleSet(p_min=0.0, p_max=1.0, q_min=0.0, q_max=1.0)
+BOX = (0.0, 1.0, 0.0, 1.0, math.inf)
 
 
-def project_feasible(p, q, fs):
-    """Projection of one point (p, q) onto one node's set, through the
-    vectorized projection on 1-element arrays."""
-    smax = math.inf if fs.s_max is None else fs.s_max
-    bounds = [np.array([b]) for b in (fs.p_min, fs.p_max, fs.q_min, fs.q_max, smax)]
+def project_feasible(p, q, box):
+    """Projection of one point (p, q) onto one node's set ``box`` = (p_min,
+    p_max, q_min, q_max, s_max), through the vectorized projection on
+    1-element arrays."""
+    bounds = [np.array([b]) for b in box]
     pp, qq = project_box_disk(np.array([p], dtype=float), np.array([q], dtype=float), *bounds)
     return float(pp[0]), float(qq[0])
 
@@ -402,15 +489,15 @@ def test_projection_clamps_to_box():
 
 
 def test_projection_radial_scaling_onto_disk():
-    fs = FeasibleSet(p_min=0.0, p_max=2.0, q_min=0.0, q_max=2.0, s_max=1.0)
-    p, q = project_feasible(1.0, 1.0, fs)
+    box = (0.0, 2.0, 0.0, 2.0, 1.0)
+    p, q = project_feasible(1.0, 1.0, box)
     assert p == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
     assert q == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
 
 def test_projection_box_and_disk_both_active():
-    fs = FeasibleSet(p_min=0.0, p_max=0.3, q_min=-2.0, q_max=2.0, s_max=1.0)
-    p, q = project_feasible(2.0, 2.0, fs)
+    box = (0.0, 0.3, -2.0, 2.0, 1.0)
+    p, q = project_feasible(2.0, 2.0, box)
     assert p == pytest.approx(0.3, abs=1e-11)
     assert math.hypot(p, q) <= 1.0 + 1e-11
     # True projection: p clamped, q on the disk arc.
@@ -423,27 +510,27 @@ def test_projection_box_and_disk_both_active():
 )
 @settings(max_examples=200, deadline=None)
 def test_projection_nonexpansive_box_disk(p1, q1, p2, q2):
-    fs = FeasibleSet(p_min=-1.0, p_max=0.6, q_min=-0.8, q_max=1.0, s_max=1.2)
-    a = np.array(project_feasible(p1, q1, fs))
-    b = np.array(project_feasible(p2, q2, fs))
+    box = (-1.0, 0.6, -0.8, 1.0, 1.2)
+    a = np.array(project_feasible(p1, q1, box))
+    b = np.array(project_feasible(p2, q2, box))
     assert np.linalg.norm(a - b) <= math.hypot(p1 - p2, q1 - q2) + 1e-9
 
 
 def test_projection_nonexpansive_bulk():
     rng = np.random.default_rng(7)
-    fs = FeasibleSet(p_min=-1.0, p_max=0.6, q_min=-0.8, q_max=1.0, s_max=1.2)
+    box = (-1.0, 0.6, -0.8, 1.0, 1.2)
     pts = rng.uniform(-3, 3, size=(10_000, 4))
     for p1, q1, p2, q2 in pts:
-        a = np.array(project_feasible(p1, q1, fs))
-        b = np.array(project_feasible(p2, q2, fs))
+        a = np.array(project_feasible(p1, q1, box))
+        b = np.array(project_feasible(p2, q2, box))
         assert np.linalg.norm(a - b) <= math.hypot(p1 - p2, q1 - q2) + 1e-9
 
 
 def test_projection_idempotent_exactly():
     rng = np.random.default_rng(3)
-    fs = FeasibleSet(p_min=-1.0, p_max=0.6, q_min=-0.8, q_max=1.0, s_max=1.2)
+    box = (-1.0, 0.6, -0.8, 1.0, 1.2)
     for p, q in rng.uniform(-3, 3, size=(300, 2)):
-        once = project_feasible(p, q, fs)
-        twice = project_feasible(*once, fs)
+        once = project_feasible(p, q, box)
+        twice = project_feasible(*once, box)
         assert twice == once
 

@@ -137,21 +137,11 @@ def write_feeder_scenario(directory: Path) -> str:
     the estimate steers the duals.
     """
     from gridloop.feeders import synthetic_feeder
+    from gridloop.netmodel import network_document
     from gridloop.plant import solve_power_flow
 
     net = synthetic_feeder(FEEDER_NODES, seed=FEEDER_SEED)
-    nodes = [{"id": 0, "p0": 0.0, "q0": 0.0}]
-    for nd, fs in zip(net.nodes[1:], net.feasible):
-        nodes.append(
-            {"id": nd.id, "p0": nd.p0, "q0": nd.q0, "pmin": fs.p_min, "pmax": fs.p_max,
-             "qmin": fs.q_min, "qmax": fs.q_max, "smax": fs.s_max}
-        )
-    lines = [
-        {"from": ln.from_bus, "to": ln.to_bus, "r": ln.z.real, "x": ln.z.imag} for ln in net.lines
-    ]
-    (directory / "feeder.json").write_text(
-        json.dumps({"v0": net.v0, "nodes": nodes, "lines": lines})
-    )
+    (directory / "feeder.json").write_text(json.dumps(network_document(net)))
     v_min = round(float(solve_power_flow(net, net.p0, net.q0).v_mag.min()) + 0.002, 4)
     scenario = {
         "network": "feeder.json",
