@@ -267,8 +267,9 @@ def build_network(doc: dict) -> NetworkModel:
 
     def column(key: str, default) -> np.ndarray:
         """The non-slack nodes' ``key``, ``default`` where missing or null."""
-        col = [math.nan if row.get(key) is None else row[key] for row in rows[1:]]
-        col = np.array(col, dtype=float)
+        col = np.array(
+            [math.nan if row.get(key) is None else row[key] for row in rows[1:]], dtype=float
+        )
         return np.where(np.isnan(col), default, col)
 
     shunts = np.array([complex(row.get("shunt_g", 0.0), row.get("shunt_b", 0.0)) for row in rows])
@@ -548,9 +549,10 @@ def build_admittance(net: NetworkModel) -> tuple[sp.csr_matrix, np.ndarray, comp
     y00 = net.shunt0
     for y_k in y[~inner].tolist():  # summed in order, like the rows above
         y00 += y_k
+    off = -y[inner]
     rows = np.concatenate((up[inner], node[inner], node))
     cols = np.concatenate((node[inner], up[inner], node))
-    vals = np.concatenate((-y[inner], -y[inner], diag))
+    vals = np.concatenate((off, off, diag))
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), y_bar, y00
 
 
