@@ -16,6 +16,8 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from collections import deque
@@ -23,6 +25,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .feeders import BUILTIN_NETWORKS
@@ -103,6 +106,23 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _environment() -> dict:
+    """What a run's floating-point results depend on besides its inputs:
+    the library versions, the machine, and the BLAS build and threads (a
+    BLAS dot product can differ in the last bit between thread counts)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "blas": blas.get("name"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
@@ -118,6 +138,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config": cfg.to_dict(),
         "seeds": [cfg.base_seed + t for t in range(cfg.trials)],
         "output_dir": str(out),
+        "environment": _environment(),
         "status": "running",
     }
     manifest_path = out / "manifest.json"

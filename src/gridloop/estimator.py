@@ -12,8 +12,11 @@ explicit gain).
 The sensor rows U = [A_S B_S] are never stored: they are applied as
 operators through A and B, which ``netmodel`` hands over dense (up to
 ``DENSE_LIMIT``, and for the Jacobian model) or as ``PathSum`` tree kernels.
-So the set-up, a solve and the voltage variance are one code path for every
-linear model, and on the tree none of them keeps or builds an ns x 2N array.
+So a solve and the voltage variance are one code path for every linear
+model, and on the tree none of them keeps or builds an ns x 2N array. The
+set-up takes K's sensor block in closed form on the tree
+(``netmodel.sensor_gram``: O(N) tree passes and an O(ns^2) assembly) and
+from ``path_gram`` columns on dense models.
 """
 
 from __future__ import annotations
@@ -23,18 +26,19 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrs
 
 from .linearizer import LinearFlowModel, eval_linear
-from .netmodel import NetworkModel, diag_quad, path_gram
+from .netmodel import NetworkModel, PathSum, diag_quad, path_gram, sensor_gram
 from .plant import solve_power_flow
 from .sensing import MeasurementPlan, plan_reference_sigmas
 
 
-# Sensor columns per block of the Gram products (the lemma matrix K and the
-# variance cross term). A block's temporaries are a few (N, 8) arrays,
+# Sensor columns per block of the path_gram products: the variance cross
+# term, and K on dense models. A block's temporaries are a few (N, 8) arrays,
 # 0.26 MB each at 4000 nodes and 3.2 MB at 50000, whatever the sensor count;
-# unblocked (N, ns) products grow as N^2. Set-up plus variance on the tree
-# kernel, medians on a 2-CPU x86 host: 4000 nodes 175/137/119/185/303 ms and
-# 20000 nodes 5.3/4.8/6.8/7.8/9.7 s for 4/8/16/32/64 columns. Wider blocks
-# fall out of the cache, narrower ones pay per-call overhead.
+# unblocked (N, ns) products grow as N^2. The variance on the tree kernel,
+# medians on a 2-CPU x86 host with one BLAS thread: 4000 nodes
+# 60/47/45/54/81 ms and 20000 nodes 1.35/1.20/1.78/2.34/2.22 s for
+# 4/8/16/32/64 columns. Wider blocks fall out of the cache, narrower ones
+# pay per-call overhead.
 GRAM_BLOCK = 8
 
 
@@ -49,7 +53,9 @@ class WlsEstimator:
     sensor indices, diagonal pseudo weights, and the Cholesky factor of the
     small lemma matrix K = W_s^-1 + U D^-1 U^T. A solve is two products with
     A and B and an ns x ns triangular pair: O(ns * N) on dense models, O(N)
-    on ``PathSum`` ones, whose set-up is O(N * ns).
+    on ``PathSum`` ones. On ``PathSum`` models K costs O(N + ns^2)
+    (:func:`netmodel.sensor_gram`) and its factorization O(ns^3); on dense
+    ones K is ``GRAM_BLOCK`` columns of ``path_gram`` at a time.
     """
 
     def __init__(self, plan: MeasurementPlan, model: LinearFlowModel):
@@ -62,9 +68,13 @@ class WlsEstimator:
         self.idx = plan.sensor_index
         self.r0_offset = model.r0[self.idx]
         if self.ns:
+            d = 1.0 / self.w_pseudo
             K = np.diag(1.0 / self.w_sensor)
-            for blk, g in self._gram_blocks(1.0 / self.w_pseudo, np.eye(self.ns), rows=self.idx):
-                K[:, blk] += g
+            if isinstance(model.A, PathSum):
+                K += sensor_gram(((model.A, d[: self.n]), (model.B, d[self.n :])), self.idx)
+            else:
+                for blk, g in self._gram_blocks(d, np.eye(self.ns), rows=self.idx):
+                    K[:, blk] += g
             try:
                 self._K_cho = sla.cho_factor(K, lower=True)
             except np.linalg.LinAlgError as exc:
@@ -102,7 +112,20 @@ class WlsEstimator:
         ``netmodel.diag_quad`` (O(N) on the tree). The second is the squared
         norm of row i of ``G D^-1 G^T E L^-T`` (E scatters onto the sensor
         nodes), taken ``GRAM_BLOCK`` columns at a time, so no N x N or
-        (N, ns) array is formed.
+        (N, ns) array is formed: O(N * ns) on the tree.
+
+        That cross term has a compressed form too, not taken here. Row i of
+        ``G D^-1 G^T E`` depends on i only through the path sums at i and
+        the chain of the sensors' virtual tree that i hangs from (its
+        entries are those of :func:`netmodel.sensor_gram` with
+        lca(s_a, i) = lca(s_a, p), p the deepest ancestor of i on a sensor's
+        path): an affine combination of six vectors per chain. So the term
+        is a 6 x 6 quadratic form per chain, but the forms need ``K^-1`` on
+        6 columns for each of up to 2 ns chains, O(ns^3), and their terms
+        cancel. On a 2-CPU x86 host with one BLAS thread, ``cho_solve`` on
+        12 ns columns alone took 3.6 s at 1800 sensors (50000 nodes),
+        against 8.0 s for the blocked term, and 0.37 s at 720 sensors
+        against 1.2 s.
         """
         n = self.n
         d = 1.0 / self.w_pseudo

@@ -113,18 +113,21 @@ class NetworkModel:
         return _freeze(pos), _freeze(end)
 
     @cached_property
-    def _tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _tree(self) -> tuple[np.ndarray, ...]:
         """Gather indices of the path-sum kernel (see :class:`PathSum`):
         the node in each DFS slot, each slot's subtree end, each node's slot,
-        the slots sorted by subtree end, and per slot the number of subtrees
-        that end at or before it."""
+        the slots sorted by subtree end, per slot the number of subtrees
+        that end at or before it, and the slot of each slot's parent (N for
+        the substation)."""
         pos, end = self._dfs_span
         order = np.empty(self.n, dtype=int)
         order[pos] = np.arange(self.n)
         end_slot = end[order]
         by_end = np.argsort(end_slot, kind="stable")
         closed = np.searchsorted(end_slot[by_end], np.arange(self.n), side="right")
-        return tuple(_freeze(a) for a in (order, end_slot, pos, by_end, closed))  # type: ignore[return-value]
+        # Parent id 0 picks the appended N: ids are 1-based, index -1 is last.
+        up = np.append(pos, self.n)[self.parent[order] - 1]
+        return tuple(_freeze(a) for a in (order, end_slot, pos, by_end, closed, up))
 
     @cached_property
     def _sweep(self) -> tuple:
@@ -390,7 +393,8 @@ def path_sum(net: NetworkModel, weights: np.ndarray) -> np.ndarray | PathSum:
     this network: the dense :func:`path_sum_matrix` up to ``DENSE_LIMIT``
     non-slack nodes, the O(N) :class:`PathSum` above. Callers use only ``@``,
     ``.T @``, division by a scalar, :func:`diag_quad` and :func:`path_gram`,
-    which accept both forms."""
+    which accept both forms, and :func:`sensor_gram`, which takes the
+    ``PathSum`` form."""
     if net.n <= DENSE_LIMIT:
         return _freeze(path_sum_matrix(net, weights))
     return PathSum(net, weights)
@@ -411,7 +415,7 @@ class PathSum:
     """
 
     def __init__(self, net: NetworkModel, weights: np.ndarray):
-        self._order, self._end, self._pos, self._by_end, self._closed = net._tree
+        self._order, self._end, self._pos, self._by_end, self._closed, self._up = net._tree
         self._w = np.asarray(weights)[self._order]
         self.shape = (net.n, net.n)
 
@@ -491,6 +495,77 @@ def path_gram(
         inner = op._path(w * sub) * np.asarray(d)[order][col]
         acc = acc + w * op._subtree(inner)
     return first._path(acc)[pos if rows is None else pos[rows]]
+
+
+# Sensor pairs per row block of sensor_gram: a block's temporaries are a few
+# arrays of this many entries (2 MB of float64), whatever the sensor count.
+GRAM_PAIRS = 1 << 18
+
+
+def sensor_gram(terms: tuple[tuple[PathSum, np.ndarray], ...], rows: np.ndarray) -> np.ndarray:
+    """``sum_m (P_m diag(d_m) P_m^T)[rows][:, rows]`` for path-sum operators
+    on one tree and distinct 0-based ``rows``, in O(N + ns^2) for ns rows.
+
+    ``(P diag(d) P)_ab`` is ``sum_k W(lca(a, k)) d_k W(lca(b, k))``, with W
+    the path sum of the branch weights. With Dsub the subtree sums of d, S
+    the path sums of ``w Dsub`` and Q those of ``Dsub w (2W - w)`` (the
+    diagonal, :meth:`PathSum.diag_quad`), an entry is
+    ``Q(c) + W(c) ((S(a) - S(c)) + (S(b) - S(c)))`` with c = lca(a, b): the
+    k that branch off the path to a or b below c add ``W(c)`` times the
+    path sums of ``w Dsub`` from c down to a or b. All three are 0 at the
+    substation.
+
+    The LCAs come from the DFS slots. For rows sorted by slot, the LCA of
+    two slot-adjacent rows s < t is the parent of the shallowest slot in
+    (s, t], and that of any two rows is the shallowest of the adjacent LCAs
+    between them (Bender and Farach-Colton, LATIN 2000): one segmented
+    minimum over the slots, then running minima per row, ``GRAM_PAIRS``
+    pairs at a time.
+    """
+    first = terms[0][0]
+    order, up = first._order, first._up
+    for op, _ in terms:
+        if op._order is not order:
+            raise ValueError("sensor_gram needs operators on one tree")
+    ns, n, m = len(rows), len(order), len(terms)
+    if not ns:
+        return np.zeros((0, 0))
+    # Per DFS slot, one column per term; row n is the substation's zeros.
+    w = np.stack([op._w for op, _ in terms], axis=1)
+    dsub = first._subtree(np.stack([np.asarray(d)[order] for _, d in terms], axis=1))
+    W = first._path(w)
+    SQ = first._path(np.concatenate([w * dsub, dsub * w * (2.0 * W - w)], axis=1))
+    W, S, Q = (np.vstack([a, np.zeros((1, m))]) for a in (W, SQ[:, :m], SQ[:, m:]))
+    Q = Q.sum(axis=1)
+
+    # Sort key per slot: the depth first, the slot to tell equal depths apart.
+    depth = np.append(first._path(np.ones(n)), 0.0).astype(np.int64)
+    key = depth * (n + 1) + np.arange(n + 1)
+    slots = first._pos[rows]
+    perm = np.argsort(slots)
+    t = slots[perm]
+    shallow = np.minimum.reduceat(key[: t[-1] + 1], t[:-1] + 1) % (n + 1)
+    adj = key[up[shallow]]
+    big = np.iinfo(np.int64).max
+    k = np.arange(ns - 1)
+    gram = np.empty((ns, ns))
+    step = max(1, GRAM_PAIRS // ns)
+    for start in range(0, ns, step):
+        r = np.arange(start, min(start + step, ns))
+        # lca(t[r], t[j]) is the shallowest of adj[r:j] for j > r, of adj[j:r] for j < r.
+        right = np.minimum.accumulate(np.where(k >= r[:, None], adj, big), axis=1)
+        left = np.minimum.accumulate(np.where(k < r[:, None], adj, big)[:, ::-1], axis=1)
+        c = np.full((len(r), ns), big)
+        c[:, :-1] = left[:, ::-1]
+        c[:, 1:] = np.minimum(c[:, 1:], right)
+        c[np.arange(len(r)), r] = key[t[r]]
+        c %= n + 1
+        val = Q[c]
+        for col in range(m):
+            s_c = S[c, col]
+            val += W[c, col] * ((S[t[r], col][:, None] - s_c) + (S[t, col] - s_c))
+        gram[np.ix_(perm[r], perm)] = val
+    return gram
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:

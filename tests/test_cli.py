@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from gridloop import cli, harness
 from gridloop.cli import main
@@ -122,6 +124,37 @@ def test_failed_run_manifest_says_so(tmp_path, capsys, extra, code, error):
     assert manifest["status"] == "failed"
     assert manifest["error"].startswith(error)
     assert "outputs" not in manifest
+
+
+def test_manifest_records_environment_from_the_start(tmp_path, monkeypatch):
+    # The environment is in the manifest while the run is still going, so a
+    # run that dies says where it ran too; the thread counts as set, or null.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    seen = {}
+    real = cli._run_scenario
+
+    def peeking(cfg, out):
+        seen.update(json.loads((out / "manifest.json").read_text()))
+        return real(cfg, out)
+
+    monkeypatch.setattr(cli, "_run_scenario", peeking)
+    assert main(_twobus_args(tmp_path)) == 0
+    assert seen["status"] == "running"
+    env = seen["environment"]
+    assert env == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": None,
+    }
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"] == env
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "environment" not in summary
 
 
 def test_run_dying_mid_way_keeps_finished_traces(tmp_path, monkeypatch, capsys):

@@ -197,6 +197,26 @@ def test_operator_lemma_matrix_matches_explicit_rows():
     assert np.abs(L @ L.T - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_lemma_matrix_tree_passes_do_not_grow_with_sensors(monkeypatch):
+    # K's sensor block comes from a fixed number of O(N) tree passes and an
+    # O(ns^2) assembly: 8 and 64 sensors make the same kernel calls.
+    net = synthetic_feeder(400)
+    model = lindistflow(net)
+    calls = []
+    for name in ("_path", "_subtree"):
+        real = getattr(PathSum, name)
+        monkeypatch.setattr(
+            PathSum, name, lambda self, x, real=real: calls.append(1) or real(self, x)
+        )
+    counts = []
+    for ns, stride in ((8, 50), (64, 6)):
+        calls.clear()
+        est = WlsEstimator(_plan(net, sensors=tuple(range(1, ns * stride, stride))), model)
+        assert est.ns == ns
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 @pytest.mark.parametrize("path", ["dense", "operator"])
 def test_solves_match_cho_solve_bitwise(monkeypatch, net33, path):
     # The factor is applied through LAPACK dpotrs directly; the results are
