@@ -12,6 +12,7 @@ per-step factor sqrt(e^2 L^2 - 2 e M + 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,15 +242,17 @@ def _operator_norm(cost: CostParams, model: LinearFlowModel, eta: float) -> floa
             ]
         )
 
+    # Norms by numpy's pairwise sum, not BLAS: a threaded BLAS dot of a long
+    # vector depends on the thread count, and L would with it.
     rng = np.random.Generator(np.random.Philox(key=0))
     v = rng.standard_normal(4 * n)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(np.add.reduce(v * v))
     # J^T = S J S with S the sign flip of the dual block.
     sign = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
     sigma2 = 0.0
     for _ in range(2000):
         w = sign * j_apply(sign * j_apply(v))
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(np.add.reduce(w * w))
         if norm == 0.0:
             return 0.0
         v = w / norm

@@ -26,8 +26,6 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-import scipy.optimize as sopt
-import scipy.sparse.linalg as sspla
 
 from .controller import (
     ControllerConfig,
@@ -538,6 +536,10 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
             "the saddle oracle supports box feasible sets only (apparent-power "
             "caps are outside the closed-form dual elimination)"
         )
+    # Imported here: only the audits use the solver stack, about 18 MB of RSS.
+    import scipy.optimize as sopt
+    import scipy.sparse.linalg as sspla
+
     A, B = model.A, model.B
     d_l = cfgc.v_min - model.r0
     d_u = model.r0 - cfgc.v_max
@@ -626,6 +628,8 @@ def _newton_polish(z, objective, hessian, lo, hi):
     quadratic on a fixed active set, so the step is exact once the sets
     settle; rounds stop when a step moves no variable by 1e-14.
     """
+    import scipy.sparse.linalg as sspla  # imported here, as in saddle_oracle
+
     bound_tol = 1e-9
     for _ in range(40):
         at_lo = z <= lo + bound_tol

@@ -16,7 +16,7 @@ shares no code with the implementations under test. The references:
   solve);
 - ``wls_gain``, ``wls_closed_form`` and ``state_variance``: the WLS gain,
   the estimate by orthogonal factorization and the per-state variance
-  diag((H^T W H)^-1), all dense;
+  diag((H^T W H)^-1) (or that of a mapped estimate), all dense;
 - ``reference_sweep``: the sweep loop before its invariants were hoisted;
 - ``reference_trace_statistics`` and ``reference_bound_terms``: a trace's
   statistics and the bound audit's terms computed one iteration at a time,
@@ -138,10 +138,12 @@ def wls_closed_form(H, w, y):
     return sol
 
 
-def state_variance(H, w):
+def state_variance(H, w, G=None):
     """Per-state WLS variance diag((H^T W H)^-1) for diagonal weights w, from
-    the explicit inverse of the dense normal matrix."""
-    return np.diag(np.linalg.inv((H.T * w) @ H))
+    the explicit inverse of the dense normal matrix; given a map ``G``, the
+    variance diag(G (H^T W H)^-1 G^T) of the mapped estimate ``G z_hat``."""
+    cov = np.linalg.inv((H.T * w) @ H)
+    return np.diag(cov) if G is None else np.einsum("ij,jk,ik->i", G, cov, G)
 
 
 def reference_sweep(net, p, q, tol=1e-10, max_iter=500):

@@ -224,14 +224,25 @@ def test_relative_network_resolves_against_the_scenario_only(tmp_path, monkeypat
         assert cli.load_scenario(scenario).network == network
 
 
-def test_cli_import_loads_no_multiprocessing():
+def test_cli_import_loads_no_multiprocessing(tmp_path):
     # Trials run in the process that prepared them, so the command line
-    # needs no process machinery.
+    # needs no process machinery; only the saddle oracle (track_saddle,
+    # verify_bound) needs scipy's optimizers and sparse solvers.
+    unloaded = ("multiprocessing", "scipy.optimize", "scipy.sparse.linalg")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, gridloop.cli; print([m for m in sys.modules if m.startswith('multiprocessing')])"
+    argv = ["run", str(SCEN / "twobus.json"), "--out", str(tmp_path / "o")]
+    code = (
+        "import sys, gridloop.cli\n"
+        f"def loaded(): return [m for m in sys.modules if m.startswith({unloaded!r})]\n"
+        "print(loaded())\n"
+        f"assert gridloop.cli.main({argv!r}) == 0\n"
+        "print(loaded())\n"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
 
 
 def test_run_determinism_identical_hashes(tmp_path):

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gridloop
 from gridloop.controller import (
     ControllerConfig,
     ControllerState,
@@ -186,6 +192,30 @@ def test_certificate_operator_norm_matches_svd(net33):
     assert cert.L == pytest.approx(L_svd, rel=1e-9)
     assert cert.M == pytest.approx(CFG.eta)
     assert cert.L >= cert.M
+
+
+def test_certificate_does_not_depend_on_blas_threads():
+    # 4N = 12000 entries, long enough for OpenBLAS to split a dot product
+    # between threads, which changes its last bit.
+    code = (
+        "from gridloop.controller import ControllerConfig, CostParams, certify_step_size\n"
+        "from gridloop.feeders import synthetic_feeder\n"
+        "from gridloop.linearizer import lindistflow\n"
+        "net = synthetic_feeder(3000, 12)\n"
+        "cfg = ControllerConfig(eps_primal=7e-4, eps_dual=1e-3, eta=0.08, v_min=0.95, v_max=1.05)\n"
+        "print(repr(certify_step_size(CostParams.for_network(net, alpha=5e-4), lindistflow(net), cfg).L))\n"
+    )
+    src = str(Path(gridloop.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert out[0] == out[1]
 
 
 def test_certificate_scaling_monotonicity(net33):
