@@ -21,6 +21,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property, partial
+from itertools import combinations
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -521,29 +522,29 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
 
     Maximizing the duals in closed form (mu = [g]_+ / eta) turns the saddle
     problem into a strongly convex box-constrained minimization of
-    C(z) + ||[g(z)]_+||^2 / (2 eta), solved from three starts (agreement
-    within 1e-8 checks uniqueness) and polished by Newton-CG steps on the
-    active set (:func:`_newton_polish`). ``G = [A B]`` is applied only
-    through the model's ``@`` and ``.T @``, so on ``PathSum`` models every
-    product is O(N). The result must be a fixed point of the projected
-    primal-dual map within 1e-12.
+    f(z) = C(z) + ||[g(z)]_+||^2 / (2 eta), solved from three starts
+    (agreement within 1e-8 checks uniqueness) by projected Newton
+    (Bertsekas, SIAM J. Control Optim. 20(2), 1982). Each round holds a
+    variable only when it sits on a bound with its gradient pointing out of
+    the box, solves ``H_ff d = -grad_f`` on the free ones by conjugate
+    gradients, and halves t from 1 along the arc ``z_t = clip(z + t d)``
+    until ``f(z_t) - f(z) <= 1e-4 grad . (z_t - z)`` (Armijo, give or take
+    1e-13 f(z) for rounding). It stops when a round moves no variable by
+    1e-14 and raises after ``_NEWTON_ROUNDS`` rounds. ``G = [A B]`` is
+    applied only through the model's ``@`` and ``.T @``, so on ``PathSum``
+    models every product is O(N). The result must be a fixed point of the
+    projected primal-dual map within 1e-12.
     """
     net, model, cost, cfgc = ctx.net, ctx.model, ctx.cost, ctx.cfg.controller
-    n = net.n
-    pmin, pmax, qmin, qmax, _ = net.box
+    n, (pmin, pmax, qmin, qmax, _) = net.n, net.box
     if net.disk_capped:
         raise HarnessError(
             "the saddle oracle supports box feasible sets only (apparent-power "
             "caps are outside the closed-form dual elimination)"
         )
-    # Imported here: only the audits use the solver stack, about 18 MB of RSS.
-    import scipy.optimize as sopt
-    import scipy.sparse.linalg as sspla
-
-    A, B = model.A, model.B
+    A, B, eta = model.A, model.B, cfgc.eta
     d_l = cfgc.v_min - model.r0
     d_u = model.r0 - cfgc.v_max
-    eta = cfgc.eta
     wz = np.concatenate([2.0 * cost.wp, 2.0 * cost.wq])
     z_ref = np.concatenate([cost.p_ref, cost.q_ref])
     lo = np.concatenate([pmin, qmin])
@@ -560,52 +561,33 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
         gl = np.maximum(d_l - r, 0.0)
         gu = np.maximum(r + d_u, 0.0)
         agg = z[:n].sum() + cost.p0_target
-        val = (
-            0.5 * np.sum(wz * (z - z_ref) ** 2)
-            + cost.alpha * agg**2
-            + (gl @ gl + gu @ gu) / (2.0 * eta)
-        )
+        val = 0.5 * np.sum(wz * (z - z_ref) ** 2) + cost.alpha * agg**2
+        val += (gl @ gl + gu @ gu) / (2.0 * eta)
         grad = wz * (z - z_ref) + gt_apply(gu - gl) / eta
         grad[:n] += 2.0 * cost.alpha * agg
         return val, grad
 
     def hessian(z, free):
-        # H_ff of the quadratic the objective is on the active set at z.
+        # v -> H_ff v (v zero off ``free``) of the quadratic f is on the pieces active at z.
         r = g_apply(z)
         active = ((d_l - r) > 0.0) | ((r + d_u) > 0.0)
-        full = np.zeros(2 * n)
 
         def matvec(v):
-            full[free] = v.ravel()
-            hv = wz * full + gt_apply(active * g_apply(full)) / eta
-            hv[:n] += 2.0 * cost.alpha * full[:n].sum()
-            return hv[free]
+            hv = wz * v + gt_apply(active * g_apply(v)) / eta
+            hv[:n] += 2.0 * cost.alpha * v[:n].sum()
+            return hv * free
 
-        k = int(free.sum())
-        return sspla.LinearOperator((k, k), matvec=matvec, dtype=float)
+        return matvec
 
     rng = np.random.Generator(np.random.Philox(key=ctx.cfg.base_seed))
     starts = [z_ref] + [lo + rng.uniform(0.0, 1.0, 2 * n) * (hi - lo) for _ in range(2)]
-    sols = []
-    for z0 in starts:
-        res = sopt.minimize(
-            objective,
-            np.clip(z0, lo, hi),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": 20000, "ftol": 1e-18, "gtol": 1e-12},
+    sols = [_projected_newton(np.clip(z0, lo, hi), objective, hessian, lo, hi) for z0 in starts]
+    if max(np.linalg.norm(a - b) for a, b in combinations(sols, 2)) > 1e-8:
+        raise HarnessError(
+            "saddle solves from different starts disagree; "
+            "the problem may not be strongly convex as configured"
         )
-        sols.append(res.x)
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            if np.linalg.norm(sols[i] - sols[j]) > 1e-8:
-                raise HarnessError(
-                    "saddle solves from different starts disagree; "
-                    "the problem may not be strongly convex as configured"
-                )
     z = min(sols, key=lambda zz: objective(zz)[0])
-    z = _newton_polish(z, objective, hessian, lo, hi)
 
     r = g_apply(z)
     mu_l = np.maximum(d_l - r, 0.0) / eta
@@ -619,31 +601,48 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     return x_star
 
 
-def _newton_polish(z, objective, hessian, lo, hi):
-    """Newton-CG on the active set (Nocedal and Wright, 2006, sec. 7.1).
+# Rounds the saddle oracle's projected Newton method may take from one start.
+_NEWTON_ROUNDS = 100
 
-    Each round clamps the variables within 1e-9 of a bound onto it, then
-    takes one Newton step on the free ones: ``H_ff s = -grad_f`` by
-    conjugate gradients on Hessian-vector products. The objective is
-    quadratic on a fixed active set, so the step is exact once the sets
-    settle; rounds stop when a step moves no variable by 1e-14.
-    """
-    import scipy.sparse.linalg as sspla  # imported here, as in saddle_oracle
 
-    bound_tol = 1e-9
-    for _ in range(40):
-        at_lo = z <= lo + bound_tol
-        at_hi = z >= hi - bound_tol
-        free = ~(at_lo | at_hi)
-        z_new = np.where(at_lo, lo, np.where(at_hi, hi, z))
-        if free.any():
-            step, _ = sspla.cg(hessian(z_new, free), -objective(z_new)[1][free], rtol=1e-14)
-            z_new[free] += step
-        z_new = np.clip(z_new, lo, hi)
-        if np.abs(z_new - z).max() < 1e-14:
-            return z_new
-        z = z_new
-    return z
+def _projected_newton(z, objective, hessian, lo, hi):
+    """The minimizer of ``objective`` over the box [lo, hi] from ``z`` in
+    it, by the projected Newton rounds :func:`saddle_oracle` describes."""
+    val, grad = objective(z)
+    for _ in range(_NEWTON_ROUNDS):
+        free = ~(((z <= lo) & (grad > 0.0)) | ((z >= hi) & (grad < 0.0)))
+        d = _conjugate_gradient(hessian(z, free), -grad * free)
+        for t in (0.5**i for i in range(41)):  # down to 2**-40
+            z_t = np.clip(z + t * d, lo, hi)
+            val_t, grad_t = objective(z_t)
+            if val_t - val <= 1e-4 * (grad @ (z_t - z)) + 1e-13 * val:
+                break
+        moved = np.abs(z_t - z).max()
+        z, val, grad = z_t, val_t, grad_t
+        if moved < 1e-14:
+            return z
+    raise HarnessError(
+        f"saddle oracle: projected Newton stopped at its round cap ({_NEWTON_ROUNDS}) "
+        f"unsettled, the last step size {t:.3g} moving a variable by {moved:.2e}"
+    )
+
+
+def _conjugate_gradient(matvec, b):
+    """x with ``matvec(x) = b`` for a symmetric positive definite map, by
+    conjugate gradients from 0 until the residual is 1e-14 of ``|b|``."""
+    x, r = np.zeros_like(b), b.copy()
+    p, rr = r.copy(), r @ r
+    stop = 1e-28 * rr
+    for _ in range(10 * len(b)):
+        if rr <= stop:
+            break
+        hp = matvec(p)
+        a = rr / (p @ hp)
+        x += a * p
+        r -= a * hp
+        rr, rr_prev = r @ r, rr
+        p = r + (rr / rr_prev) * p
+    return x
 
 
 def _fixed_point_residual(state: ControllerState, ctx: RunContext, eps: float) -> float:

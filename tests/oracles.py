@@ -20,7 +20,8 @@ shares no code with the implementations under test. The references:
 - ``reference_sweep``: the sweep loop before its invariants were hoisted;
 - ``reference_trace_statistics`` and ``reference_bound_terms``: a trace's
   statistics and the bound audit's terms computed one iteration at a time,
-  as the loop and the audit did before they were derived from whole rows.
+  as the loop and the audit did before they were derived from whole rows;
+- ``lbfgsb_saddle``: the saddle point by scipy's L-BFGS-B and Newton-CG.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.optimize as sopt
+import scipy.sparse.linalg as sspla
 
 from gridloop.netmodel import path_sum
 from gridloop.sensing import plan_reference_sigmas
@@ -244,3 +247,77 @@ def reference_bound_terms(trace, model, x_star_vec):
         x = np.concatenate([trace.p[k], trace.q[k], trace.mu_lower[k], trace.mu_upper[k]])
         dist_sq[k] = float(np.sum((x - x_star_vec) ** 2))
     return d_alpha, d_rho, dist_sq
+
+
+def lbfgsb_saddle(ctx):
+    """The saddle point ``(p, q, mu_lower, mu_upper)`` of a prepared run
+    context as one vector, by the solve the saddle oracle used before its
+    projected Newton method: L-BFGS-B on C(z) + ||[g(z)]_+||^2 / (2 eta)
+    from the same three starts, then Newton-CG on the set of variables more
+    than 1e-9 inside the box (Nocedal and Wright, 2006, sec. 7.1) from the
+    start with the lowest objective, with scipy's solvers throughout."""
+    net, model, cost, cfgc = ctx.net, ctx.model, ctx.cost, ctx.cfg.controller
+    n, (pmin, pmax, qmin, qmax, _) = net.n, net.box
+    A, B, eta = model.A, model.B, cfgc.eta
+    d_l = cfgc.v_min - model.r0
+    d_u = model.r0 - cfgc.v_max
+    wz = np.concatenate([2.0 * cost.wp, 2.0 * cost.wq])
+    z_ref = np.concatenate([cost.p_ref, cost.q_ref])
+    lo = np.concatenate([pmin, qmin])
+    hi = np.concatenate([pmax, qmax])
+
+    def g_apply(z):
+        return A @ z[:n] + B @ z[n:]
+
+    def gt_apply(r):
+        return np.concatenate([A.T @ r, B.T @ r])
+
+    def objective(z):
+        r = g_apply(z)
+        gl = np.maximum(d_l - r, 0.0)
+        gu = np.maximum(r + d_u, 0.0)
+        agg = z[:n].sum() + cost.p0_target
+        val = 0.5 * np.sum(wz * (z - z_ref) ** 2) + cost.alpha * agg**2 + (gl @ gl + gu @ gu) / (2.0 * eta)
+        grad = wz * (z - z_ref) + gt_apply(gu - gl) / eta
+        grad[:n] += 2.0 * cost.alpha * agg
+        return val, grad
+
+    def hessian(z, free):
+        r = g_apply(z)
+        active = ((d_l - r) > 0.0) | ((r + d_u) > 0.0)
+        full = np.zeros(2 * n)
+
+        def matvec(v):
+            full[free] = v.ravel()
+            hv = wz * full + gt_apply(active * g_apply(full)) / eta
+            hv[:n] += 2.0 * cost.alpha * full[:n].sum()
+            return hv[free]
+
+        k = int(free.sum())
+        return sspla.LinearOperator((k, k), matvec=matvec, dtype=float)
+
+    rng = np.random.Generator(np.random.Philox(key=ctx.cfg.base_seed))
+    starts = [z_ref] + [lo + rng.uniform(0.0, 1.0, 2 * n) * (hi - lo) for _ in range(2)]
+    sols = [
+        sopt.minimize(
+            objective, np.clip(z0, lo, hi), jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+            options={"maxiter": 20000, "ftol": 1e-18, "gtol": 1e-12},
+        ).x
+        for z0 in starts
+    ]
+    z = min(sols, key=lambda zz: objective(zz)[0])
+    for _ in range(40):
+        at_lo = z <= lo + 1e-9
+        at_hi = z >= hi - 1e-9
+        free = ~(at_lo | at_hi)
+        z_new = np.where(at_lo, lo, np.where(at_hi, hi, z))
+        if free.any():
+            step, _ = sspla.cg(hessian(z_new, free), -objective(z_new)[1][free], rtol=1e-14)
+            z_new[free] += step
+        z_new = np.clip(z_new, lo, hi)
+        done = np.abs(z_new - z).max() < 1e-14
+        z = z_new
+        if done:
+            break
+    r = g_apply(z)
+    return np.concatenate([z, np.maximum(d_l - r, 0.0) / eta, np.maximum(r + d_u, 0.0) / eta])

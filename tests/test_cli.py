@@ -226,23 +226,28 @@ def test_relative_network_resolves_against_the_scenario_only(tmp_path, monkeypat
 
 def test_cli_import_loads_no_multiprocessing(tmp_path):
     # Trials run in the process that prepared them, so the command line
-    # needs no process machinery; only the saddle oracle (track_saddle,
-    # verify_bound) needs scipy's optimizers and sparse solvers.
+    # needs no process machinery, and the saddle oracle (track_saddle,
+    # verify_bound) is numpy-only, so neither a plain run nor an audit run
+    # loads scipy's optimizers or sparse solvers.
     unloaded = ("multiprocessing", "scipy.optimize", "scipy.sparse.linalg")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["run", str(SCEN / "twobus.json"), "--out", str(tmp_path / "o")]
+    audit = ["run", str(SCEN / "twobus.json"), "--out", str(tmp_path / "audit")]
+    audit += ["--set", "verify_bound=true", "--set", "track_saddle=true", "--set", "trials=2"]
     code = (
         "import sys, gridloop.cli\n"
         f"def loaded(): return [m for m in sys.modules if m.startswith({unloaded!r})]\n"
         "print(loaded())\n"
         f"assert gridloop.cli.main({argv!r}) == 0\n"
         "print(loaded())\n"
+        f"assert gridloop.cli.main({audit!r}) == 0\n"
+        "print(loaded())\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    lines = done.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[-1] == "[]"
+    assert done.stdout.splitlines()[-3:] == ["[]", "[]", "[]"]
+    summary = json.loads((tmp_path / "audit" / "summary.json").read_text())
+    assert "bound_report" in summary
 
 
 def test_run_determinism_identical_hashes(tmp_path):

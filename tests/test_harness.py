@@ -33,7 +33,7 @@ from gridloop.feeders import synthetic_feeder
 from gridloop.linearizer import eval_linear
 from gridloop.netmodel import PathSum
 from gridloop.plant import solve_power_flow
-from oracles import reference_bound_terms, reference_trace_statistics
+from oracles import lbfgsb_saddle, reference_bound_terms, reference_trace_statistics
 
 TWOBUS = Path(__file__).resolve().parents[1] / "scenarios" / "networks" / "twobus.json"
 
@@ -223,6 +223,42 @@ def test_saddle_oracle_start_independent():
     a = saddle_oracle(ctx)
     b = saddle_oracle(replace(ctx, cfg=replace(cfg, base_seed=99)))
     assert np.abs(a.as_vector() - b.as_vector()).max() < 1e-8
+
+
+def _saddle_case(label: str):
+    """The scenario and network (None for a named one) of a saddle case."""
+    if label == "twobus":
+        return _cfg2(), None
+    if label.startswith("ieee33"):
+        v_min = float(label.split("-")[1])
+        cfgc = ControllerConfig(eps_primal=7e-4, eps_dual=1e-3, eta=0.08, v_min=v_min, v_max=1.05)
+        return _cfg33(controller=cfgc, iterations=10), None
+    if label == "feeder400":
+        return _binding_feeder_cfg(400)
+    cfg, net = _binding_feeder_cfg(1000, allow_uncertified=True)
+    return replace(cfg, controller=replace(cfg.controller, eta=1e-3)), net
+
+
+@pytest.mark.parametrize(
+    "label", ["twobus", "ieee33-0.915", "ieee33-0.95", "ieee33-0.97", "feeder400", "feeder1000-eta1e-3"]
+)
+def test_saddle_oracle_matches_lbfgsb_reference(label):
+    # The projected Newton solve against scipy's L-BFGS-B and Newton-CG, on
+    # dense models (two-bus, ieee33 with 0, 5 and 16 binding nodes) and on
+    # PathSum models (one at eta = 1e-3, where mu = [g]_+ / eta magnifies
+    # the primal gap a thousandfold).
+    ctx = prepare(*_saddle_case(label))
+    assert isinstance(ctx.model.A, PathSum) == label.startswith("feeder")
+    xs = saddle_oracle(ctx)
+    assert np.abs(xs.as_vector() - lbfgsb_saddle(ctx)).max() <= 1e-12
+
+
+def test_saddle_oracle_raises_at_round_cap(monkeypatch):
+    # An unsettled projected Newton solve is an error, not a silent answer.
+    monkeypatch.setattr(harness_mod, "_NEWTON_ROUNDS", 1)
+    ctx = prepare(_cfg33(iterations=10))
+    with pytest.raises(HarnessError, match=r"round cap \(1\) unsettled, the last step size \S+ moving"):
+        saddle_oracle(ctx)
 
 
 def test_saddle_oracle_rejects_disk_sets(tmp_path):
