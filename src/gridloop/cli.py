@@ -25,7 +25,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .feeders import BUILTIN_NETWORKS
@@ -114,7 +113,6 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "blas": blas.get("name"),

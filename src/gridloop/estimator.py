@@ -22,8 +22,6 @@ from ``path_gram`` columns on dense models.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dpotrs
 
 from .linearizer import LinearFlowModel, eval_linear
 from .netmodel import NetworkModel, PathSum, diag_quad, path_gram, sensor_gram
@@ -50,12 +48,13 @@ class WlsEstimator:
     """Plan-bound linear WLS solver with cached factorization.
 
     Holds the measurement structure for one (plan, linear model) pair: the
-    sensor indices, diagonal pseudo weights, and the Cholesky factor of the
-    small lemma matrix K = W_s^-1 + U D^-1 U^T. A solve is two products with
-    A and B and an ns x ns triangular pair: O(ns * N) on dense models, O(N)
-    on ``PathSum`` ones. On ``PathSum`` models K costs O(N + ns^2)
-    (:func:`netmodel.sensor_gram`) and its factorization O(ns^3); on dense
-    ones K is ``GRAM_BLOCK`` columns of ``path_gram`` at a time.
+    sensor indices, diagonal pseudo weights, and the inverse ``L^-1`` of the
+    Cholesky factor of the small lemma matrix K = W_s^-1 + U D^-1 U^T = L L^T.
+    A solve is two products with A and B and the ns x ns products
+    ``L^-T (L^-1 b)``: O(ns * N) on dense models, O(N) on ``PathSum`` ones.
+    On ``PathSum`` models K costs O(N + ns^2) (:func:`netmodel.sensor_gram`)
+    and its factor and inverse O(ns^3); on dense ones K is ``GRAM_BLOCK``
+    columns of ``path_gram`` at a time.
     """
 
     def __init__(self, plan: MeasurementPlan, model: LinearFlowModel):
@@ -76,11 +75,11 @@ class WlsEstimator:
                 for blk, g in self._gram_blocks(d, np.eye(self.ns), rows=self.idx):
                     K[:, blk] += g
             try:
-                self._K_cho = sla.cho_factor(K, lower=True)
+                self._linv = np.linalg.inv(np.linalg.cholesky(K))
             except np.linalg.LinAlgError as exc:
                 raise EstimationError(f"singular lemma matrix: {exc}") from exc
         else:
-            self._K_cho = None
+            self._linv = None
 
     def solve(self, y_adjusted: np.ndarray) -> np.ndarray:
         """Estimate z from an intercept-adjusted measurement vector, in the
@@ -92,7 +91,10 @@ class WlsEstimator:
         if not self.ns:
             return y_p.copy()
         A, B, n = self.model.A, self.model.B, self.n
-        v = _cho_apply(self._K_cho, y_s - (A @ y_p[:n] + B @ y_p[n:])[self.idx])
+        b = y_s - (A @ y_p[:n] + B @ y_p[n:])[self.idx]
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        v = self._linv.T @ (self._linv @ b)
         x = np.zeros(n)
         x[self.idx] = v
         return y_p + np.concatenate([A.T @ x, B.T @ x]) / self.w_pseudo
@@ -132,8 +134,7 @@ class WlsEstimator:
         var = diag_quad(self.model.A, d[:n]) + diag_quad(self.model.B, d[n:])
         if not self.ns:
             return var
-        linv_t = sla.solve_triangular(self._K_cho[0], np.eye(self.ns), lower=True).T
-        for _, g in self._gram_blocks(d, linv_t):
+        for _, g in self._gram_blocks(d, self._linv.T):
             var -= (g**2).sum(axis=1)
         return var
 
@@ -147,20 +148,6 @@ class WlsEstimator:
             x = np.zeros((self.n, cols[:, blk].shape[1]))
             x[self.idx] = cols[:, blk]
             yield blk, path_gram(terms, x, rows)
-
-
-def _cho_apply(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
-    """``sla.cho_solve(factor, b)`` for float64 ``b``, through LAPACK
-    ``dpotrs`` directly: the same call and result without the wrapper's
-    dispatch, which costs some 20 us per solve at 33 buses. Keeps the
-    wrapper's finiteness and ``info`` checks; the factor is finite, since
-    ``cho_factor`` checked the matrix it came from."""
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = dpotrs(factor[0], b, lower=factor[1])
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
 
 
 def estimate_voltages(

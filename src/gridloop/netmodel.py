@@ -19,12 +19,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 
 # Networks with at most this many non-slack nodes use dense N x N path-sum
 # and admittance matrices; larger ones use the O(N) PathSum kernel and a
-# sparse admittance. Measured on a 2-CPU x86 host, a dense product and a
-# PathSum product cost the same between 256 and 384 nodes (README, "Scaling").
+# SparseProduct admittance. Measured on a 2-CPU x86 host, a dense product and
+# a PathSum product cost the same between 256 and 384 nodes (README, "Scaling").
 DENSE_LIMIT = 300
 
 
@@ -142,8 +141,6 @@ class NetworkModel:
         admittances, or None when no node has one. The arrays are
         read-only."""
         Y, y_bar, y00 = build_admittance(self)
-        if self.n <= DENSE_LIMIT:
-            Y = Y.toarray()
         v0 = complex(self.v0)
         flat = np.full(self.n, v0, dtype=complex)
         shunts = self.shunts if self.shunts.any() else None
@@ -601,14 +598,15 @@ def path_sum_matrix(net: NetworkModel, weights: np.ndarray) -> np.ndarray:
 # Admittance
 
 
-def build_admittance(net: NetworkModel) -> tuple[sp.csr_matrix, np.ndarray, complex]:
+def build_admittance(net: NetworkModel) -> tuple[np.ndarray | SparseProduct, np.ndarray, complex]:
     """Build the bus admittance partition (Y, y_bar, y00).
 
     Y is the N x N block over non-slack nodes with Y_ii = sum of incident line
     admittances plus the node's shunt and Y_ij = -y_ij for lines; y_bar is the
     slack coupling column and y00 the slack self-admittance, so that
     [I0; i] = [[y00, y_bar^T]; [y_bar, Y]] [V0; v]. Each Y_ii adds the
-    node's own line, then its children's in id order.
+    node's own line, then its children's in id order. Y is a dense array up
+    to ``DENSE_LIMIT`` nodes and a :class:`SparseProduct` above.
     """
     n = net.n
     # CPython's complex division, one line at a time: numpy's 1.0 / z
@@ -628,7 +626,50 @@ def build_admittance(net: NetworkModel) -> tuple[sp.csr_matrix, np.ndarray, comp
     rows = np.concatenate((up[inner], node[inner], node))
     cols = np.concatenate((node[inner], up[inner], node))
     vals = np.concatenate((off, off, diag))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), y_bar, y00
+    if n > DENSE_LIMIT:
+        return SparseProduct(rows, cols, vals, n), y_bar, y00
+    Y = np.zeros((n, n), dtype=complex)
+    Y[rows, cols] = vals  # no entry repeats
+    return Y, y_bar, y00
+
+
+class SparseProduct:
+    """``Y @ x`` for an N x N complex matrix of (row, column, value) entries,
+    none repeated, summed as scipy's CSR product (``csr_matvec``) sums it, so
+    ``Y.dot(x)`` is ``scipy.sparse.csr_matrix.dot`` bit for bit: each row
+    folds from 0 over its sorted columns, and a term is (ar xr - ai xi,
+    ar xi + ai xr) in real arithmetic (numpy's complex multiply differs).
+    Rows are kept by falling entry count, so the rows with a k-th entry are
+    a prefix, and the fold is one slice add per k over terms formed at once.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        count = np.bincount(rows, minlength=n)
+        rank = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
+        self._slot = np.empty(n, dtype=int)
+        self._slot[np.argsort(-count, kind="stable")] = np.arange(n)
+        pick = np.lexsort((self._slot[rows], rank))
+        a, c = vals[pick], 2 * cols[pick]
+        # A term is (ar, ar) * (xr, xi) + (-ai, ai) * (xi, xr), and -ai xi
+        # is -(ai xi), so its real part is ar xr - ai xi to the bit.
+        self._ar = np.stack([a.real, a.real], axis=1).ravel()
+        self._ai = np.stack([-a.imag, a.imag], axis=1).ravel()
+        self._xy = np.stack([c, c + 1], axis=1).ravel()
+        self._yx = np.stack([c + 1, c], axis=1).ravel()
+        width = np.bincount(rank)
+        self._folds = list(zip(width.tolist(), (np.cumsum(width) - width).tolist()))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        xv = np.ascontiguousarray(x, dtype=complex).view(float)
+        t = self._ar * xv.take(self._xy)
+        t += self._ai * xv.take(self._yx)
+        t = t.view(complex)
+        acc = np.zeros(len(self._slot), dtype=complex)
+        for m, start in self._folds:
+            acc[:m] += t[start : start + m]
+        return acc[self._slot]
 
 
 # ---------------------------------------------------------------------------

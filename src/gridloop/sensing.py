@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 loads it at first use; load it with the package)
 
 from .linearizer import LinearFlowModel
 

@@ -17,7 +17,10 @@ shares no code with the implementations under test. The references:
 - ``wls_gain``, ``wls_closed_form`` and ``state_variance``: the WLS gain,
   the estimate by orthogonal factorization and the per-state variance
   diag((H^T W H)^-1) (or that of a mapped estimate), all dense;
-- ``reference_sweep``: the sweep loop before its invariants were hoisted;
+- ``dense_admittance``: ``netmodel.build_admittance``'s Y as a dense array
+  at any size, to hold its sparse product to scipy's CSR product;
+- ``reference_sweep``: the sweep loop before its invariants were hoisted,
+  with scipy's CSR admittance product above ``DENSE_LIMIT``;
 - ``reference_trace_statistics`` and ``reference_bound_terms``: a trace's
   statistics and the bound audit's terms computed one iteration at a time,
   as the loop and the audit did before they were derived from whole rows;
@@ -30,8 +33,10 @@ import math
 
 import numpy as np
 import scipy.optimize as sopt
+import scipy.sparse as sp
 import scipy.sparse.linalg as sspla
 
+from gridloop import netmodel
 from gridloop.netmodel import path_sum
 from gridloop.sensing import plan_reference_sigmas
 
@@ -149,14 +154,28 @@ def state_variance(H, w, G=None):
     return np.diag(cov) if G is None else np.einsum("ij,jk,ik->i", G, cov, G)
 
 
+def dense_admittance(net) -> np.ndarray:
+    """The Y of ``netmodel.build_admittance`` as the dense array it builds
+    when ``DENSE_LIMIT`` is at least N: the same entries, whatever N is."""
+    limit = netmodel.DENSE_LIMIT
+    netmodel.DENSE_LIMIT = net.n
+    try:
+        return netmodel.build_admittance(net)[0]
+    finally:
+        netmodel.DENSE_LIMIT = limit
+
+
 def reference_sweep(net, p, q, tol=1e-10, max_iter=500):
     """The backward/forward sweep loop of ``plant.solve_power_flow`` as it
     stood before its loop invariants were hoisted, kept verbatim (on the
-    network's own common-path impedance and admittance) so the lean loop
-    can be checked bit for bit: returns ``(v, iterations, residual_history)``."""
+    network's own common-path impedance and admittance, the admittance as
+    scipy's CSR matrix above ``DENSE_LIMIT``) so the lean loop can be
+    checked bit for bit: returns ``(v, iterations, residual_history)``."""
     s = np.asarray(p, dtype=float) + 1j * np.asarray(q, dtype=float)
     Z = path_sum(net, net.branch_z)
     Y, y_bar, y00 = net._sweep[1:4]
+    if net.n > netmodel.DENSE_LIMIT:
+        Y = sp.csr_matrix(dense_admittance(net))
     v0 = complex(net.v0)
     v = np.full(net.n, v0, dtype=complex)
     history: list[float] = []

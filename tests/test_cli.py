@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from gridloop import cli, harness
 from gridloop.cli import main
@@ -145,7 +144,6 @@ def test_manifest_records_environment_from_the_start(tmp_path, monkeypatch):
     assert env == {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
@@ -226,28 +224,44 @@ def test_relative_network_resolves_against_the_scenario_only(tmp_path, monkeypat
 
 def test_cli_import_loads_no_multiprocessing(tmp_path):
     # Trials run in the process that prepared them, so the command line
-    # needs no process machinery, and the saddle oracle (track_saddle,
-    # verify_bound) is numpy-only, so neither a plain run nor an audit run
-    # loads scipy's optimizers or sparse solvers.
-    unloaded = ("multiprocessing", "scipy.optimize", "scipy.sparse.linalg")
+    # needs no process machinery, and the package is numpy-only: the saddle
+    # oracle, the WLS factor and the sparse admittance product above
+    # DENSE_LIMIT use no scipy, so no run loads any of it, whether plain,
+    # audited or on the 400-node feeder. numpy.random comes with the
+    # package, which numpy 2 would otherwise load at the first draw.
+    from gridloop.feeders import synthetic_feeder
+    from gridloop.netmodel import network_document
+
+    doc = network_document(synthetic_feeder(400, seed=12))
+    (tmp_path / "feeder.json").write_text(json.dumps(doc))
+    feeder = json.loads((SCEN / "twobus.json").read_text())
+    feeder.update(network="feeder.json", estimation_mode="linear", iterations=40)
+    feeder["plan"].update(sensor_nodes=None, sensor_fraction=0.036)
+    feeder["controller"].update(eps_primal=1e-3, eps_dual=1e-3, eta=0.08, v_min=0.95)
+    (tmp_path / "feeder_scenario.json").write_text(json.dumps(feeder))
+    unloaded = ("multiprocessing", "scipy")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["run", str(SCEN / "twobus.json"), "--out", str(tmp_path / "o")]
     audit = ["run", str(SCEN / "twobus.json"), "--out", str(tmp_path / "audit")]
     audit += ["--set", "verify_bound=true", "--set", "track_saddle=true", "--set", "trials=2"]
+    big = ["run", str(tmp_path / "feeder_scenario.json"), "--out", str(tmp_path / "big")]
     code = (
         "import sys, gridloop.cli\n"
         f"def loaded(): return [m for m in sys.modules if m.startswith({unloaded!r})]\n"
-        "print(loaded())\n"
+        "print('numpy.random' in sys.modules, loaded())\n"
         f"assert gridloop.cli.main({argv!r}) == 0\n"
         "print(loaded())\n"
         f"assert gridloop.cli.main({audit!r}) == 0\n"
         "print(loaded())\n"
+        f"assert gridloop.cli.main({big!r}) == 0\n"
+        "print(loaded())\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-3:] == ["[]", "[]", "[]"]
+    assert done.stdout.splitlines()[-4:] == ["True []", "[]", "[]", "[]"]
     summary = json.loads((tmp_path / "audit" / "summary.json").read_text())
     assert "bound_report" in summary
+    assert len((tmp_path / "big" / "trace.csv").read_text().splitlines()) == 1 + 40
 
 
 def test_run_determinism_identical_hashes(tmp_path):

@@ -1,19 +1,23 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import gridloop.estimator as estimator_mod
-from gridloop.estimator import GRAM_BLOCK, WlsEstimator, estimate_voltages
+from gridloop.estimator import GRAM_BLOCK, EstimationError, WlsEstimator, estimate_voltages
 from gridloop.controller import ControllerConfig
-from gridloop.feeders import synthetic_feeder
+from gridloop.feeders import resolve_network, synthetic_feeder
 from gridloop.harness import PlanSpec, ScenarioConfig, prepare
 from gridloop.linearizer import eval_linear, lindistflow, linearize
-from gridloop.netmodel import DENSE_LIMIT, PathSum
+from gridloop.netmodel import DENSE_LIMIT, PathSum, load_network
 from gridloop.plant import solve_power_flow
 from gridloop.sensing import make_plan, plan_reference_sigmas, sample_measurements
 
@@ -193,8 +197,9 @@ def test_operator_lemma_matrix_matches_explicit_rows():
     op, _ = _operator_and_dense()
     U = dense_sensitivities(op.model)[op.idx]
     want = np.diag(1.0 / op.w_sensor) + (U / op.w_pseudo) @ U.T
-    L = np.tril(op._K_cho[0])
-    assert np.abs(L @ L.T - want).max() <= 1e-12 * np.abs(want).max()
+    # The estimator keeps L^-1 of K = L L^T, so L^-1 K L^-T is the identity.
+    got = op._linv @ want @ op._linv.T
+    assert np.abs(got - np.eye(op.ns)).max() <= 1e-12
 
 
 def test_lemma_matrix_tree_passes_do_not_grow_with_sensors(monkeypatch):
@@ -217,30 +222,100 @@ def test_lemma_matrix_tree_passes_do_not_grow_with_sensors(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-@pytest.mark.parametrize("path", ["dense", "operator"])
-def test_solves_match_cho_solve_bitwise(monkeypatch, net33, path):
-    # The factor is applied through LAPACK dpotrs directly; the results are
-    # those of scipy's cho_solve bit for bit, and non-finite input raises.
-    if path == "dense":
-        est = WlsEstimator(_plan(net33, sensors=(5, 17, 30)), lindistflow(net33))
-    else:
-        est, _ = _operator_and_dense()
-    rng = np.random.default_rng(5)
-    y = rng.normal(size=est.ns + 2 * est.n)
-    rhs = rng.normal(size=(est.ns, 4))
-    got = est.solve(y)
-    assert estimator_mod._cho_apply(est._K_cho, rhs).tobytes() == (
-        sla.cho_solve(est._K_cho, rhs).tobytes()
-    )
-    monkeypatch.setattr(estimator_mod, "_cho_apply", sla.cho_solve)
-    assert got.tobytes() == est.solve(y).tobytes()
+def _sensed_feeder(ns):
+    # ns sensors on the 33-bus feeder (ns = 3), the 400-node and the
+    # 4000-node synthetic feeders (PathSum models).
+    if ns == 3:
+        net = load_network(resolve_network("ieee33"))
+        return net, _plan(net, sensors=(5, 17, 30))
+    net = synthetic_feeder(400 if ns <= 50 else 4000, seed=12)
+    return net, _plan(net, sensors=tuple(range(3, 3 + 7 * ns, 7)))
+
+
+@pytest.mark.parametrize("ns", [3, 50, 144])
+def test_solve_matches_cho_solve_on_the_same_lemma_matrix(monkeypatch, ns):
+    # The factor is applied as L^-T (L^-1 b). Against scipy's cho_solve on
+    # the K the estimator factored, the update D^-1 U^T K^-1 (y_s - U y_p)
+    # agrees within 1e-12 relative; non-finite input raises.
+    net, plan = _sensed_feeder(ns)
+    seen = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda K: seen.append(K.copy()) or cholesky(K))
+    est = WlsEstimator(plan, lindistflow(net))
     monkeypatch.undo()
+    (K,) = seen
+    assert est.ns == ns
+    # The sensor rows U = [A_S B_S], through the transposed operators.
+    E = np.zeros((net.n, ns))
+    E[est.idx, np.arange(ns)] = 1.0
+    U = np.hstack([(est.model.A.T @ E).T, (est.model.B.T @ E).T])
+    y = np.random.default_rng(5).normal(size=ns + 2 * net.n)
+    y_s, y_p = y[:ns], y[ns:]
+    want = U.T @ sla.cho_solve(sla.cho_factor(K, lower=True), y_s - U @ y_p) / est.w_pseudo
+    got = est.solve(y) - y_p
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     for bad in (np.nan, np.inf):
         y_bad = y.copy()
         y_bad[-1] = bad
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 est.solve(y_bad)
+
+
+def test_singular_lemma_matrix_raises(monkeypatch, net33):
+    # K = W_s^-1 + U D^-1 U^T is zero for exact sensors (zero deviation) on
+    # a model with zero sensitivities: reported, not factored.
+    model = lindistflow(net33)
+    model = replace(model, A=np.zeros_like(model.A), B=np.zeros_like(model.B))
+    plan = _plan(net33)
+    sigmas = plan_reference_sigmas(plan, model)
+    sigmas[: len(plan.sensor_nodes)] = 0.0
+    monkeypatch.setattr(estimator_mod, "plan_reference_sigmas", lambda *_: sigmas)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(EstimationError, match="singular lemma matrix"):
+            WlsEstimator(plan, model)
+
+
+# Prints, per sensor count, the sha256 of a solve with the factor read
+# from the directory in argv[1].
+_THREAD_SOLVE = """
+import hashlib, sys
+import numpy as np
+from gridloop.estimator import WlsEstimator
+from gridloop.feeders import synthetic_feeder
+from gridloop.linearizer import lindistflow
+from gridloop.sensing import make_plan
+net = synthetic_feeder(4000, seed=12)
+for ns in (144, 432):
+    plan = make_plan(net.n, tuple(range(3, 3 + 7 * ns, 7)), None, 0, 0.01, 0.5, (net.p0, net.q0), 7)
+    est = WlsEstimator(plan, lindistflow(net))
+    est._linv = np.load(sys.argv[1] + f"/linv{ns}.npy")
+    y = np.random.default_rng(ns).normal(size=ns + 2 * net.n)
+    print(ns, hashlib.sha256(est.solve(y).tobytes()).hexdigest())
+"""
+
+
+def test_solve_bits_do_not_depend_on_blas_threads(tmp_path):
+    # The factor's bits depend on the BLAS thread count from about 128
+    # sensors up, as LAPACK's do; applying a fixed factor does not: at 144
+    # and 432 sensors, the same bytes with one BLAS thread and with two.
+    for ns in (144, 432):
+        net, plan = _sensed_feeder(ns)
+        np.save(tmp_path / f"linv{ns}.npy", WlsEstimator(plan, lindistflow(net))._linv)
+    src = str(Path(estimator_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _THREAD_SOLVE, str(tmp_path)],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outs[0].splitlines()) == 2
+    assert outs[0] == outs[1]
 
 
 def test_operator_estimator_keeps_no_sensor_rows():

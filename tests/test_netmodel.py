@@ -8,13 +8,17 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridloop import netmodel
 from gridloop.feeders import resolve_network, synthetic_feeder
 from gridloop.netmodel import (
+    DENSE_LIMIT,
     NetworkError,
     PathSum,
+    SparseProduct,
     build_admittance,
     build_network,
     load_network,
@@ -23,8 +27,9 @@ from gridloop.netmodel import (
     path_sum_matrix,
     project_box_disk,
 )
+from gridloop.plant import solve_power_flow
 
-from oracles import full_ybus
+from oracles import dense_admittance, full_ybus
 
 
 def test_load_minimal_two_bus(twobus_json):
@@ -309,7 +314,7 @@ def test_admittance_two_bus(twobus_json):
     net = load_network(twobus_json)
     y = 1.0 / complex(0.01, 0.02)
     Y, y_bar, y00 = build_admittance(net)
-    assert Y.toarray()[0, 0] == pytest.approx(y)
+    assert Y[0, 0] == pytest.approx(y)
     assert y_bar[0] == pytest.approx(-y)
     assert y00 == pytest.approx(y)
 
@@ -336,8 +341,7 @@ def test_admittance_three_bus_chain_with_shunt(tmp_path):
     net = load_network(path)
     y01 = 1.0 / complex(0.01, 0.02)
     y12 = 1.0 / complex(0.03, 0.01)
-    Y, y_bar, y00 = build_admittance(net)
-    dense = Y.toarray()
+    dense, y_bar, y00 = build_admittance(net)
     assert dense[0, 0] == pytest.approx(y01 + y12 + complex(0.5, -0.25))
     assert dense[0, 1] == dense[1, 0] == pytest.approx(-y12)
     assert dense[1, 1] == pytest.approx(y12)
@@ -346,13 +350,13 @@ def test_admittance_three_bus_chain_with_shunt(tmp_path):
 
 def test_admittance_row_consistency_no_shunts(net33):
     Y, y_bar, _ = build_admittance(net33)
-    rows = np.asarray(Y.sum(axis=1)).ravel() + y_bar
+    rows = Y.sum(axis=1) + y_bar
     assert np.abs(rows).max() < 1e-12
 
 
 def test_admittance_symmetry(net33):
     Y, _, _ = build_admittance(net33)
-    d = (Y - Y.T).toarray()
+    d = Y - Y.T
     assert np.abs(d).max() == 0.0
 
 
@@ -448,13 +452,14 @@ def test_path_gram_matches_dense_matrices(net33, feeder):
         path_gram(((terms[0][0], d_r), (PathSum(_tree([0] * n), z.real), d_x)), x)
 
 
-@pytest.mark.parametrize("feeder", FEEDERS)
+@pytest.mark.parametrize("feeder", [*FEEDERS, "synthetic-400"])
 def test_admittance_matches_full_bus_matrix(net33, feeder):
-    net = FEEDERS[feeder](net33)
+    net = synthetic_feeder(400, seed=5) if feeder == "synthetic-400" else FEEDERS[feeder](net33)
     full = full_ybus(net)
     Y, y_bar, y00 = build_admittance(net)
+    assert isinstance(Y, np.ndarray) == (net.n <= DENSE_LIMIT)
     scale = np.abs(full).max()
-    assert np.abs(Y.toarray() - full[1:, 1:]).max() <= 1e-12 * scale
+    assert np.abs(dense_admittance(net) - full[1:, 1:]).max() <= 1e-12 * scale
     assert np.abs(y_bar - full[1:, 0]).max() <= 1e-12 * scale
     assert abs(y00 - full[0, 0]) <= 1e-12 * scale
 
@@ -534,3 +539,41 @@ def test_projection_idempotent_exactly():
         twice = project_feasible(*once, box)
         assert twice == once
 
+
+
+def _shunted(net, seed=0):
+    """The network with a small shunt at a random third of its nodes."""
+    rng = np.random.default_rng(seed)
+    shunts = np.where(rng.random(net.n) < 1 / 3, rng.uniform(0, 1e-3, net.n) + 1e-3j, 0.0)
+    return dataclasses.replace(net, shunts=shunts)
+
+
+ADMITTANCE_FEEDERS = {
+    "two-bus": lambda: _tree([0]),
+    "star-40": lambda: _tree([0] * 40),
+    "star-40-below-root": lambda: _tree([0, *[1] * 40]),
+    "shunted-tree-120": lambda: _shunted(_tree([int(0.6 * i) for i in range(120)], seed=3)),
+    "synthetic-at-limit": lambda: synthetic_feeder(DENSE_LIMIT, seed=5),
+    "synthetic-above-limit": lambda: synthetic_feeder(DENSE_LIMIT + 1, seed=5),
+    "shunted-synthetic-1000": lambda: _shunted(synthetic_feeder(1000, seed=7), seed=1),
+}
+
+
+@pytest.mark.parametrize("feeder", ADMITTANCE_FEEDERS)
+def test_sparse_admittance_product_is_scipy_csr_bitwise(monkeypatch, feeder):
+    # Stars of degree 40 (so rows of 41 entries), shunts, and sizes at and
+    # above DENSE_LIMIT (below it the product is forced by lowering the
+    # limit): Y.dot equals scipy's CSR product byte for byte.
+    net = ADMITTANCE_FEEDERS[feeder]()
+    csr = sp.csr_matrix(dense_admittance(net))
+    monkeypatch.setattr(netmodel, "DENSE_LIMIT", min(DENSE_LIMIT, net.n - 1))
+    Y = build_admittance(net)[0]
+    assert isinstance(Y, SparseProduct)
+    rng = np.random.default_rng(4)
+    n = net.n
+    cases = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(5)]
+    cases.append(solve_power_flow(net, net.p0, net.q0).v)
+    signed = rng.normal(size=n) + 1j * rng.normal(size=n)
+    cases += [np.where(rng.random(n) < 0.5, -0.0, 1.0) * signed, np.zeros(n, dtype=complex)]
+    for x in cases:
+        assert Y.dot(x).tobytes() == csr.dot(x).tobytes()

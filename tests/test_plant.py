@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gridloop.feeders import synthetic_feeder
-from gridloop.netmodel import DENSE_LIMIT, PathSum, build_admittance, load_network, path_sum_matrix
+from gridloop.netmodel import (
+    DENSE_LIMIT,
+    PathSum,
+    SparseProduct,
+    build_admittance,
+    load_network,
+    path_sum_matrix,
+)
 from gridloop.plant import solve_power_flow
 
-from oracles import newton_power_flow, one_branch_voltage, reference_sweep
+from oracles import dense_admittance, newton_power_flow, one_branch_voltage, reference_sweep
 
 
 def test_no_load_flat_solution(net33):
@@ -113,8 +122,8 @@ def _dense_sweep(net, p, q, tol=1e-10, max_iter=500):
     """The plant's sweep with the explicit N x N common-path impedance and
     admittance matrices: (voltages, sweeps)."""
     Z = path_sum_matrix(net, net.branch_z)
-    Y, y_bar, _ = build_admittance(net)
-    Y = Y.toarray()
+    Y = dense_admittance(net)
+    _, y_bar, _ = build_admittance(net)
     s = p + 1j * q
     v = np.full(net.n, complex(net.v0))
     for sweeps in range(1, max_iter + 1):
@@ -165,6 +174,15 @@ def test_sweep_matches_reference_loop_bitwise(net33, tmp_path, twobus_json):
     shunted = _shunted_two_node(tmp_path)
     assert shunted._sweep[-1] is not None
     assert _assert_sweep_matches_reference(shunted, np.array([-0.2]), np.array([0.1])).converged
+    # Above DENSE_LIMIT, with and without shunts: the sparse admittance
+    # product against scipy's CSR product.
+    big = synthetic_feeder(DENSE_LIMIT + 100, seed=5)
+    assert isinstance(big._sweep[1], SparseProduct)
+    shunts = np.where(np.arange(big.n) % 3 == 0, complex(2e-3, -1e-3), 0.0)
+    for net in (big, dataclasses.replace(big, shunts=shunts)):
+        assert _assert_sweep_matches_reference(net, net.p0, net.q0).converged
+        sol = _assert_sweep_matches_reference(net, 20 * net.p0, 20 * net.q0, max_iter=3)
+        assert not sol.converged and sol.iterations == 3
 
 
 def test_sweep_matches_reference_loop_when_diverging(net33, twobus_json):
