@@ -466,9 +466,9 @@ def _derive_trace(ctx, seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack) ->
     """The trace of one trial from its records (row k for iteration k), each
     scalar column and the summary derived one statistic at a time. Sums,
     minima and maxima reduce the rows of C-order (K, N) blocks, which gives
-    each row the bytes of its own 1-D reduction. The norms keep one ``dot``
-    per row and the substation cost Python-float ``pow``: a row sum of
-    ``mu * mu`` and numpy's square can differ from these in the last bit."""
+    each row the bytes of its own 1-D reduction; so do the norms
+    (:func:`_row_norms`). The substation cost keeps Python-float ``pow``:
+    numpy's square can differ from it in the last bit."""
     cfgc, n = ctx.cfg.controller, p.shape[1]
     cost_local = ctx.cost.local_cost(p, q)
     cost_sub = np.array([ctx.cost.substation_cost(s) for s in p_slack.tolist()])
@@ -496,8 +496,8 @@ def _derive_trace(ctx, seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack) ->
 
 
 def _row_norms(rows: Iterable[np.ndarray]) -> np.ndarray:
-    """The Euclidean norm of each row, ``sqrt(x.dot(x))`` as ``np.linalg.norm`` takes it."""
-    return np.array([math.sqrt(x.dot(x)) for x in rows])
+    """Each row's Euclidean norm by a pairwise sum, not a thread-dependent BLAS dot."""
+    return np.array([math.sqrt(np.add.reduce(x * x)) for x in rows])
 
 
 def _saddle_gaps(p, q, mu_l, mu_u, x_star_vec: np.ndarray) -> Iterable[np.ndarray]:

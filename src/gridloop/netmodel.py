@@ -15,6 +15,7 @@ import math
 import sys
 from collections.abc import Iterable
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -179,6 +180,7 @@ _NODE_KEYS = {
     "pmin": _BOUND, "pmax": _BOUND, "qmin": _BOUND, "qmax": _BOUND, "smax": _BOUND,
 }
 _LINE_KEYS = {"from": _INT, "to": _INT, "r": _NUMBER, "x": _NUMBER}
+_TYPES = {_INT: {int}, _ARRAY: {list}, _NUMBER: {int, float}, _BOUND: {int, float, type(None)}}
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -198,35 +200,52 @@ def load_network(path: str | Path) -> NetworkModel:
         raise NetworkError(f"network file {path}: {exc}") from exc
 
 
-def _checked(obj, where: str, keys: dict[str, str], required: Iterable[str]) -> dict:
-    """``obj`` once it is an object holding ``required`` and other ``keys``
-    only, each value of the kind ``keys`` names. A number is a JSON int or
-    float (not a bool) that a float holds finitely."""
+def _checked(obj, where: str, keys: dict[str, str], required: Iterable[str]) -> None:
+    """Raise :class:`NetworkError` unless ``obj`` is an object holding ``required``
+    and other ``keys`` only, each value of the kind ``keys`` names. A number is a
+    JSON int or float (not a bool) that a float holds finitely."""
     if type(obj) is not dict:
-        raise NetworkError(f"{where} must be an object, got {_shown(obj)}")
+        raise NetworkError(f"{where} must be an object, got {json.dumps(obj, default=repr)}")
     for key, val in obj.items():
         kind = keys.get(key)
         if kind is None:
             raise NetworkError(f"{where}: unknown key {key!r}; known keys: {', '.join(keys)}")
-        if kind is _INT:
-            ok = type(val) is int
-        elif kind is _ARRAY:
-            ok = type(val) is list
-        elif val is None:
-            ok = kind is _BOUND
-        else:
-            ok = (type(val) is float or type(val) is int) and abs(val) <= _FLOAT_MAX
-        if not ok:
-            raise NetworkError(f"{where}: {key!r} must be {kind}, got {_shown(val)}")
+        if type(val) not in _TYPES[kind] or (
+            kind is not _INT and type(val) in (int, float) and not abs(val) <= _FLOAT_MAX
+        ):
+            raise NetworkError(f"{where}: {key!r} must be {kind}, got {json.dumps(val, default=repr)}")
     for key in required:
         if key not in obj:
             raise NetworkError(f"{where}: missing key {key!r}")
-    return obj
 
 
-def _shown(val) -> str:
-    """A document value as its JSON text."""
-    return json.dumps(val, default=repr)
+def _columns(rows: list, where: str, keys: dict[str, str], required: Iterable[str]) -> dict:
+    """The objects of the list ``rows`` as one column per key: ints, or
+    floats with 0.0 for a missing number and NaN for a missing or null bound.
+    :func:`_checked`'s checks run on whole columns; only if one fails does it
+    scan the objects one by one, to name the first bad one in its words."""
+    cols: dict = {}
+    if set(map(type, rows)) <= {dict} and set().union(*rows) <= keys.keys():
+        for key, kind in keys.items():
+            default = 0.0 if kind is _NUMBER and key not in required else None
+            col = list(map(dict.get, rows, repeat(key), repeat(default)))
+            types = set(map(type, col))
+            if not types <= _TYPES[kind]:
+                break
+            if kind is not _INT:
+                # A float must hold each int finitely, and only nulls read as NaN.
+                if int in types and any(abs(v) > _FLOAT_MAX for v in col if type(v) is int):
+                    break
+                nulls = col.count(None) if type(None) in types else 0
+                col = np.array(col, dtype=float)
+                if np.count_nonzero(np.isfinite(col)) + nulls < len(col):
+                    break
+            cols[key] = col
+        else:
+            return cols
+    for k, row in enumerate(rows):
+        _checked(row, f"{where}[{k}]", keys, required)
+    raise AssertionError(f"{where}: a column check failed on valid objects")
 
 
 def build_network(doc: dict) -> NetworkModel:
@@ -245,13 +264,10 @@ def build_network(doc: dict) -> NetworkModel:
     each check runs over all nodes or lines and names the first in id or
     line order.
     """
-    doc = _checked(doc, "the document", _DOCUMENT_KEYS, ("nodes", "lines"))
+    _checked(doc, "the document", _DOCUMENT_KEYS, ("nodes", "lines"))
     v0 = float(doc.get("v0", 1.0))
-    rows = sorted(
-        (_checked(row, f"nodes[{k}]", _NODE_KEYS, ("id",)) for k, row in enumerate(doc["nodes"])),
-        key=lambda row: row["id"],
-    )
-    ids = [row["id"] for row in rows]
+    nodes = _columns(doc["nodes"], "nodes", _NODE_KEYS, ("id",))
+    ids = sorted(nodes["id"])
     dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
     if dup is not None:
         raise NetworkError(f"duplicate node id {dup}")
@@ -266,13 +282,13 @@ def build_network(doc: dict) -> NetworkModel:
         raise NetworkError(f"slack voltage v0 must be positive, got {v0}")
 
     def column(key: str, default) -> np.ndarray:
-        """The non-slack nodes' ``key``, ``default`` where missing or null."""
-        col = np.array(
-            [math.nan if row.get(key) is None else row[key] for row in rows[1:]], dtype=float
-        )
+        """The non-slack nodes' ``key`` in id order, ``default`` where null."""
+        col = nodes.pop(key)[order[1:]]
         return np.where(np.isnan(col), default, col)
 
-    shunts = np.array([complex(row.get("shunt_g", 0.0), row.get("shunt_b", 0.0)) for row in rows])
+    order = np.argsort(nodes["id"], kind="stable")
+    # Stacking the parts keeps signed zeros, which re + 1j * im would not.
+    shunts = np.column_stack([nodes.pop("shunt_g"), nodes.pop("shunt_b")]).view(complex)[order, 0]
     p0, q0 = column("p0", 0.0), column("q0", 0.0)
     pmin, pmax = column("pmin", p0), column("pmax", p0)
     qmin, qmax = column("qmin", q0), column("qmax", q0)
@@ -285,27 +301,25 @@ def build_network(doc: dict) -> NetworkModel:
     near = np.hypot(pmin.clip(0.0, pmax), qmin.clip(0.0, qmax))
     _reject(near > smax, lambda k: f"{empty} {k + 1}: box and s_max={smax[k]} disk are disjoint")
 
-    lines = [
-        _checked(row, f"lines[{k}]", _LINE_KEYS, _LINE_KEYS) for k, row in enumerate(doc["lines"])
-    ]
-    frm, to = [row["from"] for row in lines], [row["to"] for row in lines]
-    for k, (a, b) in enumerate(zip(frm, to)):
-        for endpoint in (a, b):
-            if not 0 <= endpoint <= n:
-                raise NetworkError(
-                    f"dangling line endpoint: line {k} ({a} -> {b}) references unknown node {endpoint}"
-                )
-    z = np.array([complex(row["r"], row["x"]) for row in lines], dtype=complex)
+    lines = _columns(doc["lines"], "lines", _LINE_KEYS, _LINE_KEYS)
+    frm, to = lines["from"], lines["to"]
+    ends = np.array([frm, to])
+    _reject(
+        ((ends < 0) | (ends > n)).any(axis=0),
+        lambda k: f"dangling line endpoint: line {k} ({frm[k]} -> {to[k]}) references unknown "
+        f"node {frm[k] if not 0 <= frm[k] <= n else to[k]}",
+    )
+    z = np.column_stack([lines.pop("r"), lines.pop("x")]).view(complex)[:, 0]
     radial = "non-radial topology:"
-    _reject(np.equal(frm, to), lambda k: f"{radial} line {k} is a self-loop at node {frm[k]}")
+    _reject(ends[0] == ends[1], lambda k: f"{radial} line {k} is a self-loop at node {frm[k]}")
     _reject(
         z.real < 0.0,
-        lambda k: f"line {k} ({frm[k]} -> {to[k]}): negative resistance {lines[k]['r']}",
+        lambda k: f"line {k} ({frm[k]} -> {to[k]}): negative resistance {doc['lines'][k]['r']}",
     )
     _reject(z == 0.0, lambda k: f"line {k} ({frm[k]} -> {to[k]}): zero impedance")
-    if len(lines) != n:
+    if len(frm) != n:
         raise NetworkError(
-            f"{radial} {len(lines)} lines for {n} non-slack nodes (a spanning tree needs exactly {n})"
+            f"{radial} {len(frm)} lines for {n} non-slack nodes (a spanning tree needs exactly {n})"
         )
 
     # Search from the substation for each node's parent and feeding line.

@@ -197,10 +197,11 @@ def reference_sweep(net, p, q, tol=1e-10, max_iter=500):
 def reference_trace_statistics(trace, ctx, p_slack):
     """The per-iteration bookkeeping of the closed loop as it stood when the
     loop computed its statistics one iteration at a time, kept verbatim (the
-    cost formulas written out) so the statistics derived after the loop can
-    be checked bit for bit. ``p_slack`` holds the plant's slack power per
-    iteration as Python floats. Returns ``(columns, summary)``, the columns
-    keyed by trace field."""
+    cost formulas written out, each norm a pairwise sum of squares) so the
+    statistics derived after the loop can be checked bit for bit.
+    ``p_slack`` holds the plant's slack power per iteration as Python
+    floats. Returns ``(columns, summary)``, the columns keyed by trace
+    field."""
     cfgc, cost = ctx.cfg.controller, ctx.cost
     k_iter, n = trace.p.shape
     mu_l_norm, mu_u_norm, cost_local, cost_sub, violation, se_mean, se_max = (
@@ -212,8 +213,8 @@ def reference_trace_statistics(trace, ctx, p_slack):
         p_k, q_k = trace.p[k], trace.q[k]
         mu_lower, mu_upper = trace.mu_lower[k], trace.mu_upper[k]
         r_true, r_hat = trace.v_true[k], trace.r_hat[k]
-        mu_l_norm[k] = math.sqrt(mu_lower.dot(mu_lower))
-        mu_u_norm[k] = math.sqrt(mu_upper.dot(mu_upper))
+        mu_l_norm[k] = math.sqrt(np.add.reduce(mu_lower * mu_lower))
+        mu_u_norm[k] = math.sqrt(np.add.reduce(mu_upper * mu_upper))
         cost_local[k] = float(
             np.add.reduce(cost.wp * (p_k - cost.p_ref) ** 2)
             + np.add.reduce(cost.wq * (q_k - cost.q_ref) ** 2)
@@ -228,7 +229,8 @@ def reference_trace_statistics(trace, ctx, p_slack):
         se_mean[k] = float(np.add.reduce(err)) / n
         se_max[k] = np.maximum.reduce(err)
         if x_star_vec is not None:
-            dist[k] = np.linalg.norm(np.concatenate([p_k, q_k, mu_lower, mu_upper]) - x_star_vec)
+            gap = np.concatenate([p_k, q_k, mu_lower, mu_upper]) - x_star_vec
+            dist[k] = math.sqrt(np.add.reduce(gap * gap))
     columns = {
         "mu_lower_norm": mu_l_norm,
         "mu_upper_norm": mu_u_norm,

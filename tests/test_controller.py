@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gridloop
+from gridloop import controller
 from gridloop.controller import (
     ControllerConfig,
     ControllerState,
@@ -19,6 +20,7 @@ from gridloop.controller import (
     primal_grad,
     primal_step,
 )
+from gridloop.feeders import synthetic_feeder
 from gridloop.linearizer import LinearFlowModel, lindistflow
 from gridloop.netmodel import load_network
 
@@ -179,19 +181,66 @@ def test_certificate_decoupled_closed_form():
     assert cert.eps_max == pytest.approx(2 * 0.01 / 4.0)
 
 
+def _dense_jacobian(cost, model, eta):
+    """The saddle Jacobian [[Hc, G^T], [-G, eta I]] as a dense matrix."""
+    n = model.n
+    A, B = (m if isinstance(m, np.ndarray) else m @ np.eye(n) for m in (model.A, model.B))
+    Hc = np.diag(np.concatenate([2 * cost.wp, 2 * cost.wq]))
+    Hc[:n, :n] += 2 * cost.alpha
+    G = np.vstack([-np.hstack([A, B]), np.hstack([A, B])])
+    return np.block([[Hc, G.T], [-G, eta * np.eye(2 * n)]])
+
+
 def test_certificate_operator_norm_matches_svd(net33):
     model = lindistflow(net33)
     cost = CostParams.for_network(net33, alpha=5e-4)
     cert = certify_step_size(cost, model, CFG)
-    n = 32
-    Hc = np.diag(np.concatenate([2 * cost.wp, 2 * cost.wq]))
-    Hc[:n, :n] += 2 * cost.alpha
-    G = np.vstack([-np.hstack([model.A, model.B]), np.hstack([model.A, model.B])])
-    J = np.block([[Hc, G.T], [-G, CFG.eta * np.eye(2 * n)]])
-    L_svd = np.linalg.svd(J, compute_uv=False)[0]
-    assert cert.L == pytest.approx(L_svd, rel=1e-9)
+    L_svd = np.linalg.svd(_dense_jacobian(cost, model, CFG.eta), compute_uv=False)[0]
+    assert cert.L == pytest.approx(L_svd, rel=1e-14, abs=0.0)
     assert cert.M == pytest.approx(CFG.eta)
     assert cert.L >= cert.M
+
+
+def test_certificate_operator_norm_on_the_tree_kernel():
+    # 320 nodes is above DENSE_LIMIT, so A and B are PathSum operators.
+    net = synthetic_feeder(320, 12)
+    model = lindistflow(net)
+    cost = CostParams.for_network(net, alpha=5e-4)
+    J = _dense_jacobian(cost, model, CFG.eta)
+    L_eig = np.sqrt(np.linalg.eigvalsh(J.T @ J)[-1])
+    assert certify_step_size(cost, model, CFG).L == pytest.approx(L_eig, rel=1e-13, abs=0.0)
+
+
+def test_certificate_two_bus_ends_within_4n_steps(twobus_json, monkeypatch):
+    # The top two singular values lie within 0.05% of each other, where a
+    # power iteration stalls (it stopped 2.5e-4 short of L here); with 4N = 4
+    # the Krylov space is the whole space after at most four steps.
+    net = load_network(twobus_json)
+    model = lindistflow(net)
+    cost = CostParams.for_network(net, alpha=5e-4)
+    L_svd = np.linalg.svd(_dense_jacobian(cost, model, CFG.eta), compute_uv=False)[0]
+    assert certify_step_size(cost, model, CFG).L == pytest.approx(L_svd, rel=1e-14, abs=0.0)
+    steps = []
+    top = controller._top_eigenvalue
+    monkeypatch.setattr(
+        controller, "_top_eigenvalue", lambda *args: steps.append(args) or top(*args)
+    )
+    certify_step_size(cost, model, CFG)
+    assert len(steps) <= 4
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 30])
+def test_top_eigenvalue_matches_eigvalsh(k):
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        alpha = rng.uniform(-1.0, 4.0, k)
+        beta = rng.uniform(0.0, 2.0, k - 1)
+        beta[rng.random(k - 1) < 0.3] = 0.0
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        want = np.linalg.eigvalsh(T)[-1]
+        # The largest diagonal entry is a lower bound (a Rayleigh quotient).
+        got = controller._top_eigenvalue(alpha.tolist(), beta.tolist(), float(alpha.max()))
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 def test_certificate_does_not_depend_on_blas_threads():

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 from dataclasses import fields, replace
@@ -408,7 +412,8 @@ def test_bound_audit_reads_run_traces_bitwise():
     traces = list(run_trials(ctx))
     for trace in traces:
         assert trace.mu_lower.shape == trace.mu_upper.shape == trace.p.shape
-        assert np.linalg.norm(trace.mu_lower[-1]) == trace.mu_lower_norm[-1]
+        mu = trace.mu_lower[-1]
+        assert math.sqrt(np.add.reduce(mu * mu)) == trace.mu_lower_norm[-1]
     fed = verify_error_bound(ctx, traces)
     own = _audit(cfg)
     for f in fields(BoundReport):
@@ -450,6 +455,28 @@ def test_derived_statistics_match_per_iteration_reference(setup):
         ref = reference_bound_terms(trace, ctx.model, x_star_vec)
         for name, a, b in zip(("d_alpha", "d_rho", "dist_sq"), ours, ref):
             assert a.tobytes() == b.tobytes(), name
+
+
+def test_trace_norms_do_not_depend_on_blas_threads():
+    # Rows of 16,000 entries, long enough for OpenBLAS to split a dot product
+    # between threads, which changes its last bit.
+    code = (
+        "import numpy as np\n"
+        "from gridloop.harness import _row_norms\n"
+        "rows = np.random.default_rng(5).standard_normal((8, 16000))\n"
+        "print([x.hex() for x in _row_norms(rows).tolist()])\n"
+    )
+    src = str(Path(gridloop.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert out[0] == out[1]
 
 
 def test_loop_and_audit_hold_no_whole_trace_temporaries():

@@ -282,6 +282,54 @@ def test_bad_network_document_rejected_where_it_enters(tmp_path, case):
     assert message in str(info.value)
 
 
+# One corruption per row: a bad value under a key (a bool, a string, NaN,
+# +-inf, an integer beyond the float range; integer keys take no int), a null
+# where only the bounds take one, an unknown key, a missing required key, or a
+# row that is not an object.
+DOC400 = network_document(synthetic_feeder(400, seed=12))
+REQUIRED = {"nodes": ("id",), "lines": tuple(netmodel._LINE_KEYS)}
+BOUNDS = {"pmin", "pmax", "qmin", "qmax", "smax"}
+
+
+@st.composite
+def corrupted_rows(draw, section: str, row: dict):
+    keys = netmodel._NODE_KEYS if section == "nodes" else netmodel._LINE_KEYS
+    how = draw(st.sampled_from(["value", "null", "unknown", "missing", "not an object"]))
+    if how == "not an object":
+        return draw(st.sampled_from([[], 1.5, "row", None, [row]]))
+    if how == "value":
+        key = draw(st.sampled_from(list(keys)))
+        bad = [True, False, "0.01", math.nan, math.inf, -math.inf]
+        if keys[key] != netmodel._INT:
+            bad.append(10**400)
+        return {**row, key: draw(st.sampled_from(bad))}
+    if how == "null":
+        return {**row, draw(st.sampled_from([k for k in keys if k not in BOUNDS])): None}
+    if how == "unknown":
+        return {**row, "b" if section == "lines" else "pmni": 0.001}
+    missing = draw(st.sampled_from(REQUIRED[section]))
+    return {k: v for k, v in row.items() if k != missing}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_first_bad_row_named_in_checked_words(data):
+    # Two corrupt rows of a 400-node document: the error names the earlier
+    # one, in the words _checked gives for that row alone.
+    section = data.draw(st.sampled_from(["nodes", "lines"]))
+    rows = list(DOC400[section])
+    first = data.draw(st.integers(0, len(rows) - 2))
+    later = data.draw(st.integers(first + 1, len(rows) - 1))
+    for k in (first, later):
+        rows[k] = data.draw(corrupted_rows(section, rows[k]))
+    keys = netmodel._NODE_KEYS if section == "nodes" else netmodel._LINE_KEYS
+    with pytest.raises(NetworkError) as alone:
+        netmodel._checked(rows[first], f"{section}[{first}]", keys, REQUIRED[section])
+    with pytest.raises(NetworkError) as built:
+        build_network({**DOC400, section: rows})
+    assert str(built.value) == str(alone.value)
+
+
 def _written_by_perfbench(net) -> dict:
     """The network file perfbench writes for its synthetic feeder, built the
     way perfbench/workloads.py builds it: through the model's record views

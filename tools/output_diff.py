@@ -5,8 +5,11 @@ Usage: python3 tools/output_diff.py DIR_A DIR_B
 ``DIR_A`` and ``DIR_B`` are trees of run outputs, such as two
 ``tools/output_hashes.py --keep DIR`` directories taken on two commits. For
 every file (by path relative to its directory) one line is printed:
-``identical`` when the bytes agree, otherwise the largest absolute difference
-over the numeric CSV cells and JSON leaves. Every difference that is not a
+``identical`` when the bytes agree, otherwise the largest absolute and the
+largest relative difference over the numeric CSV cells and JSON leaves (a
+value's relative difference is its absolute one over the larger magnitude of
+the two; the two largest may come from different values). Every difference
+that is not a
 float moving is named on its own indented line: a changed integer or boolean
 (a violation count, ``satisfied``, ``certified``, an iteration or sweep
 count), a changed string, a non-finite value on one side only, or a changed
@@ -40,28 +43,30 @@ def _csv(path: Path) -> tuple[list[str], list[dict]]:
     return header, [dict(zip(header, map(_cell, row))) for row in rows]
 
 
-def compare(a, b, where: str, notes: list[str]) -> float:
-    """Largest absolute difference between the floats of two parsed values;
-    every other difference is appended to ``notes``."""
+def compare(a, b, where: str, notes: list[str]) -> tuple[float, float]:
+    """Largest absolute and largest relative difference between the floats
+    of two parsed values; every other difference is appended to ``notes``."""
     if isinstance(a, (list, dict)) or isinstance(b, (list, dict)):
         if type(a) is not type(b) or len(a) != len(b):
             notes.append(f"{where}: shape {_shape(a)} -> {_shape(b)}")
-            return 0.0
+            return 0.0, 0.0
         if isinstance(a, dict):
             if a.keys() != b.keys():
                 notes.append(f"{where}: keys {sorted(a)} -> {sorted(b)}")
-                return 0.0
+                return 0.0, 0.0
             pairs = [(a[k], b[k], f"{where}.{k}") for k in a]
         else:
             pairs = [(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
-        return max((compare(x, y, w, notes) for x, y, w in pairs), default=0.0)
+        diffs = [compare(x, y, w, notes) for x, y, w in pairs]
+        return max((d[0] for d in diffs), default=0.0), max((d[1] for d in diffs), default=0.0)
     floats = isinstance(a, float) or isinstance(b, float)
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
     if floats and numbers and math.isfinite(a) and math.isfinite(b):
-        return abs(a - b)
+        diff = abs(a - b)
+        return diff, diff / max(abs(a), abs(b)) if diff else 0.0
     if a != b and not (floats and numbers and math.isnan(a) and math.isnan(b)):
         notes.append(f"{where}: {a!r} -> {b!r}")
-    return 0.0
+    return 0.0, 0.0
 
 
 def _shape(v) -> str:
@@ -82,7 +87,7 @@ def diff_file(a: Path, b: Path, notes: list[str]) -> str:
     else:
         notes.append("not a CSV or JSON file; bytes differ")
         return "differs"
-    return f"max abs diff {worst:.3g}"
+    return f"max abs diff {worst[0]:.3g}, max rel diff {worst[1]:.3g}"
 
 
 def main(argv: list[str]) -> int:
