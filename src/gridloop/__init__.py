@@ -39,7 +39,7 @@ from .linearizer import (
     lindistflow,
     linearize,
 )
-from .netmodel import NetworkError, NetworkModel, build_admittance, load_network
+from .netmodel import NetworkError, NetworkModel, load_network
 from .plant import PowerFlowSolution, solve_power_flow
 from .sensing import (
     MeasurementPlan,

@@ -1,4 +1,4 @@
-"""Radial distribution network model: loading, validation, admittance, device limits.
+"""Radial distribution network model: loading, validation, path sums, device limits.
 
 Conventions: all quantities are per-unit on a single base. Node 0 is the
 substation (slack) bus held at voltage magnitude ``v0``; every other node is a
@@ -22,8 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 
 # Networks with at most this many non-slack nodes use dense N x N path-sum
-# and admittance matrices; larger ones use the O(N) PathSum kernel and a
-# SparseProduct admittance. Measured on a 2-CPU x86 host, a dense product and
+# matrices (the plant's Z, LinDistFlow's A and B); larger ones use the O(N)
+# PathSum kernel. Measured on a 2-CPU x86 host, a dense product and
 # a PathSum product cost the same between 256 and 384 nodes (README, "Scaling").
 DENSE_LIMIT = 300
 
@@ -33,7 +33,8 @@ class NetworkError(ValueError):
 
 
 class ProjectionError(RuntimeError):
-    """Alternating projection failed to reach tolerance (tolerance too tight)."""
+    """The box-and-disk projection found no feasible closed-form candidate
+    (``_project_mixed_active``): an empty feasible set or non-finite input."""
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -135,23 +136,29 @@ class NetworkModel:
         built once per network: the product with the common-path impedance
         ``Z`` (:func:`path_sum` of the branch impedances), ``ndarray.dot``
         when Z is dense (the BLAS product of ``@`` without the matmul
-        ufunc's dispatch) and ``PathSum.__matmul__`` otherwise; the admittance
-        partition ``(Y, y_bar, y00)`` of :func:`build_admittance`, with
-        ``Y`` dense up to ``DENSE_LIMIT`` nodes and sparse above;
-        ``y_bar * v0``; the flat start ``v0`` at every node; and the shunt
-        admittances, or None when no node has one. The arrays are
-        read-only."""
-        Y, y_bar, y00 = build_admittance(self)
-        v0 = complex(self.v0)
-        flat = np.full(self.n, v0, dtype=complex)
+        ufunc's dispatch) and ``PathSum.__matmul__`` otherwise; the slack
+        row of the bus admittance matrix, as the coupling column ``y_bar``
+        (minus the admittance of each line from the substation) and the
+        self-admittance ``y00`` (the substation's shunt plus those lines'
+        admittances, summed in id order), for the slack power; the flat
+        start ``v0`` at every node; and the shunt admittances, or None when
+        no node has one. The arrays are read-only."""
+        root = self.parent == 0
+        # CPython's complex division, one line at a time: numpy's 1.0 / z
+        # differs from it in the last bit.
+        y_root = np.array([1.0 / z for z in self.branch_z[root].tolist()], dtype=complex)
+        y_bar = np.zeros(self.n, dtype=complex)
+        y_bar[root] -= y_root
+        y00 = self.shunt0
+        for y_k in y_root.tolist():
+            y00 += y_k
+        flat = np.full(self.n, complex(self.v0), dtype=complex)
         shunts = self.shunts if self.shunts.any() else None
         Z = path_sum(self, self.branch_z)
         return (
             Z.dot if isinstance(Z, np.ndarray) else Z.__matmul__,
-            _freeze(Y) if isinstance(Y, np.ndarray) else Y,
             _freeze(y_bar),
             y00,
-            _freeze(y_bar * v0),
             _freeze(flat),
             shunts,
         )
@@ -606,84 +613,6 @@ def path_sum_matrix(net: NetworkModel, weights: np.ndarray) -> np.ndarray:
             m[i, :] = m[pid - 1, :]
         m[i, pos[i] : end[i]] += weights[i]
     return m[:, pos]
-
-
-# ---------------------------------------------------------------------------
-# Admittance
-
-
-def build_admittance(net: NetworkModel) -> tuple[np.ndarray | SparseProduct, np.ndarray, complex]:
-    """Build the bus admittance partition (Y, y_bar, y00).
-
-    Y is the N x N block over non-slack nodes with Y_ii = sum of incident line
-    admittances plus the node's shunt and Y_ij = -y_ij for lines; y_bar is the
-    slack coupling column and y00 the slack self-admittance, so that
-    [I0; i] = [[y00, y_bar^T]; [y_bar, Y]] [V0; v]. Each Y_ii adds the
-    node's own line, then its children's in id order. Y is a dense array up
-    to ``DENSE_LIMIT`` nodes and a :class:`SparseProduct` above.
-    """
-    n = net.n
-    # CPython's complex division, one line at a time: numpy's 1.0 / z
-    # differs from it in the last bit.
-    y = np.array([1.0 / z for z in net.branch_z.tolist()], dtype=complex)
-    node = np.arange(n)
-    up = net.parent - 1
-    inner = up >= 0
-    diag = net.shunts + y
-    np.add.at(diag, up[inner], y[inner])
-    y_bar = np.zeros(n, dtype=complex)
-    y_bar[~inner] -= y[~inner]
-    y00 = net.shunt0
-    for y_k in y[~inner].tolist():  # summed in order, like the rows above
-        y00 += y_k
-    off = -y[inner]
-    rows = np.concatenate((up[inner], node[inner], node))
-    cols = np.concatenate((node[inner], up[inner], node))
-    vals = np.concatenate((off, off, diag))
-    if n > DENSE_LIMIT:
-        return SparseProduct(rows, cols, vals, n), y_bar, y00
-    Y = np.zeros((n, n), dtype=complex)
-    Y[rows, cols] = vals  # no entry repeats
-    return Y, y_bar, y00
-
-
-class SparseProduct:
-    """``Y @ x`` for an N x N complex matrix of (row, column, value) entries,
-    none repeated, summed as scipy's CSR product (``csr_matvec``) sums it, so
-    ``Y.dot(x)`` is ``scipy.sparse.csr_matrix.dot`` bit for bit: each row
-    folds from 0 over its sorted columns, and a term is (ar xr - ai xi,
-    ar xi + ai xr) in real arithmetic (numpy's complex multiply differs).
-    Rows are kept by falling entry count, so the rows with a k-th entry are
-    a prefix, and the fold is one slice add per k over terms formed at once.
-    """
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        count = np.bincount(rows, minlength=n)
-        rank = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
-        self._slot = np.empty(n, dtype=int)
-        self._slot[np.argsort(-count, kind="stable")] = np.arange(n)
-        pick = np.lexsort((self._slot[rows], rank))
-        a, c = vals[pick], 2 * cols[pick]
-        # A term is (ar, ar) * (xr, xi) + (-ai, ai) * (xi, xr), and -ai xi
-        # is -(ai xi), so its real part is ar xr - ai xi to the bit.
-        self._ar = np.stack([a.real, a.real], axis=1).ravel()
-        self._ai = np.stack([-a.imag, a.imag], axis=1).ravel()
-        self._xy = np.stack([c, c + 1], axis=1).ravel()
-        self._yx = np.stack([c + 1, c], axis=1).ravel()
-        width = np.bincount(rank)
-        self._folds = list(zip(width.tolist(), (np.cumsum(width) - width).tolist()))
-
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        xv = np.ascontiguousarray(x, dtype=complex).view(float)
-        t = self._ar * xv.take(self._xy)
-        t += self._ai * xv.take(self._yx)
-        t = t.view(complex)
-        acc = np.zeros(len(self._slot), dtype=complex)
-        for m, start in self._folds:
-            acc[:m] += t[start : start + m]
-        return acc[self._slot]
 
 
 # ---------------------------------------------------------------------------

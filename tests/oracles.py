@@ -5,7 +5,9 @@ power flow, closed forms, scalar objective, dense normal equations) and
 shares no code with the implementations under test. The references:
 
 - ``full_ybus`` and ``newton_power_flow``: the bus admittance matrix and a
-  polar Newton-Raphson power flow, for the sweep plant;
+  polar Newton-Raphson power flow, for the sweep plant (the package builds
+  no admittance matrix: its plant takes the power mismatch from the sweep
+  itself, and only the slack row for the substation's power);
 - ``one_branch_voltage``: the exact two-bus voltage;
 - ``scalar_lagrangian``: the controller's Lagrangian written out longhand;
 - ``dense_sensitivities``: the explicit N x 2N matrix ``[A B]`` of a linear
@@ -17,10 +19,8 @@ shares no code with the implementations under test. The references:
 - ``wls_gain``, ``wls_closed_form`` and ``state_variance``: the WLS gain,
   the estimate by orthogonal factorization and the per-state variance
   diag((H^T W H)^-1) (or that of a mapped estimate), all dense;
-- ``dense_admittance``: ``netmodel.build_admittance``'s Y as a dense array
-  at any size, to hold its sparse product to scipy's CSR product;
 - ``reference_sweep``: the sweep loop before its invariants were hoisted,
-  with scipy's CSR admittance product above ``DENSE_LIMIT``;
+  with the power mismatch taken through the full-bus admittance matrix;
 - ``reference_trace_statistics`` and ``reference_bound_terms``: a trace's
   statistics and the bound audit's terms computed one iteration at a time,
   as the loop and the audit did before they were derived from whole rows;
@@ -33,10 +33,8 @@ import math
 
 import numpy as np
 import scipy.optimize as sopt
-import scipy.sparse as sp
 import scipy.sparse.linalg as sspla
 
-from gridloop import netmodel
 from gridloop.netmodel import path_sum
 from gridloop.sensing import plan_reference_sigmas
 
@@ -154,28 +152,16 @@ def state_variance(H, w, G=None):
     return np.diag(cov) if G is None else np.einsum("ij,jk,ik->i", G, cov, G)
 
 
-def dense_admittance(net) -> np.ndarray:
-    """The Y of ``netmodel.build_admittance`` as the dense array it builds
-    when ``DENSE_LIMIT`` is at least N: the same entries, whatever N is."""
-    limit = netmodel.DENSE_LIMIT
-    netmodel.DENSE_LIMIT = net.n
-    try:
-        return netmodel.build_admittance(net)[0]
-    finally:
-        netmodel.DENSE_LIMIT = limit
-
-
 def reference_sweep(net, p, q, tol=1e-10, max_iter=500):
     """The backward/forward sweep loop of ``plant.solve_power_flow`` as it
-    stood before its loop invariants were hoisted, kept verbatim (on the
-    network's own common-path impedance and admittance, the admittance as
-    scipy's CSR matrix above ``DENSE_LIMIT``) so the lean loop can be
-    checked bit for bit: returns ``(v, iterations, residual_history)``."""
+    stood before its loop invariants were hoisted, on the network's own
+    common-path impedance, with the power mismatch ``v conj(Y v + y_bar v0)
+    - s`` of the non-slack rows of :func:`full_ybus` (dense at any size):
+    returns ``(v, iterations, residual_history)``."""
     s = np.asarray(p, dtype=float) + 1j * np.asarray(q, dtype=float)
     Z = path_sum(net, net.branch_z)
-    Y, y_bar, y00 = net._sweep[1:4]
-    if net.n > netmodel.DENSE_LIMIT:
-        Y = sp.csr_matrix(dense_admittance(net))
+    full = full_ybus(net)
+    Y, y_bar = full[1:, 1:], full[1:, 0]
     v0 = complex(net.v0)
     v = np.full(net.n, v0, dtype=complex)
     history: list[float] = []

@@ -225,9 +225,9 @@ def test_relative_network_resolves_against_the_scenario_only(tmp_path, monkeypat
 def test_cli_import_loads_no_multiprocessing(tmp_path):
     # Trials run in the process that prepared them, so the command line
     # needs no process machinery, and the package is numpy-only: the saddle
-    # oracle, the WLS factor and the sparse admittance product above
-    # DENSE_LIMIT use no scipy, so no run loads any of it, whether plain,
-    # audited or on the 400-node feeder. numpy.random comes with the
+    # oracle, the WLS factor and the tree kernel above DENSE_LIMIT use no
+    # scipy, so no run loads any of it, whether plain, audited or on the
+    # 400-node feeder. numpy.random comes with the
     # package, which numpy 2 would otherwise load at the first draw.
     from gridloop.feeders import synthetic_feeder
     from gridloop.netmodel import network_document

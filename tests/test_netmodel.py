@@ -8,18 +8,14 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridloop import netmodel
 from gridloop.feeders import resolve_network, synthetic_feeder
 from gridloop.netmodel import (
-    DENSE_LIMIT,
     NetworkError,
     PathSum,
-    SparseProduct,
-    build_admittance,
     build_network,
     load_network,
     network_document,
@@ -27,9 +23,8 @@ from gridloop.netmodel import (
     path_sum_matrix,
     project_box_disk,
 )
-from gridloop.plant import solve_power_flow
 
-from oracles import dense_admittance, full_ybus
+from oracles import full_ybus
 
 
 def test_load_minimal_two_bus(twobus_json):
@@ -355,27 +350,34 @@ def test_benchmark_network_files_rebuild_the_model(net33, feeder):
 
 
 # ---------------------------------------------------------------------------
-# Admittance
+# Admittance: the slack row the plant keeps for the substation's power, and
+# the identity its power mismatch rests on (plant.py)
+
+
+def _line_laplacian(net) -> np.ndarray:
+    """The non-slack block of the full-bus admittance matrix without shunts."""
+    return full_ybus(net)[1:, 1:] - np.diag(net.shunts)
 
 
 def test_admittance_two_bus(twobus_json):
     net = load_network(twobus_json)
     y = 1.0 / complex(0.01, 0.02)
-    Y, y_bar, y00 = build_admittance(net)
-    assert Y[0, 0] == pytest.approx(y)
+    _, y_bar, y00, _, _ = net._sweep
     assert y_bar[0] == pytest.approx(-y)
     assert y00 == pytest.approx(y)
 
 
 def test_admittance_three_bus_chain_with_shunt(tmp_path):
-    # Hand expansion: Y_11 = y_01 + y_12 + y_shunt at node 1.
+    # Hand expansion: the slack row holds the line from the substation and
+    # the substation's shunt only. With Y_11 = y_01 + y_12 + y_shunt at node
+    # 1, the network current at v = v0 + Z i is Y v + y_bar v0 = i + y_sh v.
     path = tmp_path / "chain.json"
     path.write_text(
         json.dumps(
             {
                 "v0": 1.0,
                 "nodes": [
-                    {"id": 0},
+                    {"id": 0, "shunt_g": 0.125, "shunt_b": 0.5},
                     {"id": 1, "shunt_g": 0.5, "shunt_b": -0.25},
                     {"id": 2},
                 ],
@@ -389,23 +391,21 @@ def test_admittance_three_bus_chain_with_shunt(tmp_path):
     net = load_network(path)
     y01 = 1.0 / complex(0.01, 0.02)
     y12 = 1.0 / complex(0.03, 0.01)
-    dense, y_bar, y00 = build_admittance(net)
-    assert dense[0, 0] == pytest.approx(y01 + y12 + complex(0.5, -0.25))
-    assert dense[0, 1] == dense[1, 0] == pytest.approx(-y12)
-    assert dense[1, 1] == pytest.approx(y12)
-    assert y_bar[0] == pytest.approx(-y01)
+    _, y_bar, y00, _, shunts = net._sweep
+    assert y_bar[0] == pytest.approx(-y01) and y_bar[1] == 0.0
+    assert y00 == pytest.approx(y01 + complex(0.125, 0.5))
+    Y = np.array([[y01 + y12 + complex(0.5, -0.25), -y12], [-y12, y12]])
+    i = np.array([0.3 - 0.1j, -0.2 + 0.4j])
+    v = net.v0 + path_sum_matrix(net, net.branch_z) @ i
+    assert np.abs(Y @ v + y_bar * net.v0 - (i + shunts * v)).max() <= 1e-12 * abs(y01)
 
 
 def test_admittance_row_consistency_no_shunts(net33):
-    Y, y_bar, _ = build_admittance(net33)
-    rows = Y.sum(axis=1) + y_bar
+    # Y_L 1 = -y_bar: with the slack column, each row of the line
+    # Laplacian sums to zero.
+    assert not net33.shunts.any()
+    rows = _line_laplacian(net33).sum(axis=1) + net33._sweep[1]
     assert np.abs(rows).max() < 1e-12
-
-
-def test_admittance_symmetry(net33):
-    Y, _, _ = build_admittance(net33)
-    d = Y - Y.T
-    assert np.abs(d).max() == 0.0
 
 
 def test_path_sum_matrix_shared_root_branch(tmp_path):
@@ -502,14 +502,18 @@ def test_path_gram_matches_dense_matrices(net33, feeder):
 
 @pytest.mark.parametrize("feeder", [*FEEDERS, "synthetic-400"])
 def test_admittance_matches_full_bus_matrix(net33, feeder):
+    # The plant's slack row is that of the full-bus matrix, and Z = path_sum
+    # of the branch impedances inverts the line Laplacian Y_L. The product
+    # Y_L Z rounds at a few eps times the sum of its terms' sizes, |Y_L| |Z|.
     net = synthetic_feeder(400, seed=5) if feeder == "synthetic-400" else FEEDERS[feeder](net33)
     full = full_ybus(net)
-    Y, y_bar, y00 = build_admittance(net)
-    assert isinstance(Y, np.ndarray) == (net.n <= DENSE_LIMIT)
+    _, y_bar, y00, _, _ = net._sweep
     scale = np.abs(full).max()
-    assert np.abs(dense_admittance(net) - full[1:, 1:]).max() <= 1e-12 * scale
     assert np.abs(y_bar - full[1:, 0]).max() <= 1e-12 * scale
     assert abs(y00 - full[0, 0]) <= 1e-12 * scale
+    Y_L, Z = _line_laplacian(net), path_sum_matrix(net, net.branch_z)
+    terms = (np.abs(Y_L) @ np.abs(Z)).max()
+    assert np.abs(Y_L @ Z - np.eye(net.n)).max() <= 8 * np.finfo(float).eps * terms
 
 
 def test_path_sum_kernel_rejects_wrong_length(net33):
@@ -586,42 +590,3 @@ def test_projection_idempotent_exactly():
         once = project_feasible(p, q, box)
         twice = project_feasible(*once, box)
         assert twice == once
-
-
-
-def _shunted(net, seed=0):
-    """The network with a small shunt at a random third of its nodes."""
-    rng = np.random.default_rng(seed)
-    shunts = np.where(rng.random(net.n) < 1 / 3, rng.uniform(0, 1e-3, net.n) + 1e-3j, 0.0)
-    return dataclasses.replace(net, shunts=shunts)
-
-
-ADMITTANCE_FEEDERS = {
-    "two-bus": lambda: _tree([0]),
-    "star-40": lambda: _tree([0] * 40),
-    "star-40-below-root": lambda: _tree([0, *[1] * 40]),
-    "shunted-tree-120": lambda: _shunted(_tree([int(0.6 * i) for i in range(120)], seed=3)),
-    "synthetic-at-limit": lambda: synthetic_feeder(DENSE_LIMIT, seed=5),
-    "synthetic-above-limit": lambda: synthetic_feeder(DENSE_LIMIT + 1, seed=5),
-    "shunted-synthetic-1000": lambda: _shunted(synthetic_feeder(1000, seed=7), seed=1),
-}
-
-
-@pytest.mark.parametrize("feeder", ADMITTANCE_FEEDERS)
-def test_sparse_admittance_product_is_scipy_csr_bitwise(monkeypatch, feeder):
-    # Stars of degree 40 (so rows of 41 entries), shunts, and sizes at and
-    # above DENSE_LIMIT (below it the product is forced by lowering the
-    # limit): Y.dot equals scipy's CSR product byte for byte.
-    net = ADMITTANCE_FEEDERS[feeder]()
-    csr = sp.csr_matrix(dense_admittance(net))
-    monkeypatch.setattr(netmodel, "DENSE_LIMIT", min(DENSE_LIMIT, net.n - 1))
-    Y = build_admittance(net)[0]
-    assert isinstance(Y, SparseProduct)
-    rng = np.random.default_rng(4)
-    n = net.n
-    cases = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(5)]
-    cases.append(solve_power_flow(net, net.p0, net.q0).v)
-    signed = rng.normal(size=n) + 1j * rng.normal(size=n)
-    cases += [np.where(rng.random(n) < 0.5, -0.0, 1.0) * signed, np.zeros(n, dtype=complex)]
-    for x in cases:
-        assert Y.dot(x).tobytes() == csr.dot(x).tobytes()

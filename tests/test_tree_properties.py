@@ -12,7 +12,6 @@ them (none, one, all, leaves only, one branch only). Then:
 - the document with its nodes and lines reordered and every line reversed
   builds a model with equal arrays;
 - the sweep plant matches the Newton power flow within 1e-8;
-- the sparse admittance product equals scipy's CSR product byte for byte;
 - the WLS estimate and the reconstructed voltages' variance match the
   lstsq WLS and the explicit inverse of the normal matrix, on dense and on
   ``PathSum`` models.
@@ -24,7 +23,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,8 +31,6 @@ from gridloop.estimator import WlsEstimator
 from gridloop.linearizer import lindistflow
 from gridloop.netmodel import (
     PathSum,
-    SparseProduct,
-    build_admittance,
     build_network,
     path_gram,
     path_sum_matrix,
@@ -44,7 +40,6 @@ from gridloop.plant import solve_power_flow
 from gridloop.sensing import make_plan
 
 from oracles import (
-    dense_admittance,
     dense_sensitivities,
     linear_measurement_model,
     newton_power_flow,
@@ -204,23 +199,6 @@ def test_sweep_matches_newton_at_light_load(case):
     sol = solve_power_flow(net, net.p0, net.q0)
     assert sol.converged
     assert np.abs(sol.v - newton_power_flow(net, net.p0, net.q0)).max() <= 1e-8
-
-
-@SETTINGS
-@given(feeders())
-def test_sparse_admittance_product_is_scipy_csr_bitwise(case):
-    # Ids out of topological order put a row's parent column after its
-    # children's; the product still folds each row over sorted columns.
-    net = build_network(case[0])
-    csr = sp.csr_matrix(dense_admittance(net))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(netmodel, "DENSE_LIMIT", 0)
-        Y = build_admittance(net)[0]
-    assert isinstance(Y, SparseProduct)
-    rng = np.random.default_rng(6)
-    noise = rng.normal(size=net.n) + 1j * rng.normal(size=net.n)
-    for x in (noise, solve_power_flow(net, net.p0, net.q0).v):
-        assert Y.dot(x).tobytes() == csr.dot(x).tobytes()
 
 
 @pytest.mark.parametrize("dense_limit", [netmodel.DENSE_LIMIT, 0])

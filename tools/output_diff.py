@@ -8,9 +8,10 @@ every file (by path relative to its directory) one line is printed:
 ``identical`` when the bytes agree, otherwise the largest absolute and the
 largest relative difference over the numeric CSV cells and JSON leaves (a
 value's relative difference is its absolute one over the larger magnitude of
-the two; the two largest may come from different values). Every difference
-that is not a
-float moving is named on its own indented line: a changed integer or boolean
+the two; the two largest may come from different values) and, for a CSV, the
+number of rows whose text differs and the index of the first (0-based,
+header not counted, as in the ``row[i]`` notes). Every difference that is
+not a float moving is named on its own indented line: a changed integer or boolean
 (a violation count, ``satisfied``, ``certified``, an iteration or sweep
 count), a changed string, a non-finite value on one side only, or a changed
 shape (header, row count, keys, list length), as is a file found in one
@@ -36,11 +37,16 @@ def _cell(text: str):
     return text
 
 
-def _csv(path: Path) -> tuple[list[str], list[dict]]:
-    """The header and the rows, each row a mapping from column to cell."""
+def _csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows, each row a list of cell texts."""
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
-    return header, [dict(zip(header, map(_cell, row))) for row in rows]
+    return header, rows
+
+
+def _parsed(header: list[str], rows: list[list[str]]) -> list[dict]:
+    """Each row as a mapping from column to cell."""
+    return [dict(zip(header, map(_cell, row))) for row in rows]
 
 
 def compare(a, b, where: str, notes: list[str]) -> tuple[float, float]:
@@ -81,7 +87,10 @@ def diff_file(a: Path, b: Path, notes: list[str]) -> str:
         if head_a != head_b:
             notes.append(f"header {head_a} -> {head_b}")
             return "differs"
-        worst = compare(rows_a, rows_b, "row", notes)
+        worst = compare(_parsed(head_a, rows_a), _parsed(head_b, rows_b), "row", notes)
+        moved = [i for i, (x, y) in enumerate(zip(rows_a, rows_b)) if x != y]
+        rows = f", {len(moved)} rows differ, first at row {moved[0]}" if moved else ""
+        return f"max abs diff {worst[0]:.3g}, max rel diff {worst[1]:.3g}{rows}"
     elif a.suffix == ".json":
         worst = compare(json.loads(a.read_text()), json.loads(b.read_text()), "$", notes)
     else:
