@@ -374,11 +374,27 @@ def write_rows(path: str | Path, header: list[str], rows: Iterable, end: str = "
     """Write a CSV in a byte-stable format: the header, then per ``(k,
     cells)`` of ``rows`` the integer ``k`` and the float array ``cells`` as
     shortest round-trip ``repr`` values, each line ended by ``end``. Rows
-    are formatted one at a time, so ``rows`` may be a generator."""
+    are formatted one at a time, so ``rows`` may be a generator.
+
+    ``repr`` is called once per cell whose bits differ from the cell above;
+    the others reuse the row above's text (bits, not values: 0.0 and -0.0
+    print differently). A column pinned at a bound repeats row after row:
+    46% of the cells of a 4000-node se_loop trace and 30% of a 33-bus one,
+    but 1.7% of a bound audit's and 3.2% of the 200-iteration headline
+    run's, where the bookkeeping costs 3% to 7% more than it saves."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + end)
+        prev = text = None
         for k, cells in rows:
-            fh.write(f"{k}," + ",".join(map(repr, cells.tolist())) + end)
+            now = cells.view(np.int64)
+            vals = cells.tolist()
+            if prev is None or now.shape != prev.shape:
+                text = list(map(repr, vals))
+            else:
+                for i in np.flatnonzero(now != prev).tolist():
+                    text[i] = repr(vals[i])
+            prev = now.copy()
+            fh.write(f"{k}," + ",".join(text) + end)
 
 
 # Trace CSV columns after "iter": (header label, field) per node, then scalars.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import json
 import math
 import os
@@ -12,9 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gridloop
 import gridloop.harness as harness_mod
+from gridloop.cli import load_scenario
 from gridloop.controller import ControllerConfig, primal_grad, primal_step
 from gridloop.harness import (
     BoundReport,
@@ -39,7 +43,8 @@ from gridloop.netmodel import PathSum
 from gridloop.plant import solve_power_flow
 from oracles import lbfgsb_saddle, reference_bound_terms, reference_trace_statistics
 
-TWOBUS = Path(__file__).resolve().parents[1] / "scenarios" / "networks" / "twobus.json"
+SCEN = Path(__file__).resolve().parents[1] / "scenarios"
+TWOBUS = SCEN / "networks" / "twobus.json"
 
 
 def _cfg33(**kw) -> ScenarioConfig:
@@ -667,6 +672,96 @@ def test_tightening_noiseless_zero_width():
     rep = tightened_bound_experiment(ctx, 2.576, run_closed_loop(ctx).summary)
     assert rep.halfwidth < 1e-5
     assert rep.v_min_tightened == pytest.approx(rep.v_min_original, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Trace CSV
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# Quiet and signalling NaNs of both signs with different payloads: all print "nan".
+_NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+             0xFFFFFFFFFFFFFFFF)
+_CELL = st.one_of(
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 0.1, -1.5)),
+    st.sampled_from(_NAN_BITS).map(_from_bits),
+    st.floats(),
+)
+
+
+@st.composite
+def _row_runs(draw) -> list[np.ndarray]:
+    """Rows that mostly repeat the row above, with some cells redrawn or
+    sign-flipped (0.0 <-> -0.0, NaN <-> -NaN); now and then a fresh row,
+    possibly of another length, down to one cell."""
+    rows = [np.array(draw(st.lists(_CELL, min_size=1, max_size=6)))]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append(np.array(draw(st.lists(_CELL, min_size=1, max_size=6))))
+            continue
+        row = rows[-1].copy()
+        for i in draw(st.lists(st.integers(0, row.size - 1), max_size=row.size)):
+            row[i] = -row[i] if draw(st.booleans()) else draw(_CELL)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rows=_row_runs(), end=st.sampled_from(("\n", "\r\n")))
+@example(rows=[np.array([0.0, 1.0]), np.array([-0.0, 1.0]), np.array([0.0, 1.0])], end="\n")
+def test_write_rows_formats_every_cell_as_its_own_repr(tmp_path_factory, rows, end):
+    # Reusing the text of the cell above must not show: every line is the
+    # plain repr of its row, and a cache keyed on value (0.0 == -0.0) fails.
+    path = tmp_path_factory.getbasetemp() / "write_rows.csv"
+    harness_mod.write_rows(path, ["iter", "x"], enumerate(rows), end=end)
+    with open(path, newline="") as fh:
+        lines = fh.read().split(end)
+    assert lines[0] == "iter,x"
+    assert lines[1:-1] == [f"{k}," + ",".join(map(repr, row.tolist())) for k, row in enumerate(rows)]
+    assert lines[-1] == ""
+
+
+def test_write_rows_formats_only_cells_that_changed(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return builtins.repr(x)
+
+    monkeypatch.setattr(harness_mod, "repr", counting_repr, raising=False)
+    n = 7
+    first = np.linspace(0.0, 1.0, n)
+    second = first.copy()
+    second[[1, 4]] = [-0.0, math.nan]
+    third = second.copy()
+    third[[0, 1, 6]] = [2.0, 0.0, math.inf]
+    path = tmp_path / "rows.csv"
+    harness_mod.write_rows(path, ["iter"], enumerate([first, second, third]))
+    assert len(calls) == n + 2 + 3
+    assert path.read_text().splitlines()[1:] == [
+        f"{k}," + ",".join(map(builtins.repr, row.tolist())) for k, row in enumerate([first, second, third])
+    ]
+
+
+def test_trace_csv_is_the_repr_of_every_cell(tmp_path):
+    # End to end, without write_rows. The regulation scenario pins p and q
+    # at their bounds as it goes: 6.7% of those cells repeat the row above
+    # in the first 300 iterations (24% in the last 50), 60% over all 2500.
+    trace = run_closed_loop(prepare(replace(load_scenario(SCEN / "ieee33_regulation.json"), iterations=300)))
+    pq = np.concatenate([trace.p, trace.q], axis=1).view(np.int64)
+    assert np.mean(pq[1:] == pq[:-1]) > 0.05
+    n = trace.p.shape[1]
+    header = ["iter"] + [f"{label}_{i}" for label, _ in harness_mod._CSV_VECTORS for i in range(1, n + 1)]
+    lines = [",".join(header + list(harness_mod._CSV_SCALARS))]
+    for k in range(trace.iterations):
+        cells = [getattr(trace, name)[k, i] for _, name in harness_mod._CSV_VECTORS for i in range(n)]
+        cells += [getattr(trace, name)[k] for name in harness_mod._CSV_SCALARS]
+        lines.append(",".join([str(k)] + [repr(float(c)) for c in cells]))
+    trace.to_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == "".join(f"{line}\n" for line in lines).encode()
 
 
 def test_package_exports_no_submodules():
