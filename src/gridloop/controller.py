@@ -134,13 +134,14 @@ def primal_grad(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lagrangian gradients in (p, q).
 
-    The voltage constraints contribute A^T (mu_upper - mu_lower) and the B^T
-    analogue; the substation term uses the lossless sensitivity dP0/dp = -1.
+    The voltage constraints contribute G^T (mu_upper - mu_lower); the
+    substation term uses the lossless sensitivity dP0/dp = -1.
     """
-    mu_diff = state.mu_upper - state.mu_lower
+    n = model.n
+    g_mu = model.G.T @ (state.mu_upper - state.mu_lower)
     dc0 = -2.0 * cost.alpha * (-state.p.sum() - cost.p0_target)
-    g_p = 2.0 * cost.wp * (state.p - cost.p_ref) + dc0 + model.A.T @ mu_diff
-    g_q = 2.0 * cost.wq * (state.q - cost.q_ref) + model.B.T @ mu_diff
+    g_p = 2.0 * cost.wp * (state.p - cost.p_ref) + dc0 + g_mu[:n]
+    g_q = 2.0 * cost.wq * (state.q - cost.q_ref) + g_mu[n:]
     return g_p, g_q
 
 
@@ -227,22 +228,17 @@ def _operator_norm(cost: CostParams, model: LinearFlowModel, eta: float) -> floa
     fixed random start (Kuczynski and Wozniakowski, 1992), not reorthogonalized,
     until its rising estimate gains at most 1e-15 relative, beta = 0 or 4N steps."""
     n = model.n
-    A, B = model.A, model.B
-    wp2, wq2 = 2.0 * cost.wp, 2.0 * cost.wq
+    G = model.G
+    wz2 = 2.0 * np.concatenate([cost.wp, cost.wq])
     a2 = 2.0 * cost.alpha
 
     def j_apply(v: np.ndarray) -> np.ndarray:
-        vp, vq, vl, vu = np.split(v, 4)
-        mu_diff = vu - vl
-        t = A @ vp + B @ vq
-        return np.concatenate(
-            [
-                wp2 * vp + a2 * vp.sum() + A.T @ mu_diff,
-                wq2 * vq + B.T @ mu_diff,
-                t + eta * vl,
-                -t + eta * vu,
-            ]
-        )
+        z, vl, vu = v[: 2 * n], v[2 * n : 3 * n], v[3 * n :]
+        t = G @ z
+        top = wz2 * z
+        top[:n] += a2 * z[:n].sum()
+        top += G.T @ (vu - vl)
+        return np.concatenate([top, t + eta * vl, -t + eta * vu])
 
     # Dots by numpy's pairwise sum, not BLAS: a threaded BLAS dot of a long
     # vector depends on the thread count, and L would with it.

@@ -5,15 +5,14 @@ rows are an identity block, the normal matrix is diagonal-plus-low-rank and is
 factorized once per measurement plan through the matrix inversion lemma; the
 same factorization serves every iteration and trial. The error analytics are
 the variances of the linearly reconstructed voltages, diag(G (H^T W H)^-1
-G^T) with G = [A B], which equal the gain form sum_i (G Gamma)_ji^2 sigma_i^2
-when W is the inverse noise covariance (the tests check it against the
-explicit gain).
+G^T) with G the model's sensitivity, which equal the gain form sum_i (G
+Gamma)_ji^2 sigma_i^2 when W is the inverse noise covariance (the tests
+check it against the explicit gain).
 
-The sensor rows U = [A_S B_S] are never stored: they are applied as
-operators through A and B, which ``netmodel`` hands over dense (up to
-``DENSE_LIMIT``, and for the Jacobian model) or as ``PathSum`` tree kernels.
-So a solve and the voltage variance are one code path for every linear
-model, and on the tree none of them keeps or builds an ns x 2N array. The
+The sensor rows U = G_S (G's rows at the sensors) are never stored: they are
+applied through ``G @`` and ``G.T @``, G dense or a ``PathSum``. So a solve
+and the voltage variance are one code path for every linear model, and on
+the tree none of them keeps or builds an ns x 2N array. The
 set-up takes K's sensor block in closed form on the tree
 (``netmodel.sensor_gram``: O(N) tree passes and an O(ns^2) assembly) and
 from ``path_gram`` columns on dense models.
@@ -50,7 +49,7 @@ class WlsEstimator:
     Holds the measurement structure for one (plan, linear model) pair: the
     sensor indices, diagonal pseudo weights, and the inverse ``L^-1`` of the
     Cholesky factor of the small lemma matrix K = W_s^-1 + U D^-1 U^T = L L^T.
-    A solve is two products with A and B and the ns x ns products
+    A solve is a ``G @`` and a ``G.T @`` product and the ns x ns products
     ``L^-T (L^-1 b)``: O(ns * N) on dense models, O(N) on ``PathSum`` ones.
     On ``PathSum`` models K costs O(N + ns^2) (:func:`netmodel.sensor_gram`)
     and its factor and inverse O(ns^3); on dense ones K is ``GRAM_BLOCK``
@@ -69,8 +68,8 @@ class WlsEstimator:
         if self.ns:
             d = 1.0 / self.w_pseudo
             K = np.diag(1.0 / self.w_sensor)
-            if isinstance(model.A, PathSum):
-                K += sensor_gram(((model.A, d[: self.n]), (model.B, d[self.n :])), self.idx)
+            if isinstance(model.G, PathSum):
+                K += sensor_gram(model.G, d, self.idx)
             else:
                 for blk, g in self._gram_blocks(d, np.eye(self.ns), rows=self.idx):
                     K[:, blk] += g
@@ -84,20 +83,20 @@ class WlsEstimator:
     def solve(self, y_adjusted: np.ndarray) -> np.ndarray:
         """Estimate z from an intercept-adjusted measurement vector, in the
         update form ``y_p + D^-1 U^T K^-1 (y_s - U y_p)``. ``U t`` is
-        ``(A t_p + B t_q)[S]`` and ``U^T v`` is ``[A^T x; B^T x]`` with x = v
-        scattered onto the sensor nodes (A and B need not be symmetric)."""
+        ``(G t)[S]`` and ``U^T v`` is ``G^T x`` with x = v scattered onto the
+        sensor nodes."""
         y_s = y_adjusted[: self.ns]
         y_p = y_adjusted[self.ns :]
         if not self.ns:
             return y_p.copy()
-        A, B, n = self.model.A, self.model.B, self.n
-        b = y_s - (A @ y_p[:n] + B @ y_p[n:])[self.idx]
+        G = self.model.G
+        b = y_s - (G @ y_p)[self.idx]
         if not np.isfinite(b).all():
             raise ValueError("array must not contain infs or NaNs")
         v = self._linv.T @ (self._linv @ b)
-        x = np.zeros(n)
+        x = np.zeros(self.n)
         x[self.idx] = v
-        return y_p + np.concatenate([A.T @ x, B.T @ x]) / self.w_pseudo
+        return y_p + (G.T @ x) / self.w_pseudo
 
     def adjust(self, y: np.ndarray) -> np.ndarray:
         """Fold the linear model's intercept out of the sensor channels."""
@@ -106,7 +105,7 @@ class WlsEstimator:
         return y
 
     def voltage_variance(self) -> np.ndarray:
-        """Variance of the linearly reconstructed voltages G z_hat, G = [A B].
+        """Variance of the linearly reconstructed voltages G z_hat.
 
         With the lemma form of the covariance, ``D^-1 - D^-1 U^T K^-1 U D^-1``
         (D the pseudo weights, K = L L^T), entry i is ``sum_j G_ij^2 / w_j``
@@ -129,9 +128,8 @@ class WlsEstimator:
         against 8.0 s for the blocked term, and 0.37 s at 720 sensors
         against 1.2 s.
         """
-        n = self.n
         d = 1.0 / self.w_pseudo
-        var = diag_quad(self.model.A, d[:n]) + diag_quad(self.model.B, d[n:])
+        var = diag_quad(self.model.G, d)
         if not self.ns:
             return var
         for _, g in self._gram_blocks(d, self._linv.T):
@@ -139,15 +137,14 @@ class WlsEstimator:
         return var
 
     def _gram_blocks(self, d: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None):
-        """Yield ``(block, G diag(d) G^T E cols[:, block])``, G = [A B] and E
-        the scatter onto the sensor nodes, for ``GRAM_BLOCK`` columns of the
-        (ns, m) array ``cols`` at a time; with ``rows``, only those rows."""
-        terms = ((self.model.A, d[: self.n]), (self.model.B, d[self.n :]))
+        """Yield ``(block, G diag(d) G^T E cols[:, block])``, E the scatter
+        onto the sensor nodes, for ``GRAM_BLOCK`` columns of the (ns, m)
+        array ``cols`` at a time; with ``rows``, only those rows."""
         for start in range(0, cols.shape[1], GRAM_BLOCK):
             blk = slice(start, start + GRAM_BLOCK)
             x = np.zeros((self.n, cols[:, blk].shape[1]))
             x[self.idx] = cols[:, blk]
-            yield blk, path_gram(terms, x, rows)
+            yield blk, path_gram(self.model.G, d, x, rows)
 
 
 def estimate_voltages(

@@ -546,9 +546,9 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     gradients, and halves t from 1 along the arc ``z_t = clip(z + t d)``
     until ``f(z_t) - f(z) <= 1e-4 grad . (z_t - z)`` (Armijo, give or take
     1e-13 f(z) for rounding). It stops when a round moves no variable by
-    1e-14 and raises after ``_NEWTON_ROUNDS`` rounds. ``G = [A B]`` is
-    applied only through the model's ``@`` and ``.T @``, so on ``PathSum``
-    models every product is O(N). The result must be a fixed point of the
+    1e-14 and raises after ``_NEWTON_ROUNDS`` rounds. The sensitivity G is
+    applied only as ``G @`` and ``G.T @``, so on ``PathSum`` models every
+    product is O(N). The result must be a fixed point of the
     projected primal-dual map within 1e-12.
     """
     net, model, cost, cfgc = ctx.net, ctx.model, ctx.cost, ctx.cfg.controller
@@ -558,7 +558,7 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
             "the saddle oracle supports box feasible sets only (apparent-power "
             "caps are outside the closed-form dual elimination)"
         )
-    A, B, eta = model.A, model.B, cfgc.eta
+    G, eta = model.G, cfgc.eta
     d_l = cfgc.v_min - model.r0
     d_u = model.r0 - cfgc.v_max
     wz = np.concatenate([2.0 * cost.wp, 2.0 * cost.wq])
@@ -566,30 +566,24 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     lo = np.concatenate([pmin, qmin])
     hi = np.concatenate([pmax, qmax])
 
-    def g_apply(z):
-        return A @ z[:n] + B @ z[n:]
-
-    def gt_apply(r):
-        return np.concatenate([A.T @ r, B.T @ r])
-
     def objective(z):
-        r = g_apply(z)
+        r = G @ z
         gl = np.maximum(d_l - r, 0.0)
         gu = np.maximum(r + d_u, 0.0)
         agg = z[:n].sum() + cost.p0_target
         val = 0.5 * np.sum(wz * (z - z_ref) ** 2) + cost.alpha * agg**2
         val += (gl @ gl + gu @ gu) / (2.0 * eta)
-        grad = wz * (z - z_ref) + gt_apply(gu - gl) / eta
+        grad = wz * (z - z_ref) + G.T @ (gu - gl) / eta
         grad[:n] += 2.0 * cost.alpha * agg
         return val, grad
 
     def hessian(z, free):
         # v -> H_ff v (v zero off ``free``) of the quadratic f is on the pieces active at z.
-        r = g_apply(z)
+        r = G @ z
         active = ((d_l - r) > 0.0) | ((r + d_u) > 0.0)
 
         def matvec(v):
-            hv = wz * v + gt_apply(active * g_apply(v)) / eta
+            hv = wz * v + G.T @ (active * (G @ v)) / eta
             hv[:n] += 2.0 * cost.alpha * v[:n].sum()
             return hv * free
 
@@ -605,7 +599,7 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
         )
     z = min(sols, key=lambda zz: objective(zz)[0])
 
-    r = g_apply(z)
+    r = G @ z
     mu_l = np.maximum(d_l - r, 0.0) / eta
     mu_u = np.maximum(r + d_u, 0.0) / eta
     x_star = ControllerState(p=z[:n], q=z[n:], mu_lower=mu_l, mu_upper=mu_u)

@@ -1,4 +1,4 @@
-"""Linear voltage models r = A p + B q + r0 for radial feeders.
+"""Linear voltage models r = G z + r0, z = (p, q), for radial feeders.
 
 Two constructions are provided: the LinDistFlow common-path model, whose
 squared-magnitude sensitivities are rescaled by 1/(2 v0) onto voltage
@@ -6,11 +6,11 @@ magnitude (so |v| ~ v0 + (R p + X q)/v0), and a numerical Jacobian of the
 nonlinear plant around an operating point. Models are immutable and fixed for
 the duration of a run.
 
-LinDistFlow's A and B come from ``netmodel.path_sum``: dense N x N arrays on
-small networks and O(N) ``PathSum`` operators on large ones, so every consumer
-uses only ``@``, ``.T @`` and the ``netmodel`` helpers that accept both forms.
-The Jacobian model is always dense: it takes 4N perturbed plant solves and
-O(N^2) memory.
+The sensitivity G = [A B] is one operator: LinDistFlow's comes from
+``netmodel.path_sum``, a dense N x 2N array on small networks and an O(N)
+``PathSum`` block row on large ones, so every consumer uses only ``G @ z``,
+``G.T @ r`` and the ``netmodel`` helpers that accept both forms. The Jacobian
+model is always dense: it takes 4N perturbed plant solves and O(N^2) memory.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ LINEARIZATIONS = ("lindistflow", "jacobian")
 
 @dataclass(frozen=True)
 class LinearFlowModel:
-    """Sensitivities of voltage magnitude to injections plus intercept."""
+    """Sensitivity G (N x 2N) of voltage magnitude to z = (p, q), intercept r0."""
 
-    A: np.ndarray | PathSum
-    B: np.ndarray | PathSum
+    G: np.ndarray | PathSum
     r0: np.ndarray
 
     @property
@@ -42,13 +41,12 @@ def lindistflow(net: NetworkModel) -> LinearFlowModel:
     """LinDistFlow model: A_ij sums branch resistance over the shared
     substation path of nodes i and j (B_ij the reactance), scaled by 1/v0."""
     z = net.branch_z
-    A = path_sum(net, z.real) / net.v0
-    B = path_sum(net, z.imag) / net.v0
+    G = path_sum(net, np.stack([z.real, z.imag])) / net.v0
     r0 = np.full(net.n, float(net.v0))
-    for m in (A, B, r0):
+    for m in (G, r0):
         if isinstance(m, np.ndarray):
             m.setflags(write=False)
-    return LinearFlowModel(A=A, B=B, r0=r0)
+    return LinearFlowModel(G=G, r0=r0)
 
 
 def jacobian_linearize(
@@ -63,17 +61,16 @@ def jacobian_linearize(
     q_star = np.asarray(q_star, dtype=float)
     n = net.n
     base = _solved_v(net, p_star, q_star)
-    A = np.empty((n, n))
-    B = np.empty((n, n))
+    G = np.empty((n, 2 * n))
     for j in range(n):
         dp = np.zeros(n)
         dp[j] = h
-        A[:, j] = (_solved_v(net, p_star + dp, q_star) - _solved_v(net, p_star - dp, q_star)) / (2 * h)
-        B[:, j] = (_solved_v(net, p_star, q_star + dp) - _solved_v(net, p_star, q_star - dp)) / (2 * h)
-    r0 = base - A @ p_star - B @ q_star
-    for m in (A, B, r0):
+        G[:, j] = (_solved_v(net, p_star + dp, q_star) - _solved_v(net, p_star - dp, q_star)) / (2 * h)
+        G[:, n + j] = (_solved_v(net, p_star, q_star + dp) - _solved_v(net, p_star, q_star - dp)) / (2 * h)
+    r0 = base - G @ np.concatenate([p_star, q_star])
+    for m in (G, r0):
         m.setflags(write=False)
-    return LinearFlowModel(A=A, B=B, r0=r0)
+    return LinearFlowModel(G=G, r0=r0)
 
 
 def _solved_v(net: NetworkModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -87,12 +84,12 @@ def _solved_v(net: NetworkModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def eval_linear(model: LinearFlowModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Evaluate r = A p + B q + r0."""
+    """Evaluate r = G (p, q) + r0."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != (model.n,) or q.shape != (model.n,):
         raise ValueError(f"expected injection vectors of length {model.n}")
-    return model.A @ p + model.B @ q + model.r0
+    return model.G @ np.concatenate([p, q]) + model.r0
 
 
 def linearize(net: NetworkModel, method: str = "lindistflow") -> LinearFlowModel:

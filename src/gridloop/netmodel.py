@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 # Networks with at most this many non-slack nodes use dense N x N path-sum
-# matrices (the plant's Z, LinDistFlow's A and B); larger ones use the O(N)
+# matrices (the plant's Z, LinDistFlow's G); larger ones use the O(N)
 # PathSum kernel. Measured on a 2-CPU x86 host, a dense product and
 # a PathSum product cost the same between 256 and 384 nodes (README, "Scaling").
 DENSE_LIMIT = 300
@@ -407,14 +407,13 @@ def scale_injections(net: NetworkModel, factor: float) -> NetworkModel:
 
 
 def path_sum(net: NetworkModel, weights: np.ndarray) -> np.ndarray | PathSum:
-    """The common-path product of ``weights`` in the form that is faster for
-    this network: the dense :func:`path_sum_matrix` up to ``DENSE_LIMIT``
-    non-slack nodes, the O(N) :class:`PathSum` above. Callers use only ``@``,
-    ``.T @``, division by a scalar, :func:`diag_quad` and :func:`path_gram`,
-    which accept both forms, and :func:`sensor_gram`, which takes the
-    ``PathSum`` form."""
+    """The common-path product of ``weights`` (of each row of a (k, N) stack,
+    side by side) in the form faster for this network: dense up to
+    ``DENSE_LIMIT`` non-slack nodes, a :class:`PathSum` above. Callers use
+    ``@``, ``.T @``, ``/`` by a scalar, :func:`diag_quad` and
+    :func:`path_gram` on both forms, :func:`sensor_gram` on a ``PathSum``."""
     if net.n <= DENSE_LIMIT:
-        return _freeze(path_sum_matrix(net, weights))
+        return _freeze(np.hstack([path_sum_matrix(net, w) for w in np.atleast_2d(weights)]))
     return PathSum(net, weights)
 
 
@@ -429,17 +428,21 @@ class PathSum:
     path sum at slot t is the prefix sum of the branch terms up to t minus
     those of the subtrees that closed at or before t. Each product is O(N)
     per column, for a vector or an (N, m) block, real or complex. P is
-    symmetric, so ``P.T`` is ``P``.
+    symmetric, so ``P.T`` is ``P``. A (k, N) stack of weights gives the block
+    row ``[P_1 ... P_k]``, whose products add (``.T``: stack) the blocks' in
+    block order.
     """
 
     def __init__(self, net: NetworkModel, weights: np.ndarray):
         self._order, self._end, self._pos, self._by_end, self._closed, self._up = net._tree
-        self._w = np.asarray(weights)[self._order]
-        self.shape = (net.n, net.n)
+        self._w = np.atleast_2d(weights)[:, self._order]
+        self.shape = (net.n, self._w.size)
 
     @property
     def T(self) -> PathSum:
-        return self
+        out = copy.copy(self)
+        out.shape = self.shape[::-1]
+        return out
 
     def __truediv__(self, scale: float) -> PathSum:
         out = copy.copy(self)
@@ -450,21 +453,31 @@ class PathSum:
         x = np.asarray(x)
         if x.shape[:1] != self.shape[1:]:
             raise ValueError(f"operand has {x.shape[0]} rows, expected {self.shape[1]}")
-        w = self._w if x.ndim == 1 else self._w[:, None]
-        return self._path(w * self._subtree(x[self._order]))[self._pos]
+        ws = self._w if x.ndim == 1 else self._w[..., None]
+        n = len(self._pos)
+        if self.shape[0] != n:
+            return np.concatenate([self._block(w, x) for w in ws])
+        out = self._block(ws[0], x[:n])
+        for k in range(1, len(ws)):
+            out += self._block(ws[k], x[k * n : (k + 1) * n])
+        return out
 
     def diag_quad(self, d: np.ndarray) -> np.ndarray:
-        """``diag(P diag(d) P)`` in O(N).
+        """``diag(G diag(d) G^T)`` in O(N).
 
-        Entry i is ``sum_j P_ij^2 d_j``. Since P_ij is the weight sum R(a)
-        of the path to a = lca(i, j), it equals the path sum over a in
-        path(i) of ``Dsub(a) (R(a)^2 - R(parent a)^2)``, with Dsub the
-        subtree sum of d.
+        Entry i is ``sum_j P_ij^2 d_j`` over the blocks. Since P_ij is the
+        weight sum R(a) of the path to a = lca(i, j), it equals the path sum
+        over a in path(i) of ``Dsub(a) (R(a)^2 - R(parent a)^2)``, with Dsub
+        the subtree sum of d.
         """
-        w = self._w
+        w = self._w.T
         r = self._path(w)
-        dsub = self._subtree(np.asarray(d)[self._order])
-        return self._path(dsub * w * (2.0 * r - w))[self._pos]
+        dsub = self._subtree(np.reshape(d, self._w.shape)[:, self._order].T)
+        return self._path(dsub * w * (2.0 * r - w)).sum(axis=1)[self._pos]
+
+    def _block(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``P @ x`` for one block's weights w per DFS slot."""
+        return self._path(w * self._subtree(x[self._order]))[self._pos]
 
     def _subtree(self, xs: np.ndarray) -> np.ndarray:
         """Subtree sums per DFS slot of values given per DFS slot."""
@@ -476,43 +489,40 @@ class PathSum:
         return _prefix(us)[1:] - _prefix(us[self._by_end])[self._closed]
 
 
-def diag_quad(m: np.ndarray | PathSum, d: np.ndarray) -> np.ndarray:
-    """``diag(M diag(d) M^T)`` of a dense or a path-sum operator."""
-    if isinstance(m, PathSum):
-        return m.diag_quad(d)
-    return (m * m) @ d
+def diag_quad(G: np.ndarray | PathSum, d: np.ndarray) -> np.ndarray:
+    """``diag(G diag(d) G^T)`` of a dense or a path-sum operator."""
+    if isinstance(G, PathSum):
+        return G.diag_quad(d)
+    return (G * G) @ d
 
 
 def path_gram(
-    terms: tuple[tuple[np.ndarray | PathSum, np.ndarray], ...],
+    G: np.ndarray | PathSum,
+    d: np.ndarray,
     x: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``sum_m M_m diag(d_m) M_m^T x`` at every node or only at the 0-based
-    ``rows``, for dense operators or path-sum operators on one tree.
+    """``G diag(d) G^T x`` at every node or only at the 0-based ``rows``.
 
-    Path-sum operators differ only in their branch weights (LinDistFlow's A
-    and B), so the subtree sums of ``x`` are shared and the outer path sum is
-    taken once for the whole sum, and the stages stay in DFS slot order: for
-    two terms that is three subtree and three path passes instead of the
-    four full products (each with its own subtree pass and permutations).
+    The blocks of a path-sum G differ only in their branch weights, so the
+    subtree sums of ``x`` are shared, the outer path sum is taken once, and
+    the stages stay in DFS slot order: for two blocks, three subtree and
+    three path passes instead of four full products (each with its own
+    subtree pass and permutations).
     """
-    first = terms[0][0]
     x = np.asarray(x)
     col = (slice(None),) + (None,) * (x.ndim - 1)
-    if not isinstance(first, PathSum):
+    if not isinstance(G, PathSum):
         at = slice(None) if rows is None else rows
-        return sum(m[at] @ (np.asarray(d)[col] * (m.T @ x)) for m, d in terms)
-    order, pos = first._order, first._pos
-    sub = first._subtree(x[order])
+        return G[at] @ (np.asarray(d)[col] * (G.T @ x))
+    order, pos = G._order, G._pos
+    sub = G._subtree(x[order])
     acc = 0.0
-    for op, d in terms:
-        if op._order is not order:
-            raise ValueError("path_gram needs operators on one tree")
-        w = op._w[col]
-        inner = op._path(w * sub) * np.asarray(d)[order][col]
-        acc = acc + w * op._subtree(inner)
-    return first._path(acc)[pos if rows is None else pos[rows]]
+    for w, dk in zip(G._w, np.reshape(d, G._w.shape)):
+        w = w[col]
+        inner = G._path(w * sub) * dk[order][col]
+        acc = acc + w * G._subtree(inner)
+    return G._path(acc)[pos if rows is None else pos[rows]]
 
 
 # Sensor pairs per row block of sensor_gram: a block's temporaries are a few
@@ -520,9 +530,9 @@ def path_gram(
 GRAM_PAIRS = 1 << 18
 
 
-def sensor_gram(terms: tuple[tuple[PathSum, np.ndarray], ...], rows: np.ndarray) -> np.ndarray:
-    """``sum_m (P_m diag(d_m) P_m^T)[rows][:, rows]`` for path-sum operators
-    on one tree and distinct 0-based ``rows``, in O(N + ns^2) for ns rows.
+def sensor_gram(G: PathSum, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(G diag(d) G^T)[rows][:, rows]`` for a path-sum G and distinct
+    0-based ``rows``, in O(N + ns^2) for ns rows.
 
     ``(P diag(d) P)_ab`` is ``sum_k W(lca(a, k)) d_k W(lca(b, k))``, with W
     the path sum of the branch weights. With Dsub the subtree sums of d, S
@@ -531,7 +541,7 @@ def sensor_gram(terms: tuple[tuple[PathSum, np.ndarray], ...], rows: np.ndarray)
     ``Q(c) + W(c) ((S(a) - S(c)) + (S(b) - S(c)))`` with c = lca(a, b): the
     k that branch off the path to a or b below c add ``W(c)`` times the
     path sums of ``w Dsub`` from c down to a or b. All three are 0 at the
-    substation.
+    substation; G's blocks add.
 
     The LCAs come from the DFS slots. For rows sorted by slot, the LCA of
     two slot-adjacent rows s < t is the parent of the shallowest slot in
@@ -540,26 +550,22 @@ def sensor_gram(terms: tuple[tuple[PathSum, np.ndarray], ...], rows: np.ndarray)
     minimum over the slots, then running minima per row, ``GRAM_PAIRS``
     pairs at a time.
     """
-    first = terms[0][0]
-    order, up = first._order, first._up
-    for op, _ in terms:
-        if op._order is not order:
-            raise ValueError("sensor_gram needs operators on one tree")
-    ns, n, m = len(rows), len(order), len(terms)
+    order, up = G._order, G._up
+    ns, n, m = len(rows), len(order), len(G._w)
     if not ns:
         return np.zeros((0, 0))
-    # Per DFS slot, one column per term; row n is the substation's zeros.
-    w = np.stack([op._w for op, _ in terms], axis=1)
-    dsub = first._subtree(np.stack([np.asarray(d)[order] for _, d in terms], axis=1))
-    W = first._path(w)
-    SQ = first._path(np.concatenate([w * dsub, dsub * w * (2.0 * W - w)], axis=1))
+    # Per DFS slot, one column per block; row n is the substation's zeros.
+    w = G._w.T
+    dsub = G._subtree(np.reshape(d, G._w.shape)[:, order].T)
+    W = G._path(w)
+    SQ = G._path(np.concatenate([w * dsub, dsub * w * (2.0 * W - w)], axis=1))
     W, S, Q = (np.vstack([a, np.zeros((1, m))]) for a in (W, SQ[:, :m], SQ[:, m:]))
     Q = Q.sum(axis=1)
 
     # Sort key per slot: the depth first, the slot to tell equal depths apart.
-    depth = np.append(first._path(np.ones(n)), 0.0).astype(np.int64)
+    depth = np.append(G._path(np.ones(n)), 0.0).astype(np.int64)
     key = depth * (n + 1) + np.arange(n + 1)
-    slots = first._pos[rows]
+    slots = G._pos[rows]
     perm = np.argsort(slots)
     t = slots[perm]
     shallow = np.minimum.reduceat(key[: t[-1] + 1], t[:-1] + 1) % (n + 1)

@@ -10,8 +10,8 @@ shares no code with the implementations under test. The references:
   itself, and only the slack row for the substation's power);
 - ``one_branch_voltage``: the exact two-bus voltage;
 - ``scalar_lagrangian``: the controller's Lagrangian written out longhand;
-- ``dense_sensitivities``: the explicit N x 2N matrix ``[A B]`` of a linear
-  model, from ``PathSum`` operators too;
+- ``dense_sensitivities``: the explicit N x 2N sensitivity matrix G of a
+  linear model, from ``PathSum`` operators too;
 - ``linear_measurement_model``: the explicit dense WLS model (H, w) of a
   plan, whose channel weights are the plan's reference deviations
   (``sensing.plan_reference_sigmas``, the problem's definition, not its
@@ -102,9 +102,9 @@ def one_branch_voltage(v0: float, z: complex, p: float, q: float) -> float:
 
 
 def scalar_lagrangian(p, q, mu_l, mu_u, *, wp, wq, alpha, p0, q0, p0_target,
-                      A, B, r0, v_min, v_max, eta) -> float:
+                      G, r0, v_min, v_max, eta) -> float:
     """Regularized Lagrangian value, written out longhand for gradient checks."""
-    r = A @ p + B @ q + r0
+    r = G @ np.concatenate([p, q]) + r0
     local = float(np.sum(wp * (p - p0) ** 2) + np.sum(wq * (q - q0) ** 2))
     substation = float(alpha * (-np.sum(p) - p0_target) ** 2)
     coupling = float(mu_l @ (v_min - r) + mu_u @ (r - v_max))
@@ -113,15 +113,15 @@ def scalar_lagrangian(p, q, mu_l, mu_u, *, wp, wq, alpha, p0, q0, p0_target,
 
 
 def dense_sensitivities(model) -> np.ndarray:
-    """The explicit N x 2N matrix ``[A B]``; a ``PathSum`` block is applied
-    to the identity (O(N^2) memory)."""
-    blocks = [m if isinstance(m, np.ndarray) else m @ np.eye(model.n) for m in (model.A, model.B)]
-    return np.hstack(blocks)
+    """The explicit N x 2N sensitivity G; a ``PathSum`` is applied to the
+    identity (O(N^2) memory)."""
+    G = model.G
+    return G if isinstance(G, np.ndarray) else G @ np.eye(2 * model.n)
 
 
 def linear_measurement_model(plan, model):
     """Dense (H, w) of the linear WLS model for the state z = (p, q): the
-    sensor rows are the voltage rows [A_i B_i] of the model (its r0
+    sensor rows are the rows G_i of the model's sensitivity (its r0
     intercept folded into y), the pseudo rows the identity, and w the
     inverse-variance channel weights. O(N^2) memory."""
     sensors = np.array(plan.sensor_nodes, dtype=int) - 1
@@ -242,13 +242,13 @@ def reference_trace_statistics(trace, ctx, p_slack):
 def reference_bound_terms(trace, model, x_star_vec):
     """The bound audit's per-iteration gradient-map gaps and squared saddle
     distance as they stood when computed one iteration at a time, kept
-    verbatim (the linear model written out as ``A p + B q + r0``)."""
+    verbatim (the linear model written out as ``G z + r0``)."""
     k_iter = trace.iterations
     d_alpha = np.empty(k_iter)
     d_rho = np.empty(k_iter)
     dist_sq = np.empty(k_iter)
     for k in range(k_iter):
-        r_lin = model.A @ trace.p[k] + model.B @ trace.q[k] + model.r0
+        r_lin = model.G @ np.concatenate([trace.p[k], trace.q[k]]) + model.r0
         d_alpha[k] = 2.0 * float(np.sum((r_lin - trace.r_hat[k]) ** 2))
         d_rho[k] = 2.0 * float(np.sum((trace.r_hat[k] - trace.v_true[k]) ** 2))
         x = np.concatenate([trace.p[k], trace.q[k], trace.mu_lower[k], trace.mu_upper[k]])
@@ -265,7 +265,7 @@ def lbfgsb_saddle(ctx):
     start with the lowest objective, with scipy's solvers throughout."""
     net, model, cost, cfgc = ctx.net, ctx.model, ctx.cost, ctx.cfg.controller
     n, (pmin, pmax, qmin, qmax, _) = net.n, net.box
-    A, B, eta = model.A, model.B, cfgc.eta
+    G, eta = model.G, cfgc.eta
     d_l = cfgc.v_min - model.r0
     d_u = model.r0 - cfgc.v_max
     wz = np.concatenate([2.0 * cost.wp, 2.0 * cost.wq])
@@ -273,30 +273,24 @@ def lbfgsb_saddle(ctx):
     lo = np.concatenate([pmin, qmin])
     hi = np.concatenate([pmax, qmax])
 
-    def g_apply(z):
-        return A @ z[:n] + B @ z[n:]
-
-    def gt_apply(r):
-        return np.concatenate([A.T @ r, B.T @ r])
-
     def objective(z):
-        r = g_apply(z)
+        r = G @ z
         gl = np.maximum(d_l - r, 0.0)
         gu = np.maximum(r + d_u, 0.0)
         agg = z[:n].sum() + cost.p0_target
         val = 0.5 * np.sum(wz * (z - z_ref) ** 2) + cost.alpha * agg**2 + (gl @ gl + gu @ gu) / (2.0 * eta)
-        grad = wz * (z - z_ref) + gt_apply(gu - gl) / eta
+        grad = wz * (z - z_ref) + G.T @ (gu - gl) / eta
         grad[:n] += 2.0 * cost.alpha * agg
         return val, grad
 
     def hessian(z, free):
-        r = g_apply(z)
+        r = G @ z
         active = ((d_l - r) > 0.0) | ((r + d_u) > 0.0)
         full = np.zeros(2 * n)
 
         def matvec(v):
             full[free] = v.ravel()
-            hv = wz * full + gt_apply(active * g_apply(full)) / eta
+            hv = wz * full + G.T @ (active * (G @ full)) / eta
             hv[:n] += 2.0 * cost.alpha * full[:n].sum()
             return hv[free]
 
@@ -326,5 +320,5 @@ def lbfgsb_saddle(ctx):
         z = z_new
         if done:
             break
-    r = g_apply(z)
+    r = G @ z
     return np.concatenate([z, np.maximum(d_l - r, 0.0) / eta, np.maximum(r + d_u, 0.0) / eta])

@@ -24,13 +24,13 @@ from gridloop.feeders import synthetic_feeder
 from gridloop.linearizer import LinearFlowModel, lindistflow
 from gridloop.netmodel import load_network
 
-from oracles import scalar_lagrangian
+from oracles import dense_sensitivities, scalar_lagrangian
 
 CFG = ControllerConfig(eps_primal=7e-4, eps_dual=1e-3, eta=0.08, v_min=0.95, v_max=1.05)
 
 
 def _zero_model(n):
-    return LinearFlowModel(A=np.zeros((n, n)), B=np.zeros((n, n)), r0=np.ones(n))
+    return LinearFlowModel(G=np.zeros((n, 2 * n)), r0=np.ones(n))
 
 
 def test_gradient_zero_at_nominal(net33):
@@ -50,8 +50,8 @@ def test_gradient_isolates_dual_coupling(net33):
     mu_l[j] = 1.0
     st = ControllerState(p=st.p, q=st.q, mu_lower=mu_l, mu_upper=np.zeros(32))
     g_p, g_q = primal_grad(st, cost, model)
-    assert np.allclose(g_p, -model.A[j, :], atol=1e-15)
-    assert np.allclose(g_q, -model.B[j, :], atol=1e-15)
+    assert np.allclose(g_p, -model.G[j, :32], atol=1e-15)
+    assert np.allclose(g_q, -model.G[j, 32:], atol=1e-15)
 
 
 def test_gradients_match_finite_differences(twobus_json):
@@ -68,7 +68,7 @@ def test_gradients_match_finite_differences(twobus_json):
         st = ControllerState(p=p, q=q, mu_lower=mu_l, mu_upper=mu_u)
         kw = dict(
             wp=cost.wp, wq=cost.wq, alpha=cost.alpha, p0=cost.p_ref, q0=cost.q_ref,
-            p0_target=cost.p0_target, A=model.A, B=model.B, r0=model.r0,
+            p0_target=cost.p0_target, G=model.G, r0=model.r0,
             v_min=CFG.v_min, v_max=CFG.v_max, eta=CFG.eta,
         )
 
@@ -82,7 +82,7 @@ def test_gradients_match_finite_differences(twobus_json):
         assert g_p[0] == pytest.approx(fd_p, rel=1e-5, abs=1e-8)
         assert g_q[0] == pytest.approx(fd_q, rel=1e-5, abs=1e-8)
         # Dual ascent direction from the same scalar function.
-        r = model.A @ p + model.B @ q + model.r0
+        r = model.G @ np.concatenate([p, q]) + model.r0
         asc_l = (CFG.v_min - r) - CFG.eta * mu_l
         asc_u = (r - CFG.v_max) - CFG.eta * mu_u
         fd_l = (lag(p, q, mu_l + e, mu_u) - lag(p, q, mu_l - e, mu_u)) / (2 * h)
@@ -184,10 +184,10 @@ def test_certificate_decoupled_closed_form():
 def _dense_jacobian(cost, model, eta):
     """The saddle Jacobian [[Hc, G^T], [-G, eta I]] as a dense matrix."""
     n = model.n
-    A, B = (m if isinstance(m, np.ndarray) else m @ np.eye(n) for m in (model.A, model.B))
+    S = dense_sensitivities(model)
     Hc = np.diag(np.concatenate([2 * cost.wp, 2 * cost.wq]))
     Hc[:n, :n] += 2 * cost.alpha
-    G = np.vstack([-np.hstack([A, B]), np.hstack([A, B])])
+    G = np.vstack([-S, S])
     return np.block([[Hc, G.T], [-G, eta * np.eye(2 * n)]])
 
 
@@ -271,7 +271,7 @@ def test_certificate_scaling_monotonicity(net33):
     model = lindistflow(net33)
     cost = CostParams.for_network(net33)
     cert1 = certify_step_size(cost, model, CFG)
-    doubled = LinearFlowModel(A=2 * model.A, B=2 * model.B, r0=model.r0)
+    doubled = LinearFlowModel(G=2 * model.G, r0=model.r0)
     cert2 = certify_step_size(cost, doubled, CFG)
     assert cert2.L > cert1.L
     assert cert2.eps_max < cert1.eps_max
@@ -296,7 +296,7 @@ def test_gradients_match_finite_differences_33bus(net33):
     h = 1e-6
     kw = dict(
         wp=cost.wp, wq=cost.wq, alpha=cost.alpha, p0=cost.p_ref, q0=cost.q_ref,
-        p0_target=cost.p0_target, A=model.A, B=model.B, r0=model.r0,
+        p0_target=cost.p0_target, G=model.G, r0=model.r0,
         v_min=CFG.v_min, v_max=CFG.v_max, eta=CFG.eta,
     )
     for _ in range(5):

@@ -138,7 +138,7 @@ def test_voltage_variance_matches_dense_gain(net33, method, size):
     # threshold.
     net = net33 if size == 32 else synthetic_feeder(size, seed=4)
     model = linearize(net, method)
-    assert isinstance(model.A, PathSum) == (size > DENSE_LIMIT)
+    assert isinstance(model.G, PathSum) == (size > DENSE_LIMIT)
     plan = _plan(net, sensors=tuple(range(3, net.n, max(1, net.n // 12))))
     est = WlsEstimator(plan, model)
     H, w = linear_measurement_model(plan, model)
@@ -170,18 +170,18 @@ def test_prepare_and_variance_stay_linear_in_memory():
 
 
 def _operator_and_dense(n=400, stride=8):
-    # LinDistFlow above DENSE_LIMIT (PathSum A and B) and the same model with
-    # A and B as dense arrays, with enough sensors for several GRAM_BLOCKs.
+    # LinDistFlow above DENSE_LIMIT (a PathSum G) and the same model with G
+    # as a dense array, with enough sensors for several GRAM_BLOCKs.
     net = synthetic_feeder(n)
     model = lindistflow(net)
-    dense = replace(model, A=model.A @ np.eye(net.n), B=model.B @ np.eye(net.n))
+    dense = replace(model, G=dense_sensitivities(model))
     plan = _plan(net, sensors=tuple(range(3, net.n, stride)))
     return WlsEstimator(plan, model), WlsEstimator(plan, dense)
 
 
 def test_operator_estimator_matches_dense_rows():
     op, ref = _operator_and_dense()
-    assert isinstance(op.model.A, PathSum) and isinstance(ref.model.A, np.ndarray)
+    assert isinstance(op.model.G, PathSum) and isinstance(ref.model.G, np.ndarray)
     assert op.ns > 4 * GRAM_BLOCK
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -245,10 +245,10 @@ def test_solve_matches_cho_solve_on_the_same_lemma_matrix(monkeypatch, ns):
     monkeypatch.undo()
     (K,) = seen
     assert est.ns == ns
-    # The sensor rows U = [A_S B_S], through the transposed operators.
+    # The sensor rows U = G_S, through the transposed operator.
     E = np.zeros((net.n, ns))
     E[est.idx, np.arange(ns)] = 1.0
-    U = np.hstack([(est.model.A.T @ E).T, (est.model.B.T @ E).T])
+    U = (est.model.G.T @ E).T
     y = np.random.default_rng(5).normal(size=ns + 2 * net.n)
     y_s, y_p = y[:ns], y[ns:]
     want = U.T @ sla.cho_solve(sla.cho_factor(K, lower=True), y_s - U @ y_p) / est.w_pseudo
@@ -266,7 +266,7 @@ def test_singular_lemma_matrix_raises(monkeypatch, net33):
     # K = W_s^-1 + U D^-1 U^T is zero for exact sensors (zero deviation) on
     # a model with zero sensitivities: reported, not factored.
     model = lindistflow(net33)
-    model = replace(model, A=np.zeros_like(model.A), B=np.zeros_like(model.B))
+    model = replace(model, G=np.zeros_like(model.G))
     plan = _plan(net33)
     sigmas = plan_reference_sigmas(plan, model)
     sigmas[: len(plan.sensor_nodes)] = 0.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import importlib.util
 import json
 import math
 import os
@@ -210,7 +211,7 @@ def test_saddle_oracle_binding_satisfies_kkt():
     # DENSE_LIMIT, where G = [A B] is applied through PathSum operators.
     cfg, net = _binding_feeder_cfg(400)
     feeder = prepare(cfg, net=net)
-    assert isinstance(feeder.model.A, PathSum)
+    assert isinstance(feeder.model.G, PathSum)
     for ctx in (prepare(_cfg2()), feeder):
         xs = saddle_oracle(ctx)
         cfgc = ctx.cfg.controller
@@ -257,7 +258,7 @@ def test_saddle_oracle_matches_lbfgsb_reference(label):
     # PathSum models (one at eta = 1e-3, where mu = [g]_+ / eta magnifies
     # the primal gap a thousandfold).
     ctx = prepare(*_saddle_case(label))
-    assert isinstance(ctx.model.A, PathSum) == label.startswith("feeder")
+    assert isinstance(ctx.model.G, PathSum) == label.startswith("feeder")
     xs = saddle_oracle(ctx)
     assert np.abs(xs.as_vector() - lbfgsb_saddle(ctx)).max() <= 1e-12
 
@@ -445,7 +446,7 @@ def test_derived_statistics_match_per_iteration_reference(setup):
     else:
         cfg, net = _binding_feeder_cfg(400, track_saddle=True, iterations=40, trials=2)
     ctx = prepare(cfg, net=net)
-    assert isinstance(ctx.model.A, PathSum) == (setup == "feeder400")
+    assert isinstance(ctx.model.G, PathSum) == (setup == "feeder400")
     x_star_vec = ctx.x_star.as_vector()
     for trace in run_trials(ctx):
         if cfg.plant_model == "linear":
@@ -768,3 +769,20 @@ def test_package_exports_no_submodules():
     modules = [name for name in gridloop.__all__ if isinstance(getattr(gridloop, name), types.ModuleType)]
     assert modules == []
     assert "run_trials" in gridloop.__all__
+
+
+def test_benchmark_hooks_find_every_layer(monkeypatch):
+    # perfbench/child.py wraps each layer at the name its caller binds
+    # (estimator.eval_linear, harness.primal_grad, ...); a refactor that
+    # unbinds one of them breaks the traced benchmark. The benchmark's code
+    # is only read here.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_child", bench / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    tracer = child.spans.Tracer()
+    try:
+        child.install_layers(tracer, {})
+    finally:
+        assert tracer.restore() == []

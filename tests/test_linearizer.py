@@ -18,8 +18,8 @@ from gridloop.plant import solve_power_flow
 def test_lindistflow_two_bus(twobus_json):
     net = load_network(twobus_json)
     m = lindistflow(net)
-    assert m.A[0, 0] == pytest.approx(0.01)
-    assert m.B[0, 0] == pytest.approx(0.02)
+    assert m.G[0, 0] == pytest.approx(0.01)
+    assert m.G[0, 1] == pytest.approx(0.02)
     assert m.r0[0] == pytest.approx(1.0)
 
 
@@ -41,30 +41,28 @@ def test_lindistflow_shared_branch_coupling(tmp_path):
     )
     net = load_network(path)
     m = lindistflow(net)
-    assert m.A[1, 2] == pytest.approx(0.04)
-    assert m.A[2, 1] == pytest.approx(0.04)
-    assert m.B[1, 2] == pytest.approx(0.08)
+    assert m.G[1, 2] == pytest.approx(0.04)
+    assert m.G[2, 1] == pytest.approx(0.04)
+    assert m.G[1, 3 + 2] == pytest.approx(0.08)
 
 
 def test_lindistflow_entrywise_nonnegative(net33):
     m = lindistflow(net33)
-    assert (m.A >= 0).all()
-    assert (m.B >= 0).all()
-    assert np.allclose(m.A, m.A.T)
+    assert (m.G >= 0).all()
+    assert np.allclose(m.G[:, :32], m.G[:, :32].T)
 
 
 def test_jacobian_matches_lindistflow_at_no_load(twobus_json):
     net = load_network(twobus_json)
     m = jacobian_linearize(net, np.zeros(1), np.zeros(1))
-    assert m.A[0, 0] == pytest.approx(0.01, abs=1e-4)
-    assert m.B[0, 0] == pytest.approx(0.02, abs=1e-4)
+    assert m.G[0, 0] == pytest.approx(0.01, abs=1e-4)
+    assert m.G[0, 1] == pytest.approx(0.02, abs=1e-4)
 
 
 def test_jacobian_vs_lindistflow_33bus(net33):
     lin = lindistflow(net33)
     jac = jacobian_linearize(net33, np.zeros(32), np.zeros(32))
-    assert np.abs(lin.A - jac.A).max() < 1e-3
-    assert np.abs(lin.B - jac.B).max() < 1e-3
+    assert np.abs(lin.G - jac.G).max() < 1e-3
 
 
 def test_jacobian_intercept_reproduces_base_point(net33):
@@ -120,7 +118,7 @@ def test_linearize_dispatch(net33):
     jacobian = jacobian_linearize(net33, net33.p0, net33.q0)
     for method, want in (("lindistflow", lindistflow(net33)), ("jacobian", jacobian)):
         got = linearize(net33, method)
-        assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in ("A", "B", "r0"))
+        assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in ("G", "r0"))
     with pytest.raises(ValueError):
         linearize(net33, "nope")
 

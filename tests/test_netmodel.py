@@ -482,22 +482,20 @@ def test_path_sum_kernel_matches_dense_matrix(net33, feeder, kind):
 
 @pytest.mark.parametrize("feeder", FEEDERS)
 def test_path_gram_matches_dense_matrices(net33, feeder):
-    # sum_m P_m diag(d_m) P_m^T x, at every node and at selected rows.
+    # G diag(d) G^T x for G = [R X], at every node and at selected rows.
     net = FEEDERS[feeder](net33)
     z = net.branch_z
     rng = np.random.default_rng(2)
     n = net.n
     d_r, d_x = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
     R, X = path_sum_matrix(net, z.real), path_sum_matrix(net, z.imag)
-    terms = ((PathSum(net, z.real), d_r), (PathSum(net, z.imag), d_x))
+    G, d = PathSum(net, np.stack([z.real, z.imag])), np.concatenate([d_r, d_x])
     rows = rng.permutation(n)[: max(1, n // 3)]
     for x in (rng.normal(size=n), rng.normal(size=(n, 5))):
         ref = (R * d_r) @ (R.T @ x) + (X * d_x) @ (X.T @ x)
         scale = np.abs(ref).max()
-        assert np.abs(path_gram(terms, x) - ref).max() <= 1e-12 * scale
-        assert np.abs(path_gram(terms, x, rows) - ref[rows]).max() <= 1e-12 * scale
-    with pytest.raises(ValueError, match="one tree"):
-        path_gram(((terms[0][0], d_r), (PathSum(_tree([0] * n), z.real), d_x)), x)
+        assert np.abs(path_gram(G, d, x) - ref).max() <= 1e-12 * scale
+        assert np.abs(path_gram(G, d, x, rows) - ref[rows]).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("feeder", [*FEEDERS, "synthetic-400"])

@@ -195,8 +195,7 @@ def test_linear_measurement_model_structure(net33):
     plan = _plan33(net33, sensors=(7,))
     H, w = linear_measurement_model(plan, model)
     assert H.shape == (1 + 64, 64)
-    assert np.array_equal(H[0, :32], model.A[6, :])
-    assert np.array_equal(H[0, 32:], model.B[6, :])
+    assert np.array_equal(H[0, :], model.G[6, :])
     assert np.array_equal(H[1:, :], np.eye(64))
     assert w[0] == pytest.approx((0.01 * 1.0) ** -2)
 

@@ -8,7 +8,13 @@ them (none, one, all, leaves only, one branch only). Then:
 
 - the tree kernel's products, ``diag_quad``, ``path_gram`` and
   ``sensor_gram`` match ``path_sum_matrix`` products at 1e-12 relative to
-  the magnitude of the summands;
+  the magnitude of the summands, for one block and for the block row
+  ``[R X]``;
+- LinDistFlow's sensitivity G, dense and as a ``PathSum``, keeps the
+  operator contract every consumer relies on: ``G @ z`` and ``G.T @ r``
+  match the dense oracle, ``r . (G z) = (G^T r) . z``, the tree form's
+  products equal those of its two blocks bit for bit, and a wrong-length
+  operand is rejected;
 - the document with its nodes and lines reordered and every line reversed
   builds a model with equal arrays;
 - the sweep plant matches the Newton power flow within 1e-8;
@@ -114,13 +120,17 @@ def sensed_feeders(draw):
     return doc, np.array(rows, dtype=int)
 
 
-def _terms(net, seed):
-    rng = np.random.default_rng(seed)
-    z = net.branch_z
-    d_r, d_x = rng.uniform(0.5, 2.0, net.n), rng.uniform(0.5, 2.0, net.n)
-    dense = ((path_sum_matrix(net, z.real), d_r), (path_sum_matrix(net, z.imag), d_x))
-    ops = ((PathSum(net, z.real), d_r), (PathSum(net, z.imag), d_x))
-    return dense, ops
+def _dense(net, weights):
+    """``path_sum_matrix`` of each row of a (k, N) stack of weights, side by side."""
+    return np.hstack([path_sum_matrix(net, w) for w in np.atleast_2d(weights)])
+
+
+def _gram_operands(net, seed):
+    """The block row G = [R X] of the branch resistances and reactances,
+    dense and as a ``PathSum``, and a 2N vector of positive weights."""
+    weights = np.stack([net.branch_z.real, net.branch_z.imag])
+    d = np.random.default_rng(seed).uniform(0.5, 2.0, 2 * net.n)
+    return _dense(net, weights), PathSum(net, weights), d
 
 
 def _close(got, want, scale):
@@ -135,17 +145,20 @@ def test_model_parents_and_kernel_products_match_dense(case):
     net = build_network(doc)
     assert np.array_equal(net.parent, parent)
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(net.n, 3))
-    d = rng.uniform(0.5, 2.0, net.n)
-    for weights in (net.branch_z.real, net.branch_z.imag, net.branch_z):
-        dense, op = path_sum_matrix(net, weights), PathSum(net, weights)
-        scale = np.abs(dense) @ np.abs(x)
-        _close(op @ x, dense @ x, scale)
-        _close(op @ x[:, 0], dense @ x[:, 0], scale[:, 0])
-        _close(op.T @ x, dense.T @ x, scale)
+    x = rng.normal(size=(2 * net.n, 3))
+    d = rng.uniform(0.5, 2.0, 2 * net.n)
+    z = net.branch_z
+    for weights in (z.real, z.imag, z, np.stack([z.real, z.imag])):
+        dense, op = _dense(net, weights), PathSum(net, weights)
+        assert op.shape == dense.shape
+        cols, r = x[: dense.shape[1]], x[: net.n]
+        scale = np.abs(dense) @ np.abs(cols)
+        _close(op @ cols, dense @ cols, scale)
+        _close(op @ cols[:, 0], dense @ cols[:, 0], scale[:, 0])
+        _close(op.T @ r, dense.T @ r, np.abs(dense).T @ np.abs(r))
         if weights.dtype.kind == "f":
-            quad = (dense * dense) @ d
-            _close(op.diag_quad(d), quad, quad)
+            quad = (dense * dense) @ d[: dense.shape[1]]
+            _close(op.diag_quad(d[: dense.shape[1]]), quad, quad)
 
 
 @SETTINGS
@@ -153,12 +166,13 @@ def test_model_parents_and_kernel_products_match_dense(case):
 def test_path_gram_matches_dense(case):
     doc, rows = case
     net = build_network(doc)
-    dense, ops = _terms(net, 5)
+    dense, op, d = _gram_operands(net, 5)
     x = np.random.default_rng(4).normal(size=(net.n, 2))
-    want = sum(m @ (d[:, None] * (m.T @ x)) for m, d in dense)
-    scale = sum(np.abs(m) @ (d[:, None] * (np.abs(m) @ np.abs(x))) for m, d in dense)
-    _close(path_gram(ops, x), want, scale)
-    _close(path_gram(ops, x, rows), want[rows], scale[rows])
+    want = dense @ (d[:, None] * (dense.T @ x))
+    scale = np.abs(dense) @ (d[:, None] * (np.abs(dense).T @ np.abs(x)))
+    for G in (dense, op):
+        _close(path_gram(G, d, x), want, scale)
+        _close(path_gram(G, d, x, rows), want[rows], scale[rows])
 
 
 @SETTINGS
@@ -166,15 +180,50 @@ def test_path_gram_matches_dense(case):
 def test_sensor_gram_matches_dense_and_path_gram(case):
     doc, rows = case
     net = build_network(doc)
-    dense, ops = _terms(net, 6)
-    want = sum((m * d) @ m.T for m, d in dense)[np.ix_(rows, rows)]
-    scale = sum((np.abs(m) * d) @ np.abs(m).T for m, d in dense)[np.ix_(rows, rows)]
-    got = sensor_gram(ops, rows)
+    dense, op, d = _gram_operands(net, 6)
+    want = ((dense * d) @ dense.T)[np.ix_(rows, rows)]
+    scale = ((np.abs(dense) * d) @ np.abs(dense).T)[np.ix_(rows, rows)]
+    got = sensor_gram(op, d, rows)
     _close(got, want, scale)
     assert np.array_equal(got, got.T)
     scatter = np.zeros((net.n, len(rows)))
     scatter[rows, np.arange(len(rows))] = 1.0
-    _close(got, path_gram(ops, scatter, rows), scale)
+    _close(got, path_gram(op, d, scatter, rows), scale)
+
+
+@SETTINGS
+@given(feeders())
+def test_sensitivity_operator_contract(case):
+    # LinDistFlow's G = [A B] dense, and as the k = 2 PathSum that
+    # DENSE_LIMIT = 0 gives, against the dense oracle of the PathSum form.
+    net = build_network(case[0])
+    n = net.n
+    dense = lindistflow(net).G
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netmodel, "DENSE_LIMIT", 0)
+        model = lindistflow(net)
+    tree, ref = model.G, dense_sensitivities(model)
+    assert isinstance(dense, np.ndarray) and tree.shape == dense.shape == (n, 2 * n)
+    _close(dense, ref, np.abs(ref))
+    # The two k = 1 operators the model was built from before its blocks were stacked.
+    a, b = (PathSum(net, w) / net.v0 for w in (net.branch_z.real, net.branch_z.imag))
+    rng = np.random.default_rng(9)
+    zs, rs = rng.normal(size=(2 * n, 3)), rng.normal(size=(n, 3))
+    for z, r in ((zs, rs), (zs[:, 0], rs[:, 0])):
+        for G in (dense, tree):
+            gz, gtr = G @ z, G.T @ r
+            _close(gz, ref @ z, np.abs(ref) @ np.abs(z))
+            _close(gtr, ref.T @ r, np.abs(ref).T @ np.abs(r))
+            adjoint = np.sum(np.abs(r) * (np.abs(ref) @ np.abs(z)), axis=0)
+            _close(np.sum(r * gz, axis=0), np.sum(gtr * z, axis=0), adjoint)
+        assert (tree @ z).tobytes() == (a @ z[:n] + b @ z[n:]).tobytes()
+        assert (tree.T @ r).tobytes() == np.concatenate([a @ r, b @ r]).tobytes()
+    with pytest.raises(ValueError):
+        dense @ np.zeros(2 * n + 1)
+    with pytest.raises(ValueError, match=rf"^operand has {2 * n + 1} rows, expected {2 * n}$"):
+        tree @ np.zeros(2 * n + 1)
+    with pytest.raises(ValueError, match=rf"^operand has {2 * n} rows, expected {n}$"):
+        tree.T @ zs
 
 
 @SETTINGS
@@ -210,7 +259,7 @@ def test_wls_solve_and_variance_match_dense_oracles(dense_limit, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netmodel, "DENSE_LIMIT", dense_limit)
         model = lindistflow(net)
-    assert isinstance(model.A, PathSum) == (dense_limit == 0)
+    assert isinstance(model.G, PathSum) == (dense_limit == 0)
     # Pseudo-measurement bases mostly above the magnitude floor, so the
     # channel weights differ from node to node and between p and q.
     rng = np.random.default_rng(8)
