@@ -24,7 +24,10 @@ shares no code with the implementations under test. The references:
 - ``reference_trace_statistics`` and ``reference_bound_terms``: a trace's
   statistics and the bound audit's terms computed one iteration at a time,
   as the loop and the audit did before they were derived from whole rows;
-- ``lbfgsb_saddle``: the saddle point by scipy's L-BFGS-B and Newton-CG.
+- ``lbfgsb_saddle``: the saddle point by scipy's L-BFGS-B and Newton-CG;
+- ``reference_loop``: one trial of the closed loop composed from the
+  references above, the noise drawn from a fresh Philox generator per draw
+  and the controller's step written out.
 """
 
 from __future__ import annotations
@@ -69,11 +72,10 @@ def newton_power_flow(net, p, q, tol=1e-12, max_iter=60):
         f = np.concatenate([mis[pq].real, mis[pq].imag])
         if np.abs(f).max() < tol:
             return V[1:]
-        diagV = np.diag(V)
-        diagI = np.diag(Ibus)
-        diagVn = np.diag(np.exp(1j * va))
-        dS_dVa = 1j * diagV @ np.conj(diagI - Y @ diagV)
-        dS_dVm = diagV @ np.conj(Y @ diagVn) + np.conj(diagI) @ diagVn
+        # The products with diagonal matrices as row and column scalings.
+        Vn = np.exp(1j * va)
+        dS_dVa = 1j * V[:, None] * np.conj(np.diag(Ibus) - Y * V)
+        dS_dVm = V[:, None] * np.conj(Y * Vn) + np.diag(np.conj(Ibus) * Vn)
         J = np.block(
             [
                 [dS_dVa[np.ix_(pq, pq)].real, dS_dVm[np.ix_(pq, pq)].real],
@@ -322,3 +324,77 @@ def lbfgsb_saddle(ctx):
             break
     r = G @ z
     return np.concatenate([z, np.maximum(d_l - r, 0.0) / eta, np.maximum(r + d_u, 0.0) / eta])
+
+
+# Each feedback mode's voltage rule: the plant's truth, the raw sensor
+# readings, the WLS estimate reconstructed, or the linear model at the iterate.
+REFERENCE_RULES = {
+    "se_loop": "estimate",
+    "raw_measurements": "raw",
+    "full_exact": "truth",
+    "pseudo_only": "estimate",
+    "linear_model": "linear",
+}
+
+
+def reference_loop(ctx, trial=0, newton_tol=1e-12):
+    """Trial ``trial`` of the closed loop on a prepared run context, composed
+    from the references alone: the plant and the nonlinear reconstruction by
+    :func:`newton_power_flow`, the linear ones by the dense G of
+    :func:`dense_sensitivities`; the noise of iteration k from a fresh
+    ``Philox(counter=[0, 0, 0, k], key=[seed, lane])`` per draw (lane 0 the
+    sensors, lane 1 the pseudo channels, k = 0 under ``pseudo_fixed``), as
+    ``gridloop.sensing`` defines it; the estimate by :func:`wls_closed_form`
+    on :func:`linear_measurement_model`; and the gradient, the box clip and
+    the regularized dual ascent written out. The context supplies the
+    network, the linear model, the scenario and the mode's sensor nodes.
+    Newton stops at a mismatch of ``newton_tol``. Returns the per-iteration
+    rows of ``p``, ``q``, ``mu_lower``, ``mu_upper``, ``v_true`` and ``r_hat``
+    keyed by those names."""
+    cfg, net, model = ctx.cfg, ctx.net, ctx.model
+    cfgc, spec, cost = cfg.controller, cfg.plan, cfg.cost
+    if net.disk_capped:
+        raise ValueError("the reference loop clips to boxes only")
+    n, seed, rule = net.n, cfg.base_seed + trial, REFERENCE_RULES[cfg.feedback_mode]
+    G, r0 = dense_sensitivities(model), model.r0
+    sensors = np.array(ctx.plan.sensor_nodes, dtype=int) - 1
+    H, w = linear_measurement_model(ctx.plan, model)
+    base = np.concatenate([net.p0, net.q0])
+    pseudo_std = spec.pseudo_sigma * np.maximum(np.abs(base), 0.01)
+    pmin, pmax, qmin, qmax, _ = net.box
+    target = -net.p0.sum() if cost.p0_target is None else cost.p0_target
+
+    def voltages(p, q, kind):
+        if kind == "linear":
+            return G @ np.concatenate([p, q]) + r0
+        return np.abs(newton_power_flow(net, p, q, tol=newton_tol))
+
+    def normals(lane, k, count):
+        bits = np.random.Philox(counter=[0, 0, 0, k], key=[seed, lane])
+        return np.random.Generator(bits).standard_normal(count)
+
+    p, q, mu_l, mu_u = net.p0.copy(), net.q0.copy(), np.zeros(n), np.zeros(n)
+    rows = {name: [] for name in ("p", "q", "mu_lower", "mu_upper", "v_true", "r_hat")}
+    for k in range(cfg.iterations):
+        v = voltages(p, q, cfg.plant_model)
+        if rule == "truth":
+            r = v
+        elif rule == "linear":
+            r = voltages(p, q, "linear")
+        else:
+            readings = v[sensors] * (1.0 + spec.sensor_sigma * normals(0, k, len(sensors)))
+            r = readings
+            if rule == "estimate":
+                pseudo = base + pseudo_std * normals(1, 0 if spec.pseudo_fixed else k, 2 * n)
+                z_hat = wls_closed_form(H, w, np.concatenate([readings - r0[sensors], pseudo]))
+                r = voltages(z_hat[:n], z_hat[n:], cfg.estimation_mode)
+        for name, value in zip(rows, (p, q, mu_l, mu_u, v, r)):
+            rows[name].append(value)
+        g_mu = G.T @ (mu_u - mu_l)
+        g_p = 2.0 * cost.wp * (p - net.p0) + 2.0 * cost.alpha * (p.sum() + target) + g_mu[:n]
+        g_q = 2.0 * cost.wq * (q - net.q0) + g_mu[n:]
+        p = np.clip(p - cfgc.eps_primal * g_p, pmin, pmax)
+        q = np.clip(q - cfgc.eps_primal * g_q, qmin, qmax)
+        mu_l = np.maximum(mu_l + cfgc.eps_dual * (cfgc.v_min - r - cfgc.eta * mu_l), 0.0)
+        mu_u = np.maximum(mu_u + cfgc.eps_dual * (r - cfgc.v_max - cfgc.eta * mu_u), 0.0)
+    return {name: np.array(values) for name, values in rows.items()}

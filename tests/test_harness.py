@@ -40,7 +40,7 @@ from gridloop.harness import (
 )
 from gridloop.feeders import synthetic_feeder
 from gridloop.linearizer import eval_linear
-from gridloop.netmodel import PathSum
+from gridloop.netmodel import PathSum, build_network, network_document
 from gridloop.plant import solve_power_flow
 from oracles import lbfgsb_saddle, reference_bound_terms, reference_trace_statistics
 
@@ -289,6 +289,31 @@ def test_saddle_oracle_rejects_disk_sets(tmp_path):
     cfg = _cfg2(network=str(net_path), allow_uncertified=True)
     with pytest.raises(HarnessError, match="box feasible sets"):
         saddle_oracle(prepare(cfg))
+
+
+def test_loop_keeps_iterates_on_disk_capped_feeder():
+    # Every node's apparent-power cap sits at 0.8 of its nominal |s0|, which
+    # the nominal start lies outside: each projected step lands in box and
+    # disk, and the disk binds where the box alone would not.
+    doc = network_document(synthetic_feeder(400, seed=12))
+    for node in doc["nodes"][1:]:
+        node["smax"] = 0.8 * math.hypot(node["p0"], node["q0"])
+    net = build_network(doc)
+    cfg = ScenarioConfig(
+        network="synthetic",
+        controller=ControllerConfig(eps_primal=1e-3, eps_dual=1e-3, eta=0.08, v_min=0.95),
+        plan=PlanSpec(sensor_fraction=0.036, placement_seed=0),
+        estimation_mode="linear",
+        iterations=8,
+    )
+    trace = run_closed_loop(prepare(cfg, net))
+    pmin, pmax, qmin, qmax, smax = net.box
+    p, q = trace.p[1:], trace.q[1:]
+    assert (p >= pmin - 1e-12).all() and (p <= pmax + 1e-12).all()
+    assert (q >= qmin - 1e-12).all() and (q <= qmax + 1e-12).all()
+    assert (np.hypot(p, q) <= smax + 1e-12).all()
+    assert (np.hypot(trace.p[0], trace.q[0]) > smax).all()
+    assert (np.abs(np.hypot(p[-1], q[-1]) - smax) <= 1e-12).any()
 
 
 def test_regularization_discrepancy_monotone_in_eta():
@@ -771,18 +796,31 @@ def test_package_exports_no_submodules():
     assert "run_trials" in gridloop.__all__
 
 
-def test_benchmark_hooks_find_every_layer(monkeypatch):
+def test_benchmark_hooks_find_every_layer(monkeypatch, tmp_path):
     # perfbench/child.py wraps each layer at the name its caller binds
     # (estimator.eval_linear, harness.primal_grad, ...); a refactor that
-    # unbinds one of them breaks the traced benchmark. The benchmark's code
-    # is only read here.
+    # unbinds one of them breaks the traced benchmark. A short run through
+    # the hooks also catches a change to what a hooked function returns,
+    # such as the (r_hat, fell_back) pair its reconstruction hook reads.
+    # The benchmark's code is only read here.
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location("perfbench_child", bench / "child.py")
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
     tracer = child.spans.Tracer()
+    counters = dict.fromkeys(
+        ["plant_sweeps", "plant_unconverged", "recon_sweeps", "recon_calls", "recon_fallbacks"], 0
+    )
     try:
-        child.install_layers(tracer, {})
+        child.install_layers(tracer, counters)
+        from gridloop import cli
+
+        argv = ["run", str(SCEN / "twobus.json"), "--set", "iterations=5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
     finally:
         assert tracer.restore() == []
+    assert counters["plant_sweeps"] > 0 and counters["plant_unconverged"] == 0
+    assert counters["recon_calls"] == 5 and counters["recon_sweeps"] > 0
+    assert counters["recon_fallbacks"] == 0
+    assert {"plant.truth", "estimator.wls", "controller.grad", "netmodel.project"} <= set(tracer.names)

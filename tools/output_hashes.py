@@ -31,6 +31,11 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
   operators is checked too;
 - the same feeder run with ``verify_bound`` over 2 trials, so the bound
   audit on ``PathSum`` operators is checked too;
+- the same feeder run on its network with an apparent-power cap
+  ``smax = 0.8 * hypot(p0, q0)`` on every node, which the nominal start
+  lies outside, so the projection's disk path (``_project_mixed_active``)
+  is checked too: it runs on every iteration, and by the last one every
+  node sits on its disk. No shipped scenario caps apparent power;
 - ``gridloop report`` on the finished ``ieee33_regulation.json`` run, which
   writes all four plot-ready series (its summary carries the confidence
   halfwidths, so ``ci_band_series.csv`` is among them).
@@ -54,6 +59,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -76,6 +82,7 @@ FEEDER_RUNS = (
     ("feeder400_saddle", ["--set", "track_saddle=true", "--set", "plant_model=linear",
                           "--set", "feedback_mode=linear_model"]),
     ("feeder400_audit", ["--set", "verify_bound=true", "--set", "trials=2"]),
+    ("feeder400_disk", ["--set", "network=feeder_disk.json"]),
 )
 
 
@@ -129,8 +136,9 @@ def runs() -> list[tuple[str, list[str]]]:
 
 
 def write_feeder_scenario(directory: Path) -> str:
-    """Write the synthetic feeder as ``feeder.json`` and its scenario as
-    ``feeder_scenario.json`` into ``directory``; return the scenario's name.
+    """Write the synthetic feeder as ``feeder.json``, its disk-capped copy
+    as ``feeder_disk.json`` and its scenario as ``feeder_scenario.json``
+    into ``directory``; return the scenario's name.
 
     The step sizes lie under the feeder's eps_max (1.35e-2), and ``v_min``
     sits 0.002 pu above the nominal minimum voltage, so the band binds and
@@ -141,7 +149,11 @@ def write_feeder_scenario(directory: Path) -> str:
     from gridloop.plant import solve_power_flow
 
     net = synthetic_feeder(FEEDER_NODES, seed=FEEDER_SEED)
-    (directory / "feeder.json").write_text(json.dumps(network_document(net)))
+    doc = network_document(net)
+    (directory / "feeder.json").write_text(json.dumps(doc))
+    for node in doc["nodes"][1:]:
+        node["smax"] = 0.8 * math.hypot(node["p0"], node["q0"])
+    (directory / "feeder_disk.json").write_text(json.dumps(doc))
     v_min = round(float(solve_power_flow(net, net.p0, net.q0).v_mag.min()) + 0.002, 4)
     scenario = {
         "network": "feeder.json",
