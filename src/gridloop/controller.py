@@ -2,12 +2,13 @@
 
 The Lagrangian couples per-node quadratic deviation costs and a substation
 tracking term with voltage-band constraints through dual pairs (mu_lower,
-mu_upper), damped by a Tikhonov term -(eta/2)||mu||^2. Primal variables
-descend the Lagrangian and project onto the device feasible sets; duals ascend
-with the regularized residual and clip at zero. The saddle operator is
-strongly monotone with modulus M = min(cost curvature, eta) and Lipschitz with
-the spectral norm L of its Jacobian, so steps below 2M/L^2 contract with
-per-step factor sqrt(e^2 L^2 - 2 e M + 1).
+mu_upper), damped by a Tikhonov term -(eta/2)||mu||^2. The primal variable
+is the injection vector z = (p, q) of length 2N, as in the linear model's
+G z: it descends the Lagrangian and projects onto the device feasible sets;
+duals ascend with the regularized residual and clip at zero. The saddle
+operator is strongly monotone with modulus M = min(cost curvature, eta) and
+Lipschitz with the spectral norm L of its Jacobian, so steps below 2M/L^2
+contract with per-step factor sqrt(e^2 L^2 - 2 e M + 1).
 """
 
 from __future__ import annotations
@@ -25,21 +26,19 @@ from .netmodel import NetworkModel, project_feasible_net
 class CostParams:
     """Quadratic deviation weights and the substation tracking term.
 
-    The local cost is sum_i wp_i (p_i - p_ref_i)^2 + wq_i (q_i - q_ref_i)^2;
-    the substation term alpha (P0 - p0_target)^2 uses the lossless aggregate
-    P0(p) = -sum(p) for gradients while reported costs may use the plant's
-    true slack power.
+    The local cost is sum_i w_i (z_i - z_ref_i)^2 over the 2N entries of
+    z = (p, q); the substation term alpha (P0 - p0_target)^2 uses the
+    lossless aggregate P0(p) = -sum(p) for gradients while reported costs
+    may use the plant's true slack power.
     """
 
-    wp: np.ndarray
-    wq: np.ndarray
+    w: np.ndarray
     alpha: float
     p0_target: float
-    p_ref: np.ndarray
-    q_ref: np.ndarray
+    z_ref: np.ndarray
 
     def __post_init__(self) -> None:
-        if not ((self.wp > 0).all() and (self.wq > 0).all()):
+        if not (self.w > 0).all():
             raise ValueError("per-node cost weights must be positive (strong convexity)")
         if self.alpha < 0:
             raise ValueError("substation weight must be nonnegative")
@@ -53,29 +52,30 @@ class CostParams:
         alpha: float = 0.0,
         p0_target: float | None = None,
     ) -> "CostParams":
-        """Deviation-from-nominal cost; the substation target defaults to the
-        lossless nominal import -sum(p0)."""
+        """Deviation-from-nominal cost, the weights ``wp`` on p and ``wq``
+        on q; the substation target defaults to the lossless nominal import
+        -sum(p0)."""
         n = net.n
         return cls(
-            wp=np.broadcast_to(np.asarray(wp, dtype=float), (n,)).copy(),
-            wq=np.broadcast_to(np.asarray(wq, dtype=float), (n,)).copy(),
+            w=np.concatenate([np.broadcast_to(wp, n), np.broadcast_to(wq, n)]).astype(float),
             alpha=float(alpha),
             p0_target=float(-net.p0.sum()) if p0_target is None else float(p0_target),
-            p_ref=net.p0.copy(),
-            q_ref=net.q0.copy(),
+            z_ref=np.concatenate([net.p0, net.q0]),
         )
 
-    def local_cost(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The local cost of each row of the (K, N) injection blocks p and q,
-        squared and weighted in one (K, N) temporary."""
-        d = p - self.p_ref
-        d *= d
-        d *= self.wp
-        cost = np.add.reduce(d, axis=-1)
-        np.subtract(q, self.q_ref, out=d)
-        d *= d
-        d *= self.wq
-        return cost + np.add.reduce(d, axis=-1)
+    def local_cost(self, z: np.ndarray) -> np.ndarray:
+        """The local cost of each row of the (K, 2N) injection block z: the
+        p half, then the q half, squared, weighted and summed in one (K, N)
+        temporary."""
+        n = self.w.size // 2
+        d = np.empty((*z.shape[:-1], n))
+        cost = 0.0
+        for half in (slice(None, n), slice(n, None)):
+            np.subtract(z[..., half], self.z_ref[half], out=d)
+            d *= d
+            d *= self.w[half]
+            cost = cost + np.add.reduce(d, axis=-1)
+        return cost
 
     def substation_cost(self, p0_actual: float) -> float:
         return float(self.alpha * (p0_actual - self.p0_target) ** 2)
@@ -105,15 +105,14 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Iterate x = (p, q, mu_lower, mu_upper)."""
+    """Iterate x = (z, mu_lower, mu_upper), z = (p, q)."""
 
-    p: np.ndarray
-    q: np.ndarray
+    z: np.ndarray
     mu_lower: np.ndarray
     mu_upper: np.ndarray
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.p, self.q, self.mu_lower, self.mu_upper])
+        return np.concatenate([self.z, self.mu_lower, self.mu_upper])
 
     def distance(self, other: "ControllerState") -> float:
         return float(np.linalg.norm(self.as_vector() - other.as_vector()))
@@ -122,43 +121,33 @@ class ControllerState:
 def initial_state(net: NetworkModel) -> ControllerState:
     """Nominal injections with zero duals."""
     n = net.n
-    return ControllerState(
-        p=net.p0.copy(), q=net.q0.copy(), mu_lower=np.zeros(n), mu_upper=np.zeros(n)
-    )
+    return ControllerState(np.concatenate([net.p0, net.q0]), np.zeros(n), np.zeros(n))
 
 
 def primal_grad(
     state: ControllerState,
     cost: CostParams,
     model: LinearFlowModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrangian gradients in (p, q).
+) -> np.ndarray:
+    """Lagrangian gradient in z = (p, q).
 
     The voltage constraints contribute G^T (mu_upper - mu_lower); the
-    substation term uses the lossless sensitivity dP0/dp = -1.
+    substation term uses the lossless sensitivity dP0/dp = -1, so it enters
+    the p half only.
     """
     n = model.n
-    g_mu = model.G.T @ (state.mu_upper - state.mu_lower)
-    dc0 = -2.0 * cost.alpha * (-state.p.sum() - cost.p0_target)
-    g_p = 2.0 * cost.wp * (state.p - cost.p_ref) + dc0 + g_mu[:n]
-    g_q = 2.0 * cost.wq * (state.q - cost.q_ref) + g_mu[n:]
-    return g_p, g_q
+    g = 2.0 * cost.w * (state.z - cost.z_ref)
+    g[:n] += -2.0 * cost.alpha * (-state.z[:n].sum() - cost.p0_target)
+    g += model.G.T @ (state.mu_upper - state.mu_lower)
+    return g
 
 
 def primal_step(
-    state: ControllerState,
-    grads: tuple[np.ndarray, np.ndarray],
-    net: NetworkModel,
-    config: ControllerConfig,
+    state: ControllerState, g: np.ndarray, net: NetworkModel, config: ControllerConfig
 ) -> ControllerState:
-    """Projected gradient descent on (p, q); duals unchanged."""
-    g_p, g_q = grads
-    p_new, q_new = project_feasible_net(
-        state.p - config.eps_primal * g_p, state.q - config.eps_primal * g_q, net
-    )
-    return ControllerState(
-        p=p_new, q=q_new, mu_lower=state.mu_lower, mu_upper=state.mu_upper
-    )
+    """Projected gradient descent on z along the gradient ``g``; duals unchanged."""
+    z = project_feasible_net(state.z - config.eps_primal * g, net)
+    return ControllerState(z, state.mu_lower, state.mu_upper)
 
 
 def dual_step(
@@ -169,12 +158,7 @@ def dual_step(
     eta = config.eta
     mu_l = state.mu_lower + eps * ((config.v_min - r_hat) - eta * state.mu_lower)
     mu_u = state.mu_upper + eps * ((r_hat - config.v_max) - eta * state.mu_upper)
-    return ControllerState(
-        p=state.p,
-        q=state.q,
-        mu_lower=np.maximum(mu_l, 0.0),
-        mu_upper=np.maximum(mu_u, 0.0),
-    )
+    return ControllerState(state.z, np.maximum(mu_l, 0.0), np.maximum(mu_u, 0.0))
 
 
 @dataclass(frozen=True)
@@ -209,7 +193,7 @@ def certify_step_size(
     (:func:`_operator_norm`); the certificate conservatively evaluates the
     larger of the two configured step sizes.
     """
-    M = float(min(2.0 * cost.wp.min(), 2.0 * cost.wq.min(), config.eta))
+    M = float(min(2.0 * cost.w.min(), config.eta))
     if M <= 0:
         raise ValueError("strong monotonicity requires positive weights and eta")
     L = _operator_norm(cost, model, config.eta)
@@ -229,7 +213,7 @@ def _operator_norm(cost: CostParams, model: LinearFlowModel, eta: float) -> floa
     until its rising estimate gains at most 1e-15 relative, beta = 0 or 4N steps."""
     n = model.n
     G = model.G
-    wz2 = 2.0 * np.concatenate([cost.wp, cost.wq])
+    wz2 = 2.0 * cost.w
     a2 = 2.0 * cost.alpha
 
     def j_apply(v: np.ndarray) -> np.ndarray:

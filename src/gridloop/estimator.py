@@ -1,6 +1,8 @@
 """Closed-form linear WLS state estimation and its error analytics.
 
-The estimate is z = (H^T W H)^-1 H^T W y for state z = (p, q). Since pseudo
+The estimate is z = (H^T W H)^-1 H^T W y for state z = (p, q), the
+injection vector the controller and the linear model use; the voltage
+reconstruction takes it whole and splits it only for the plant. Since pseudo
 rows are an identity block, the normal matrix is diagonal-plus-low-rank and is
 factorized once per measurement plan through the matrix inversion lemma; the
 same factorization serves every iteration and trial. The error analytics are
@@ -153,22 +155,20 @@ def estimate_voltages(
     model: LinearFlowModel,
     mode: str = "nonlinear",
 ) -> tuple[np.ndarray, bool]:
-    """Reconstruct voltage magnitudes from estimated injections.
+    """Reconstruct voltage magnitudes from estimated injections z_hat = (p, q).
 
     Nonlinear mode runs the power-flow plant at the estimated injections and
     falls back to the linear model (flagged) if that diverges; linear mode
     evaluates the model directly. Returns (r_hat, fell_back).
     """
-    n = net.n
     z_hat = np.asarray(z_hat, dtype=float)
     if not np.isfinite(z_hat).all():
         raise ValueError("state estimate contains non-finite entries")
-    p_hat, q_hat = z_hat[:n], z_hat[n:]
     if mode == "linear":
-        return eval_linear(model, p_hat, q_hat), False
+        return eval_linear(model, z_hat), False
     if mode != "nonlinear":
         raise ValueError(f"unknown voltage reconstruction mode {mode!r}")
-    sol = solve_power_flow(net, p_hat, q_hat)
+    sol = solve_power_flow(net, z_hat[: net.n], z_hat[net.n :])
     if sol.converged:
         return sol.v_mag, False
-    return eval_linear(model, p_hat, q_hat), True
+    return eval_linear(model, z_hat), True

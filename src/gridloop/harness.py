@@ -42,7 +42,7 @@ from .controller import (
 from .estimator import WlsEstimator, estimate_voltages
 from .feeders import resolve_network
 from .linearizer import LINEARIZATIONS, LinearFlowModel, eval_linear, linearize
-from .netmodel import NetworkModel, load_network, scale_injections
+from .netmodel import NetworkModel, load_network, scale_injections, z_bounds
 from .plant import solve_power_flow
 from .sensing import SEED_LIMIT, MeasurementPlan, make_plan, sample_measurements
 
@@ -325,7 +325,7 @@ def _measurement(cfg: ScenarioConfig, net: NetworkModel, model: LinearFlowModel)
         nodes, fraction = (() if sensors == "none" else tuple(range(1, net.n + 1))), None
     plan = make_plan(
         net.n, nodes, fraction, spec.placement_seed, spec.sensor_sigma, spec.pseudo_sigma,
-        (net.p0, net.q0), cfg.base_seed, spec.pseudo_fixed,
+        np.concatenate([net.p0, net.q0]), cfg.base_seed, spec.pseudo_fixed,
     )
     return plan, WlsEstimator(plan, model) if rule == "estimate" else None
 
@@ -336,10 +336,11 @@ def _measurement(cfg: ScenarioConfig, net: NetworkModel, model: LinearFlowModel)
 
 @dataclass
 class SimulationTrace:
-    """Per-iteration records of one trial (row k reflects iterate k)."""
+    """Per-iteration records of one trial (row k reflects iterate k); ``z``
+    holds the injections (p, q), and ``p`` and ``q`` are read-only views of
+    its halves."""
 
-    p: np.ndarray
-    q: np.ndarray
+    z: np.ndarray
     v_true: np.ndarray
     r_hat: np.ndarray
     mu_lower: np.ndarray
@@ -356,11 +357,24 @@ class SimulationTrace:
 
     @property
     def iterations(self) -> int:
-        return self.p.shape[0]
+        return self.z.shape[0]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self._half(slice(None, self.z.shape[1] // 2))
+
+    @property
+    def q(self) -> np.ndarray:
+        return self._half(slice(self.z.shape[1] // 2, None))
+
+    def _half(self, cols: slice) -> np.ndarray:
+        view = self.z[:, cols]
+        view.flags.writeable = False
+        return view
 
     def to_csv(self, path: str | Path) -> None:
         """Write the trace with :func:`write_rows`, one row per iteration."""
-        n = self.p.shape[1]
+        n = self.v_true.shape[1]
         header = ["iter"]
         header += [f"{label}_{i}" for label, _ in _CSV_VECTORS for i in range(1, n + 1)]
         header += _CSV_SCALARS
@@ -411,10 +425,12 @@ _CSV_SCALARS = (
 )
 
 
-def _plant_truth(ctx: RunContext, p: np.ndarray, q: np.ndarray, k: int):
+def _plant_truth(ctx: RunContext, z: np.ndarray, k: int):
     """True response and slack power under the configured plant."""
+    n = ctx.net.n
     if ctx.cfg.plant_model == "linear":
-        return eval_linear(ctx.model, p, q), float(-p.sum())
+        return eval_linear(ctx.model, z), float(-z[:n].sum())
+    p, q = z[:n], z[n:]
     sol = solve_power_flow(ctx.net, p, q)
     if not sol.converged:
         raise PlantDivergence(
@@ -425,7 +441,7 @@ def _plant_truth(ctx: RunContext, p: np.ndarray, q: np.ndarray, k: int):
 
 
 def _feedback_rule(ctx: RunContext, plan: MeasurementPlan):
-    """The feedback mode's rule, ``rule(r_true, p, q, k)``: the voltage
+    """The feedback mode's rule, ``rule(r_true, z, k)``: the voltage
     vector iteration k hands the dual update. Noiseless sensors on every
     node read the truth, so that plan takes the truth rule and draws no
     sample (``r * (1 + 0 * xi)`` is ``r`` bit for bit)."""
@@ -434,14 +450,14 @@ def _feedback_rule(ctx: RunContext, plan: MeasurementPlan):
     if rule in ("raw", "estimate") and plan.sensor_sigma == 0.0 and ns == ctx.net.n:
         rule = "truth"
     if rule == "truth":
-        return lambda r_true, p, q, k: r_true
+        return lambda r_true, z, k: r_true
     if rule == "linear":
-        return lambda r_true, p, q, k: eval_linear(ctx.model, p, q)
+        return lambda r_true, z, k: eval_linear(ctx.model, z)
     if rule == "raw":
-        return lambda r_true, p, q, k: sample_measurements(plan, r_true, k)[:ns]
+        return lambda r_true, z, k: sample_measurements(plan, r_true, k)[:ns]
     est, net, model, recon = ctx.estimator, ctx.net, ctx.model, ctx.cfg.estimation_mode
 
-    def estimate(r_true, p, q, k):
+    def estimate(r_true, z, k):
         z_hat = est.solve(est.adjust(sample_measurements(plan, r_true, k)))
         return estimate_voltages(z_hat, net, model, recon)[0]
 
@@ -458,44 +474,45 @@ def run_closed_loop(ctx: RunContext, trial: int = 0) -> SimulationTrace:
     """
     cfg, cfgc = ctx.cfg, ctx.cfg.controller
     plan = replace(ctx.plan, seed=cfg.base_seed + trial)
-    p, q, mu_l, mu_u, v_true, r_hat = (np.empty((cfg.iterations, ctx.net.n)) for _ in range(6))
+    z = np.empty((cfg.iterations, 2 * ctx.net.n))
+    mu_l, mu_u, v_true, r_hat = (np.empty((cfg.iterations, ctx.net.n)) for _ in range(4))
     p_slack = np.empty(cfg.iterations)
     state = initial_state(ctx.net)
     feedback = _feedback_rule(ctx, plan)
     for k in range(cfg.iterations):
-        p[k], q[k], mu_l[k], mu_u[k] = state.p, state.q, state.mu_lower, state.mu_upper
-        v_true[k], p_slack[k] = _plant_truth(ctx, state.p, state.q, k)
-        r_hat[k] = feedback(v_true[k], state.p, state.q, k)
+        z[k], mu_l[k], mu_u[k] = state.z, state.mu_lower, state.mu_upper
+        v_true[k], p_slack[k] = _plant_truth(ctx, state.z, k)
+        r_hat[k] = feedback(v_true[k], state.z, k)
         state = _step(ctx, state, r_hat[k], cfgc)
-    return _derive_trace(ctx, plan.seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack)
+    return _derive_trace(ctx, plan.seed, trial, z, mu_l, mu_u, v_true, r_hat, p_slack)
 
 
 def _step(ctx: RunContext, state: ControllerState, r: np.ndarray, cfgc: ControllerConfig):
     """The next iterate: a projected primal step, then a dual step with the
     voltage feedback ``r``. The primal step keeps the duals and the dual
     step keeps the primal variables, so chaining them gives the iterate."""
-    grads = primal_grad(state, ctx.cost, ctx.model)
-    return dual_step(primal_step(state, grads, ctx.net, cfgc), r, cfgc)
+    g = primal_grad(state, ctx.cost, ctx.model)
+    return dual_step(primal_step(state, g, ctx.net, cfgc), r, cfgc)
 
 
-def _derive_trace(ctx, seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack) -> SimulationTrace:
+def _derive_trace(ctx, seed, trial, z, mu_l, mu_u, v_true, r_hat, p_slack) -> SimulationTrace:
     """The trace of one trial from its records (row k for iteration k), each
     scalar column and the summary derived one statistic at a time. Sums,
     minima and maxima reduce the rows of C-order (K, N) blocks, which gives
     each row the bytes of its own 1-D reduction; so do the norms
     (:func:`_row_norms`). The substation cost keeps Python-float ``pow``:
     numpy's square can differ from it in the last bit."""
-    cfgc, n = ctx.cfg.controller, p.shape[1]
-    cost_local = ctx.cost.local_cost(p, q)
+    cfgc, n = ctx.cfg.controller, v_true.shape[1]
+    cost_local = ctx.cost.local_cost(z)
     cost_sub = np.array([ctx.cost.substation_cost(s) for s in p_slack.tolist()])
     below = cfgc.v_min - np.minimum.reduce(v_true, axis=1)
     violation = np.maximum(0.0, np.maximum(below, np.maximum.reduce(v_true, axis=1) - cfgc.v_max))
     err = r_hat - v_true
     np.abs(err, out=err)
     se_mean = np.add.reduce(err, axis=1) / n
-    dist = np.full(len(p), np.nan)
+    dist = np.full(len(z), np.nan)
     if ctx.x_star is not None:
-        dist = _row_norms(_saddle_gaps(p, q, mu_l, mu_u, ctx.x_star.as_vector()))
+        dist = _row_norms(_saddle_gaps(z, mu_l, mu_u, ctx.x_star.as_vector()))
     summary = {
         "trial": trial,
         "seed": seed,
@@ -506,7 +523,7 @@ def _derive_trace(ctx, seed, trial, p, q, mu_l, mu_u, v_true, r_hat, p_slack) ->
         "se_err_mean_avg": float(se_mean.mean()),
     }
     return SimulationTrace(
-        p, q, v_true, r_hat, mu_l, mu_u, _row_norms(mu_l), _row_norms(mu_u), cost_local,
+        z, v_true, r_hat, mu_l, mu_u, _row_norms(mu_l), _row_norms(mu_u), cost_local,
         cost_sub, violation, se_mean, np.maximum.reduce(err, axis=1), dist, summary,
     )
 
@@ -516,10 +533,10 @@ def _row_norms(rows: Iterable[np.ndarray]) -> np.ndarray:
     return np.array([math.sqrt(np.add.reduce(x * x)) for x in rows])
 
 
-def _saddle_gaps(p, q, mu_l, mu_u, x_star_vec: np.ndarray) -> Iterable[np.ndarray]:
-    """``x_k - x_star`` of each iterate ``x_k = (p, q, mu_l, mu_u)``, one row
-    at a time: a whole (K, 4N) block would copy four of the trace's six blocks."""
-    return (np.concatenate(x) - x_star_vec for x in zip(p, q, mu_l, mu_u))
+def _saddle_gaps(z, mu_l, mu_u, x_star_vec: np.ndarray) -> Iterable[np.ndarray]:
+    """``x_k - x_star`` of each iterate ``x_k = (z, mu_l, mu_u)``, one row at
+    a time: a whole (K, 4N) block would copy the trace's z and dual blocks."""
+    return (np.concatenate(x) - x_star_vec for x in zip(z, mu_l, mu_u))
 
 
 def run_trials(ctx: RunContext) -> Iterator[SimulationTrace]:
@@ -552,7 +569,7 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     projected primal-dual map within 1e-12.
     """
     net, model, cost, cfgc = ctx.net, ctx.model, ctx.cost, ctx.cfg.controller
-    n, (pmin, pmax, qmin, qmax, _) = net.n, net.box
+    n = net.n
     if net.disk_capped:
         raise HarnessError(
             "the saddle oracle supports box feasible sets only (apparent-power "
@@ -561,10 +578,8 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     G, eta = model.G, cfgc.eta
     d_l = cfgc.v_min - model.r0
     d_u = model.r0 - cfgc.v_max
-    wz = np.concatenate([2.0 * cost.wp, 2.0 * cost.wq])
-    z_ref = np.concatenate([cost.p_ref, cost.q_ref])
-    lo = np.concatenate([pmin, qmin])
-    hi = np.concatenate([pmax, qmax])
+    wz, z_ref = 2.0 * cost.w, cost.z_ref
+    lo, hi = z_bounds(net)
 
     def objective(z):
         r = G @ z
@@ -602,7 +617,7 @@ def saddle_oracle(ctx: RunContext) -> ControllerState:
     r = G @ z
     mu_l = np.maximum(d_l - r, 0.0) / eta
     mu_u = np.maximum(r + d_u, 0.0) / eta
-    x_star = ControllerState(p=z[:n], q=z[n:], mu_lower=mu_l, mu_upper=mu_u)
+    x_star = ControllerState(z, mu_l, mu_u)
 
     eps = ctx.require_certificate().eps_max / 10.0
     residual = _fixed_point_residual(x_star, ctx, eps)
@@ -658,7 +673,7 @@ def _conjugate_gradient(matvec, b):
 def _fixed_point_residual(state: ControllerState, ctx: RunContext, eps: float) -> float:
     """Distance moved by one exact primal-dual step from the candidate point."""
     single = replace(ctx.cfg.controller, eps_primal=eps, eps_dual=eps)
-    return state.distance(_step(ctx, state, eval_linear(ctx.model, state.p, state.q), single))
+    return state.distance(_step(ctx, state, eval_linear(ctx.model, state.z), single))
 
 
 # ---------------------------------------------------------------------------
@@ -753,10 +768,10 @@ def _bound_terms(trace: SimulationTrace, model: LinearFlowModel, x_star_vec: np.
     """Per-iteration gradient-map gaps and squared saddle distance of one
     trace. The linear model is evaluated one row at a time: a block product
     through BLAS is not bitwise the per-row one."""
-    r_lin = (eval_linear(model, p, q) for p, q in zip(trace.p, trace.q))
+    r_lin = (eval_linear(model, z) for z in trace.z)
     d_alpha = np.array([2.0 * np.add.reduce((r - h) ** 2) for r, h in zip(r_lin, trace.r_hat)])
     d_rho = 2.0 * np.add.reduce((trace.r_hat - trace.v_true) ** 2, axis=1)
-    gaps = _saddle_gaps(trace.p, trace.q, trace.mu_lower, trace.mu_upper, x_star_vec)
+    gaps = _saddle_gaps(trace.z, trace.mu_lower, trace.mu_upper, x_star_vec)
     dist_sq = np.array([np.add.reduce(g**2) for g in gaps])
     return d_alpha, d_rho, dist_sq
 

@@ -4,7 +4,9 @@ Two constructions are provided: the LinDistFlow common-path model, whose
 squared-magnitude sensitivities are rescaled by 1/(2 v0) onto voltage
 magnitude (so |v| ~ v0 + (R p + X q)/v0), and a numerical Jacobian of the
 nonlinear plant around an operating point. Models are immutable and fixed for
-the duration of a run.
+the duration of a run. The injections are one vector z of length 2N, every
+node's p, then every node's q: ``eval_linear`` and ``jacobian_linearize``
+take it whole, and only the plant call splits it.
 
 The sensitivity G = [A B] is one operator: LinDistFlow's comes from
 ``netmodel.path_sum``, a dense N x 2N array on small networks and an O(N)
@@ -49,32 +51,25 @@ def lindistflow(net: NetworkModel) -> LinearFlowModel:
     return LinearFlowModel(G=G, r0=r0)
 
 
-def jacobian_linearize(
-    net: NetworkModel,
-    p_star: np.ndarray,
-    q_star: np.ndarray,
-) -> LinearFlowModel:
+def jacobian_linearize(net: NetworkModel, z_star: np.ndarray) -> LinearFlowModel:
     """Central-difference Jacobian (step 1e-5) of the plant's voltage magnitudes
-    at (p*, q*); the intercept reproduces the plant exactly at the base point."""
+    at z* = (p*, q*); the intercept reproduces the plant exactly at the base point."""
     h = 1e-5
-    p_star = np.asarray(p_star, dtype=float)
-    q_star = np.asarray(q_star, dtype=float)
-    n = net.n
-    base = _solved_v(net, p_star, q_star)
-    G = np.empty((n, 2 * n))
-    for j in range(n):
-        dp = np.zeros(n)
-        dp[j] = h
-        G[:, j] = (_solved_v(net, p_star + dp, q_star) - _solved_v(net, p_star - dp, q_star)) / (2 * h)
-        G[:, n + j] = (_solved_v(net, p_star, q_star + dp) - _solved_v(net, p_star, q_star - dp)) / (2 * h)
-    r0 = base - G @ np.concatenate([p_star, q_star])
+    z_star = np.asarray(z_star, dtype=float)
+    base = _solved_v(net, z_star)
+    G = np.empty((net.n, z_star.size))
+    for j in range(z_star.size):
+        dz = np.zeros(z_star.size)
+        dz[j] = h
+        G[:, j] = (_solved_v(net, z_star + dz) - _solved_v(net, z_star - dz)) / (2 * h)
+    r0 = base - G @ z_star
     for m in (G, r0):
         m.setflags(write=False)
     return LinearFlowModel(G=G, r0=r0)
 
 
-def _solved_v(net: NetworkModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    sol = solve_power_flow(net, p, q)
+def _solved_v(net: NetworkModel, z: np.ndarray) -> np.ndarray:
+    sol = solve_power_flow(net, z[: net.n], z[net.n :])
     if not sol.converged:
         raise RuntimeError(
             f"power flow diverged while linearizing at a perturbed point "
@@ -83,13 +78,12 @@ def _solved_v(net: NetworkModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return sol.v_mag
 
 
-def eval_linear(model: LinearFlowModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Evaluate r = G (p, q) + r0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != (model.n,) or q.shape != (model.n,):
-        raise ValueError(f"expected injection vectors of length {model.n}")
-    return model.G @ np.concatenate([p, q]) + model.r0
+def eval_linear(model: LinearFlowModel, z: np.ndarray) -> np.ndarray:
+    """Evaluate r = G z + r0."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (2 * model.n,):
+        raise ValueError(f"expected an injection vector z = (p, q) of length {2 * model.n}")
+    return model.G @ z + model.r0
 
 
 def linearize(net: NetworkModel, method: str = "lindistflow") -> LinearFlowModel:
@@ -98,6 +92,6 @@ def linearize(net: NetworkModel, method: str = "lindistflow") -> LinearFlowModel
     if method == "lindistflow":
         return lindistflow(net)
     if method == "jacobian":
-        return jacobian_linearize(net, net.p0, net.q0)
+        return jacobian_linearize(net, np.concatenate([net.p0, net.q0]))
     raise ValueError(f"unknown linearization method {method!r}; choose from {LINEARIZATIONS}")
 

@@ -625,12 +625,18 @@ def path_sum_matrix(net: NetworkModel, weights: np.ndarray) -> np.ndarray:
 # Feasible-set projection
 
 
-def project_feasible_net(
-    p: np.ndarray, q: np.ndarray, net: NetworkModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node-wise projection of injection vectors onto the network's feasible sets."""
-    pmin, pmax, qmin, qmax, smax = net.box
-    return project_box_disk(p, q, pmin, pmax, qmin, qmax, smax if net.disk_capped else None)
+def project_feasible_net(z: np.ndarray, net: NetworkModel) -> np.ndarray:
+    """Node-wise projection of the injections z = (p, q) onto the network's
+    feasible sets."""
+    n, (pmin, pmax, qmin, qmax, smax) = net.n, net.box
+    pq = project_box_disk(z[:n], z[n:], pmin, pmax, qmin, qmax, smax if net.disk_capped else None)
+    return np.concatenate(pq)
+
+
+def z_bounds(net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
+    """The box's lower and upper bounds on z = (p, q)."""
+    pmin, pmax, qmin, qmax, _ = net.box
+    return np.concatenate([pmin, qmin]), np.concatenate([pmax, qmax])
 
 
 def project_box_disk(

@@ -45,7 +45,7 @@ SEED_LIMIT = 2**63
 class MeasurementPlan:
     """Where sensors sit and how noisy every channel is.
 
-    ``pseudo_base`` holds the per-node injections used as pseudo-measurement
+    ``pseudo_base`` holds the injections z = (p, q) used as pseudo-measurement
     means (normally the nominal load pattern). With ``pseudo_fixed`` the
     pseudo noise drawn at iteration 0 is reused every iteration. The arrays
     every iteration reads (sensor indices, pseudo means and deviations) and
@@ -56,7 +56,7 @@ class MeasurementPlan:
     sensor_nodes: tuple[int, ...]
     sensor_sigma: float
     pseudo_sigma: float
-    pseudo_base: tuple[tuple[float, ...], tuple[float, ...]]
+    pseudo_base: tuple[float, ...]
     seed: int
     pseudo_fixed: bool = False
 
@@ -67,7 +67,7 @@ class MeasurementPlan:
             raise ValueError("duplicate sensor nodes")
         if self.sensor_sigma < 0 or self.pseudo_sigma < 0:
             raise ValueError("noise levels must be nonnegative")
-        if len(self.pseudo_base[0]) != self.n or len(self.pseudo_base[1]) != self.n:
+        if len(self.pseudo_base) != 2 * self.n:
             raise ValueError("pseudo_base must provide (p, q) for every node")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"measurement seed must lie in [0, 2**63), got {self.seed}")
@@ -79,8 +79,8 @@ class MeasurementPlan:
 
     @cached_property
     def pseudo_mean(self) -> np.ndarray:
-        """Pseudo-measurement means, ``[base p; base q]``."""
-        return _freeze(np.concatenate([self.pseudo_base[0], self.pseudo_base[1]]))
+        """Pseudo-measurement means, ``pseudo_base`` as an array."""
+        return _freeze(np.array(self.pseudo_base))
 
     @cached_property
     def pseudo_std(self) -> np.ndarray:
@@ -108,7 +108,7 @@ def make_plan(
     placement_seed: int,
     sensor_sigma: float,
     pseudo_sigma: float,
-    pseudo_base: tuple[np.ndarray, np.ndarray],
+    pseudo_base: np.ndarray,
     seed: int,
     pseudo_fixed: bool = False,
 ) -> MeasurementPlan:
@@ -123,7 +123,7 @@ def make_plan(
         sensor_nodes=tuple(sorted(int(s) for s in sensor_nodes)),
         sensor_sigma=float(sensor_sigma),
         pseudo_sigma=float(pseudo_sigma),
-        pseudo_base=(tuple(map(float, pseudo_base[0])), tuple(map(float, pseudo_base[1]))),
+        pseudo_base=tuple(map(float, pseudo_base)),
         seed=int(seed),
         pseudo_fixed=bool(pseudo_fixed),
     )

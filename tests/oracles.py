@@ -204,8 +204,8 @@ def reference_trace_statistics(trace, ctx, p_slack):
         mu_l_norm[k] = math.sqrt(np.add.reduce(mu_lower * mu_lower))
         mu_u_norm[k] = math.sqrt(np.add.reduce(mu_upper * mu_upper))
         cost_local[k] = float(
-            np.add.reduce(cost.wp * (p_k - cost.p_ref) ** 2)
-            + np.add.reduce(cost.wq * (q_k - cost.q_ref) ** 2)
+            np.add.reduce(cost.w[:n] * (p_k - cost.z_ref[:n]) ** 2)
+            + np.add.reduce(cost.w[n:] * (q_k - cost.z_ref[n:]) ** 2)
         )
         cost_sub[k] = float(cost.alpha * (p_slack[k] - cost.p0_target) ** 2)
         violation[k] = max(
@@ -270,8 +270,7 @@ def lbfgsb_saddle(ctx):
     G, eta = model.G, cfgc.eta
     d_l = cfgc.v_min - model.r0
     d_u = model.r0 - cfgc.v_max
-    wz = np.concatenate([2.0 * cost.wp, 2.0 * cost.wq])
-    z_ref = np.concatenate([cost.p_ref, cost.q_ref])
+    wz, z_ref = 2.0 * cost.w, cost.z_ref
     lo = np.concatenate([pmin, qmin])
     hi = np.concatenate([pmax, qmax])
 

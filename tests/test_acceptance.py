@@ -210,7 +210,7 @@ def test_criterion_7_linearization_quality(net33):
         q = rng.uniform(-1.5, 1.5, 32) * np.abs(net33.q0)
         sol = solve_power_flow(net33, p, q)
         assert sol.converged
-        worst = max(worst, float(np.abs(eval_linear(model, p, q) - sol.v_mag).max()))
+        worst = max(worst, float(np.abs(eval_linear(model, np.concatenate([p, q])) - sol.v_mag).max()))
     assert _verdict("7 linearization quality", worst <= 0.01, f"max error {worst:.4f} pu")
 
 

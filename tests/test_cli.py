@@ -539,7 +539,7 @@ def test_run_pseudo_only_ci_is_the_sensorless_estimators(tmp_path):
     ctx = harness.prepare(cli.load_scenario(scenario))
     plan = make_plan(
         n=ctx.net.n, sensor_nodes=(), sensor_fraction=None, placement_seed=0,
-        sensor_sigma=0.01, pseudo_sigma=0.5, pseudo_base=(ctx.net.p0, ctx.net.q0), seed=3,
+        sensor_sigma=0.01, pseudo_sigma=0.5, pseudo_base=np.concatenate([ctx.net.p0, ctx.net.q0]), seed=3,
     )
     halfwidth = 2.576 * np.sqrt(WlsEstimator(plan, ctx.model).voltage_variance())
     assert summary["voltage_ci_halfwidth_99"] == halfwidth.tolist()

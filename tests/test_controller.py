@@ -36,9 +36,7 @@ def _zero_model(n):
 def test_gradient_zero_at_nominal(net33):
     cost = CostParams.for_network(net33, alpha=0.0)
     model = lindistflow(net33)
-    g_p, g_q = primal_grad(initial_state(net33), cost, model)
-    assert np.abs(g_p).max() == 0.0
-    assert np.abs(g_q).max() == 0.0
+    assert np.abs(primal_grad(initial_state(net33), cost, model)).max() == 0.0
 
 
 def test_gradient_isolates_dual_coupling(net33):
@@ -48,10 +46,8 @@ def test_gradient_isolates_dual_coupling(net33):
     j = 11
     mu_l = np.zeros(32)
     mu_l[j] = 1.0
-    st = ControllerState(p=st.p, q=st.q, mu_lower=mu_l, mu_upper=np.zeros(32))
-    g_p, g_q = primal_grad(st, cost, model)
-    assert np.allclose(g_p, -model.G[j, :32], atol=1e-15)
-    assert np.allclose(g_q, -model.G[j, 32:], atol=1e-15)
+    st = ControllerState(st.z, mu_lower=mu_l, mu_upper=np.zeros(32))
+    assert np.allclose(primal_grad(st, cost, model), -model.G[j], atol=1e-15)
 
 
 def test_gradients_match_finite_differences(twobus_json):
@@ -65,9 +61,9 @@ def test_gradients_match_finite_differences(twobus_json):
         q = rng.uniform(-0.2, 0.1, 1)
         mu_l = rng.uniform(0, 2, 1)
         mu_u = rng.uniform(0, 2, 1)
-        st = ControllerState(p=p, q=q, mu_lower=mu_l, mu_upper=mu_u)
+        st = ControllerState(np.concatenate([p, q]), mu_lower=mu_l, mu_upper=mu_u)
         kw = dict(
-            wp=cost.wp, wq=cost.wq, alpha=cost.alpha, p0=cost.p_ref, q0=cost.q_ref,
+            wp=1.3, wq=0.7, alpha=cost.alpha, p0=net.p0, q0=net.q0,
             p0_target=cost.p0_target, G=model.G, r0=model.r0,
             v_min=CFG.v_min, v_max=CFG.v_max, eta=CFG.eta,
         )
@@ -79,8 +75,8 @@ def test_gradients_match_finite_differences(twobus_json):
         e = np.array([h])
         fd_p = (lag(p + e, q, mu_l, mu_u) - lag(p - e, q, mu_l, mu_u)) / (2 * h)
         fd_q = (lag(p, q + e, mu_l, mu_u) - lag(p, q - e, mu_l, mu_u)) / (2 * h)
-        assert g_p[0] == pytest.approx(fd_p, rel=1e-5, abs=1e-8)
-        assert g_q[0] == pytest.approx(fd_q, rel=1e-5, abs=1e-8)
+        assert g_p == pytest.approx(fd_p, rel=1e-5, abs=1e-8)
+        assert g_q == pytest.approx(fd_q, rel=1e-5, abs=1e-8)
         # Dual ascent direction from the same scalar function.
         r = model.G @ np.concatenate([p, q]) + model.r0
         asc_l = (CFG.v_min - r) - CFG.eta * mu_l
@@ -93,34 +89,30 @@ def test_gradients_match_finite_differences(twobus_json):
 
 def test_primal_step_zero_gradient_identity(net33):
     st = initial_state(net33)
-    out = primal_step(st, (np.zeros(32), np.zeros(32)), net33, CFG)
-    assert np.array_equal(out.p, st.p)
-    assert np.array_equal(out.q, st.q)
+    out = primal_step(st, np.zeros(64), net33, CFG)
+    assert np.array_equal(out.z, st.z)
 
 
 def test_primal_step_lands_on_box_face(net33):
     st = initial_state(net33)
-    g_p = np.full(32, -1e4)  # pushes p far above every pmax
-    out = primal_step(st, (g_p, np.zeros(32)), net33, CFG)
-    assert np.array_equal(out.p, net33.box[1])
+    g = np.zeros(64)
+    g[:32] = -1e4  # pushes p far above every pmax
+    out = primal_step(st, g, net33, CFG)
+    assert np.array_equal(out.z[:32], net33.box[1])
+    assert np.array_equal(out.z[32:], st.z[32:])
 
 
 def test_primal_step_hand_computed(twobus_json):
     net = load_network(twobus_json)
     model = lindistflow(net)
     cost = CostParams.for_network(net, alpha=0.0)
-    st = ControllerState(
-        p=np.array([-0.06]), q=np.array([-0.02]),
-        mu_lower=np.array([0.5]), mu_upper=np.array([0.0]),
-    )
+    st = ControllerState(np.array([-0.06, -0.02]), mu_lower=np.array([0.5]), mu_upper=np.array([0.0]))
     g = primal_grad(st, cost, model)
     # By hand: g_p = 2(p - p0) - A mu_l = 2(0.04) - 0.01*0.5 = 0.075
     #          g_q = 2(q - q0) - B mu_l = 2(0.03) - 0.02*0.5 = 0.05
-    assert g[0][0] == pytest.approx(0.075)
-    assert g[1][0] == pytest.approx(0.05)
+    assert g == pytest.approx([0.075, 0.05])
     out = primal_step(st, g, net, CFG)
-    assert out.p[0] == pytest.approx(-0.06 - 7e-4 * 0.075)
-    assert out.q[0] == pytest.approx(-0.02 - 7e-4 * 0.05)
+    assert out.z == pytest.approx([-0.06 - 7e-4 * 0.075, -0.02 - 7e-4 * 0.05])
 
 
 def test_dual_step_inactive_constraints(net33):
@@ -170,10 +162,7 @@ def test_certificate_decoupled_closed_form():
     # A = B = 0, unit weights, eta = 0.01: M = eta, L = 2 from the cost block.
     n = 4
     model = _zero_model(n)
-    cost = CostParams(
-        wp=np.ones(n), wq=np.ones(n), alpha=0.0, p0_target=0.0,
-        p_ref=np.zeros(n), q_ref=np.zeros(n),
-    )
+    cost = CostParams(w=np.ones(2 * n), alpha=0.0, p0_target=0.0, z_ref=np.zeros(2 * n))
     cfg = ControllerConfig(eps_primal=1e-3, eps_dual=1e-3, eta=0.01)
     cert = certify_step_size(cost, model, cfg)
     assert cert.M == pytest.approx(0.01)
@@ -185,7 +174,7 @@ def _dense_jacobian(cost, model, eta):
     """The saddle Jacobian [[Hc, G^T], [-G, eta I]] as a dense matrix."""
     n = model.n
     S = dense_sensitivities(model)
-    Hc = np.diag(np.concatenate([2 * cost.wp, 2 * cost.wq]))
+    Hc = np.diag(2 * cost.w)
     Hc[:n, :n] += 2 * cost.alpha
     G = np.vstack([-S, S])
     return np.block([[Hc, G.T], [-G, eta * np.eye(2 * n)]])
@@ -295,28 +284,27 @@ def test_gradients_match_finite_differences_33bus(net33):
     rng = np.random.default_rng(5)
     h = 1e-6
     kw = dict(
-        wp=cost.wp, wq=cost.wq, alpha=cost.alpha, p0=cost.p_ref, q0=cost.q_ref,
+        wp=1.0, wq=1.0, alpha=cost.alpha, p0=net33.p0, q0=net33.q0,
         p0_target=cost.p0_target, G=model.G, r0=model.r0,
         v_min=CFG.v_min, v_max=CFG.v_max, eta=CFG.eta,
     )
     for _ in range(5):
+        p = net33.p0 * rng.uniform(0.5, 1.0, 32)
+        q = net33.q0 * rng.uniform(0.5, 1.0, 32)
         st = ControllerState(
-            p=net33.p0 * rng.uniform(0.5, 1.0, 32),
-            q=net33.q0 * rng.uniform(0.5, 1.0, 32),
-            mu_lower=rng.uniform(0, 1, 32),
-            mu_upper=rng.uniform(0, 1, 32),
+            np.concatenate([p, q]), mu_lower=rng.uniform(0, 1, 32), mu_upper=rng.uniform(0, 1, 32)
         )
-        g_p, g_q = primal_grad(st, cost, model)
+        g = primal_grad(st, cost, model)
         for idx in (0, 13, 31):
             e = np.zeros(32)
             e[idx] = h
             fd = (
-                scalar_lagrangian(st.p + e, st.q, st.mu_lower, st.mu_upper, **kw)
-                - scalar_lagrangian(st.p - e, st.q, st.mu_lower, st.mu_upper, **kw)
+                scalar_lagrangian(p + e, q, st.mu_lower, st.mu_upper, **kw)
+                - scalar_lagrangian(p - e, q, st.mu_lower, st.mu_upper, **kw)
             ) / (2 * h)
-            assert g_p[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
             fd_q = (
-                scalar_lagrangian(st.p, st.q + e, st.mu_lower, st.mu_upper, **kw)
-                - scalar_lagrangian(st.p, st.q - e, st.mu_lower, st.mu_upper, **kw)
+                scalar_lagrangian(p, q + e, st.mu_lower, st.mu_upper, **kw)
+                - scalar_lagrangian(p, q - e, st.mu_lower, st.mu_upper, **kw)
             ) / (2 * h)
-            assert g_q[idx] == pytest.approx(fd_q, rel=1e-5, abs=1e-9)
+            assert g[32 + idx] == pytest.approx(fd_q, rel=1e-5, abs=1e-9)

@@ -186,8 +186,7 @@ def test_saddle_oracle_unconstrained_two_bus():
         controller=ControllerConfig(eps_primal=2e-3, eps_dual=2e-3, eta=0.05, v_min=0.9, v_max=1.1)
     )
     xs = saddle_oracle(prepare(cfg))
-    assert xs.p[0] == pytest.approx(-0.1, abs=1e-9)
-    assert xs.q[0] == pytest.approx(-0.05, abs=1e-9)
+    assert xs.z == pytest.approx([-0.1, -0.05], abs=1e-9)
     assert xs.mu_lower.max() == 0.0
     assert xs.mu_upper.max() == 0.0
 
@@ -217,14 +216,12 @@ def test_saddle_oracle_binding_satisfies_kkt():
         cfgc = ctx.cfg.controller
         active = xs.mu_lower > 0.0
         assert active.any()
-        r = eval_linear(ctx.model, xs.p, xs.q)
+        r = eval_linear(ctx.model, xs.z)
         # Regularized dual stationarity: eta mu = v_min - r on the active set.
         assert np.abs(cfgc.v_min - r[active] - cfgc.eta * xs.mu_lower[active]).max() <= 1e-10
         # Primal stationarity: a projected step does not move the point.
-        grads = primal_grad(xs, ctx.cost, ctx.model)
-        stepped = primal_step(xs, grads, ctx.net, cfgc)
-        assert np.abs(stepped.p - xs.p).max() < 1e-10
-        assert np.abs(stepped.q - xs.q).max() < 1e-10
+        stepped = primal_step(xs, primal_grad(xs, ctx.cost, ctx.model), ctx.net, cfgc)
+        assert np.abs(stepped.z - xs.z).max() < 1e-10
 
 
 def test_saddle_oracle_start_independent():
@@ -336,7 +333,7 @@ def test_regularization_discrepancy_monotone_in_eta():
                 )
             )
         )
-        dists.append(np.linalg.norm(np.concatenate([xs.p, xs.q]) - np.concatenate([ref.p, ref.q])))
+        dists.append(np.linalg.norm(xs.z - ref.z))
     assert dists[0] <= dists[1] <= dists[2]
     assert dists[2] > dists[0]
 

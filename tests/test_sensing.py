@@ -25,7 +25,7 @@ def _plan33(net, sensors=(5, 17), sensor_sigma=0.01, pseudo_sigma=0.5, seed=99, 
         placement_seed=0,
         sensor_sigma=sensor_sigma,
         pseudo_sigma=pseudo_sigma,
-        pseudo_base=(net.p0, net.q0),
+        pseudo_base=np.concatenate([net.p0, net.q0]),
         seed=seed,
         **kw,
     )
@@ -110,7 +110,7 @@ def test_pseudo_floor_guards_zero_load_nodes(net33):
     p0[5] = 0.0
     plan = make_plan(
         n=32, sensor_nodes=(), sensor_fraction=None, placement_seed=0,
-        sensor_sigma=0.0, pseudo_sigma=0.5, pseudo_base=(p0, net33.q0), seed=1,
+        sensor_sigma=0.0, pseudo_sigma=0.5, pseudo_base=np.concatenate([p0, net33.q0]), seed=1,
     )
     sigma = plan_reference_sigmas(plan, lindistflow(net33))
     assert sigma[5] == pytest.approx(0.5 * 0.01)
@@ -204,7 +204,7 @@ def test_no_sensor_model_is_pure_selector(net33):
     model = lindistflow(net33)
     plan = make_plan(
         n=32, sensor_nodes=(), sensor_fraction=None, placement_seed=0,
-        sensor_sigma=0.01, pseudo_sigma=0.5, pseudo_base=(net33.p0, net33.q0), seed=1,
+        sensor_sigma=0.01, pseudo_sigma=0.5, pseudo_base=np.concatenate([net33.p0, net33.q0]), seed=1,
     )
     H, _ = linear_measurement_model(plan, model)
     assert np.array_equal(H, np.eye(64))

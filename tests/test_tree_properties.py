@@ -264,7 +264,7 @@ def test_wls_solve_and_variance_match_dense_oracles(dense_limit, case):
     # channel weights differ from node to node and between p and q.
     rng = np.random.default_rng(8)
     base = rng.uniform(-0.05, 0.05, (2, net.n))
-    plan = make_plan(net.n, tuple(rows + 1), None, 0, 0.01, 0.5, tuple(base), 0)
+    plan = make_plan(net.n, tuple(rows + 1), None, 0, 0.01, 0.5, base.ravel(), 0)
     est = WlsEstimator(plan, model)
     H, w = linear_measurement_model(plan, model)
     y = H @ base.ravel() + rng.normal(size=len(w)) / np.sqrt(w)
