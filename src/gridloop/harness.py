@@ -28,6 +28,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import floatfmt
 from .controller import (
     ControllerConfig,
     ControllerState,
@@ -380,35 +381,65 @@ class SimulationTrace:
         header += _CSV_SCALARS
         blocks = [getattr(self, name) for _, name in _CSV_VECTORS]
         blocks.append(np.column_stack([getattr(self, name) for name in _CSV_SCALARS]))
-        rows = (np.concatenate([block[k] for block in blocks]) for k in range(self.iterations))
+        rows = (
+            row
+            for part in _row_blocks(self.iterations, len(header) - 1)
+            for row in np.concatenate([block[part] for block in blocks], axis=1)
+        )
         write_rows(path, header, enumerate(rows))
 
 
 def write_rows(path: str | Path, header: list[str], rows: Iterable, end: str = "\n") -> None:
     """Write a CSV in a byte-stable format: the header, then per ``(k,
-    cells)`` of ``rows`` the integer ``k`` and the float array ``cells`` as
-    shortest round-trip ``repr`` values, each line ended by ``end``. Rows
-    are formatted one at a time, so ``rows`` may be a generator.
+    cells)`` of ``rows`` the integer ``k`` and the float64 array ``cells`` as
+    shortest round-trip ``repr`` values, each line ended by ``end``.
 
-    ``repr`` is called once per cell whose bits differ from the cell above;
-    the others reuse the row above's text (bits, not values: 0.0 and -0.0
-    print differently). A column pinned at a bound repeats row after row:
-    46% of the cells of a 4000-node se_loop trace and 30% of a 33-bus one,
-    but 1.7% of a bound audit's and 3.2% of the 200-iteration headline
-    run's, where the bookkeeping costs 3% to 7% more than it saves."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + end)
-        prev = text = None
+    The cells are formatted by :func:`floatfmt.format_cells`, the bytes of
+    ``repr`` from numpy blocks of ``_BLOCK_CELLS`` cells: short rows share a
+    block, and a longer row is split over several. ``rows`` may be a
+    generator; what is held is one row and one block."""
+    endb = end.encode()
+    sep = floatfmt.separator(endb)
+    block = np.empty(_BLOCK_CELLS)
+    with open(path, "wb") as fh:
+        fh.write(f"{','.join(header)}{end}".encode())
+        fill, ends, heads, inside = 0, [], [], False
         for k, cells in rows:
-            now = cells.view(np.int64)
-            vals = cells.tolist()
-            if prev is None or now.shape != prev.shape:
-                text = list(map(repr, vals))
-            else:
-                for i in np.flatnonzero(now != prev).tolist():
-                    text[i] = repr(vals[i])
-            prev = now.copy()
-            fh.write(f"{k}," + ",".join(text) + end)
+            if not cells.size:
+                _write_block(fh, block[:fill], ends, heads, inside, endb, sep)
+                fill, ends, heads, inside = 0, [], [], False
+                fh.write(f"{k},{end}".encode())
+                continue
+            heads.append(f"{k},".encode())
+            start = 0
+            while start < cells.size:
+                take = min(cells.size - start, _BLOCK_CELLS - fill)
+                block[fill : fill + take] = cells[start : start + take]
+                fill += take
+                start += take
+                if start == cells.size:
+                    ends.append(fill - 1)
+                if fill == _BLOCK_CELLS:
+                    _write_block(fh, block, ends, heads, inside, endb, sep)
+                    fill, ends, heads, inside = 0, [], [], start < cells.size
+        _write_block(fh, block[:fill], ends, heads, inside, endb, sep)
+
+
+# Cells per block: per floatfmt.format_cells call (about 75 numpy calls,
+# and temporaries of about 160 bytes a cell) and per block of rows in the
+# trace reductions (_row_blocks). At 4096 a bound-audit run held more than
+# 0.8 MB above its trace (tests/test_cli.py); at 1024 a block was 20% slower.
+_BLOCK_CELLS = 2048
+
+
+def _write_block(fh, cells, ends, heads, inside, endb, sep) -> None:
+    """Write ``cells`` formatted; ``heads`` are the ``k,`` of the rows that
+    start in the block (the first at its start unless it begins ``inside`` a
+    row), and ``ends`` index the cells that end a row."""
+    segments = floatfmt.format_cells(cells, np.array(ends, dtype=np.intp), sep).split(endb)
+    for i, head in enumerate(heads, start=int(inside)):
+        segments[i] = head + segments[i]
+    fh.write(endb.join(segments))
 
 
 # Trace CSV columns after "iter": (header label, field) per node, then scalars.
@@ -500,8 +531,8 @@ def _derive_trace(ctx, seed, trial, z, mu_l, mu_u, v_true, r_hat, p_slack) -> Si
     scalar column and the summary derived one statistic at a time. Sums,
     minima and maxima reduce the rows of C-order (K, N) blocks, which gives
     each row the bytes of its own 1-D reduction; so do the norms
-    (:func:`_row_norms`). The substation cost keeps Python-float ``pow``:
-    numpy's square can differ from it in the last bit."""
+    (:func:`_row_norms`, :func:`_saddle_dist_sq`). The substation cost keeps
+    Python-float ``pow``: numpy's square can differ from it in the last bit."""
     cfgc, n = ctx.cfg.controller, v_true.shape[1]
     cost_local = ctx.cost.local_cost(z)
     cost_sub = np.array([ctx.cost.substation_cost(s) for s in p_slack.tolist()])
@@ -512,7 +543,7 @@ def _derive_trace(ctx, seed, trial, z, mu_l, mu_u, v_true, r_hat, p_slack) -> Si
     se_mean = np.add.reduce(err, axis=1) / n
     dist = np.full(len(z), np.nan)
     if ctx.x_star is not None:
-        dist = _row_norms(_saddle_gaps(z, mu_l, mu_u, ctx.x_star.as_vector()))
+        dist = np.sqrt(_saddle_dist_sq(z, mu_l, mu_u, ctx.x_star.as_vector()))
     summary = {
         "trial": trial,
         "seed": seed,
@@ -528,15 +559,33 @@ def _derive_trace(ctx, seed, trial, z, mu_l, mu_u, v_true, r_hat, p_slack) -> Si
     )
 
 
-def _row_norms(rows: Iterable[np.ndarray]) -> np.ndarray:
-    """Each row's Euclidean norm by a pairwise sum, not a thread-dependent BLAS dot."""
-    return np.array([math.sqrt(np.add.reduce(x * x)) for x in rows])
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm by a pairwise sum, not a thread-dependent
+    BLAS dot, over blocks of rows (:func:`_row_blocks`)."""
+    out = np.empty(len(rows))
+    for block in _row_blocks(*rows.shape):
+        x = rows[block]
+        out[block] = np.add.reduce(x * x, axis=1)
+    return np.sqrt(out, out=out)
 
 
-def _saddle_gaps(z, mu_l, mu_u, x_star_vec: np.ndarray) -> Iterable[np.ndarray]:
-    """``x_k - x_star`` of each iterate ``x_k = (z, mu_l, mu_u)``, one row at
-    a time: a whole (K, 4N) block would copy the trace's z and dual blocks."""
-    return (np.concatenate(x) - x_star_vec for x in zip(z, mu_l, mu_u))
+def _saddle_dist_sq(z, mu_l, mu_u, x_star_vec: np.ndarray) -> np.ndarray:
+    """``||x_k - x_star||^2`` of each iterate ``x_k = (z, mu_l, mu_u)`` by a
+    pairwise sum per row, over blocks of rows (:func:`_row_blocks`): a whole
+    (K, 4N) block would copy the trace's z and dual blocks."""
+    out = np.empty(len(z))
+    for rows in _row_blocks(len(z), x_star_vec.size):
+        gap = np.concatenate([z[rows], mu_l[rows], mu_u[rows]], axis=1)
+        gap -= x_star_vec
+        out[rows] = np.add.reduce(gap * gap, axis=1)
+    return out
+
+
+def _row_blocks(k_rows: int, width: int) -> Iterator[slice]:
+    """Slices of ``k_rows`` rows of ``width`` cells, each of one row or of
+    as many as fit in ``_BLOCK_CELLS`` cells."""
+    step = max(1, _BLOCK_CELLS // width)
+    return (slice(k, k + step) for k in range(0, k_rows, step))
 
 
 def run_trials(ctx: RunContext) -> Iterator[SimulationTrace]:
@@ -766,13 +815,17 @@ def verify_error_bound(ctx: RunContext, traces: Iterable[SimulationTrace]) -> Bo
 
 def _bound_terms(trace: SimulationTrace, model: LinearFlowModel, x_star_vec: np.ndarray):
     """Per-iteration gradient-map gaps and squared saddle distance of one
-    trace. The linear model is evaluated one row at a time: a block product
-    through BLAS is not bitwise the per-row one."""
-    r_lin = (eval_linear(model, z) for z in trace.z)
-    d_alpha = np.array([2.0 * np.add.reduce((r - h) ** 2) for r, h in zip(r_lin, trace.r_hat)])
+    trace. The linear model is evaluated one row at a time (a block product
+    through BLAS is not bitwise the per-row one), and its rows are stacked
+    into blocks (:func:`_row_blocks`) for the pairwise sums."""
+    d_alpha = np.empty(trace.iterations)
+    for rows in _row_blocks(trace.iterations, trace.r_hat.shape[1]):
+        gap = np.array([eval_linear(model, z) for z in trace.z[rows]])
+        gap -= trace.r_hat[rows]
+        d_alpha[rows] = np.add.reduce(gap * gap, axis=1)
+    d_alpha *= 2.0
     d_rho = 2.0 * np.add.reduce((trace.r_hat - trace.v_true) ** 2, axis=1)
-    gaps = _saddle_gaps(trace.z, trace.mu_lower, trace.mu_upper, x_star_vec)
-    dist_sq = np.array([np.add.reduce(g**2) for g in gaps])
+    dist_sq = _saddle_dist_sq(trace.z, trace.mu_lower, trace.mu_upper, x_star_vec)
     return d_alpha, d_rho, dist_sq
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import gridloop
 import gridloop.harness as harness_mod
+from gridloop import floatfmt
 from gridloop.cli import load_scenario
 from gridloop.controller import ControllerConfig, primal_grad, primal_step
 from gridloop.harness import (
@@ -747,26 +748,49 @@ def test_write_rows_formats_every_cell_as_its_own_repr(tmp_path_factory, rows, e
     assert lines[-1] == ""
 
 
-def test_write_rows_formats_only_cells_that_changed(tmp_path, monkeypatch):
+def test_write_rows_calls_repr_only_where_the_digits_are_unsure(tmp_path, monkeypatch):
+    # The formatter hands a cell to repr only for a subnormal or a decision
+    # within its margin (exact ties: integers from 2^53 up, here), never for
+    # the cells of an ordinary trace, zeros and NaNs included.
     calls = []
 
     def counting_repr(x):
         calls.append(x)
         return builtins.repr(x)
 
-    monkeypatch.setattr(harness_mod, "repr", counting_repr, raising=False)
-    n = 7
-    first = np.linspace(0.0, 1.0, n)
-    second = first.copy()
-    second[[1, 4]] = [-0.0, math.nan]
-    third = second.copy()
-    third[[0, 1, 6]] = [2.0, 0.0, math.inf]
-    path = tmp_path / "rows.csv"
-    harness_mod.write_rows(path, ["iter"], enumerate([first, second, third]))
-    assert len(calls) == n + 2 + 3
-    assert path.read_text().splitlines()[1:] == [
-        f"{k}," + ",".join(map(builtins.repr, row.tolist())) for k, row in enumerate([first, second, third])
+    monkeypatch.setattr(floatfmt, "repr", counting_repr, raising=False)
+    trace = run_closed_loop(prepare(replace(load_scenario(SCEN / "ieee33_regulation.json"), iterations=200)))
+    trace.to_csv(tmp_path / "trace.csv")
+    assert calls == []
+    odd = [np.array([5e-324, -1e-310, 2.5e-320]), 2.0**53 + 2 * np.arange(6)]
+    harness_mod.write_rows(tmp_path / "odd.csv", ["iter"], enumerate(odd))
+    assert len(calls) == 9
+    assert (tmp_path / "odd.csv").read_text().splitlines()[1:] == [
+        f"{k}," + ",".join(map(builtins.repr, row.tolist())) for k, row in enumerate(odd)
     ]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_write_rows_splits_rows_longer_than_a_block(tmp_path, end):
+    # Rows of one and several blocks, a row ending on a block's last cell,
+    # one starting on a block's first, and a row with no cells.
+    block = harness_mod._BLOCK_CELLS
+    rng = np.random.default_rng(3)
+    sizes = [3, 2 * block + 5, block - 8, 5, block, 0, 1, 3 * block]
+    rows = [rng.standard_normal(size) * 10.0 ** rng.integers(-6, 18, size) for size in sizes]
+    harness_mod.write_rows(tmp_path / "rows.csv", ["iter", "x"], zip(range(10, 18), rows), end=end)
+    lines = [f"{k}," + ",".join(map(repr, row.tolist())) for k, row in zip(range(10, 18), rows)]
+    assert (tmp_path / "rows.csv").read_bytes() == "".join(f"{line}{end}" for line in ["iter,x"] + lines).encode()
+
+
+def test_write_rows_holds_one_block_of_a_long_row(tmp_path):
+    # A 20,000-cell row (feeder_4k rows are 16,008 cells, the headline
+    # run's 18,100) is formatted a block at a time: about 0.33 MB of
+    # temporaries, where formatting it whole would take about 3.2 MB.
+    row = np.random.default_rng(4).standard_normal(20_000)
+    _, peak = _traced_peak(harness_mod.write_rows, tmp_path / "row.csv", ["iter"], [(0, row)])
+    assert peak < 0.6e6, f"peak {peak / 1e6:.2f} MB"
+    assert (tmp_path / "row.csv").read_text() == "iter\n0," + ",".join(map(repr, row.tolist())) + "\n"
 
 
 def test_trace_csv_is_the_repr_of_every_cell(tmp_path):
