@@ -119,9 +119,11 @@ class ControllerState:
 
 
 def initial_state(net: NetworkModel) -> ControllerState:
-    """Nominal injections with zero duals."""
+    """The nominal injections projected onto the feasible sets, with zero
+    duals: the loop starts inside the controller's own domain."""
     n = net.n
-    return ControllerState(np.concatenate([net.p0, net.q0]), np.zeros(n), np.zeros(n))
+    z = project_feasible_net(np.concatenate([net.p0, net.q0]), net)
+    return ControllerState(z, np.zeros(n), np.zeros(n))
 
 
 def primal_grad(

@@ -13,11 +13,13 @@ check it against the explicit gain).
 
 The sensor rows U = G_S (G's rows at the sensors) are never stored: they are
 applied through ``G @`` and ``G.T @``, G dense or a ``PathSum``. So a solve
-and the voltage variance are one code path for every linear model, and on
-the tree none of them keeps or builds an ns x 2N array. The
-set-up takes K's sensor block in closed form on the tree
-(``netmodel.sensor_gram``: O(N) tree passes and an O(ns^2) assembly) and
-from ``path_gram`` columns on dense models.
+is one code path for every linear model, and on the tree none of them keeps
+or builds an ns x 2N array. The set-up takes K's sensor block in closed form
+on the tree (``netmodel.sensor_gram``: O(N) tree passes and an O(ns^2)
+assembly) and from ``path_gram`` columns on dense models. The voltage
+variance on the tree needs no K at all: it is the exact two-pass smoother of
+the Gaussian model on the tree (``netmodel.tree_variance``, O(N)); dense
+models take it from K's factor.
 """
 
 from __future__ import annotations
@@ -25,19 +27,14 @@ from __future__ import annotations
 import numpy as np
 
 from .linearizer import LinearFlowModel, eval_linear
-from .netmodel import NetworkModel, PathSum, diag_quad, path_gram, sensor_gram
+from .netmodel import NetworkModel, PathSum, path_gram, sensor_gram, tree_variance
 from .plant import solve_power_flow
 from .sensing import MeasurementPlan, plan_reference_sigmas
 
 
-# Sensor columns per block of the path_gram products: the variance cross
-# term, and K on dense models. A block's temporaries are a few (N, 8) arrays,
-# 0.26 MB each at 4000 nodes and 3.2 MB at 50000, whatever the sensor count;
-# unblocked (N, ns) products grow as N^2. The variance on the tree kernel,
-# medians on a 2-CPU x86 host with one BLAS thread: 4000 nodes
-# 60/47/45/54/81 ms and 20000 nodes 1.35/1.20/1.78/2.34/2.22 s for
-# 4/8/16/32/64 columns. Wider blocks fall out of the cache, narrower ones
-# pay per-call overhead.
+# Sensor columns per block of the path_gram products on dense models: K
+# and the variance's cross term. A block's temporaries are a few (N, 8)
+# arrays, whatever the sensor count; unblocked (N, ns) products grow as N^2.
 GRAM_BLOCK = 8
 
 
@@ -55,7 +52,9 @@ class WlsEstimator:
     ``L^-T (L^-1 b)``: O(ns * N) on dense models, O(N) on ``PathSum`` ones.
     On ``PathSum`` models K costs O(N + ns^2) (:func:`netmodel.sensor_gram`)
     and its factor and inverse O(ns^3); on dense ones K is ``GRAM_BLOCK``
-    columns of ``path_gram`` at a time.
+    columns of ``path_gram`` at a time. The voltage variance is O(N) on
+    ``PathSum`` models (:func:`netmodel.tree_variance`) and O(ns * N^2) on
+    dense ones.
     """
 
     def __init__(self, plan: MeasurementPlan, model: LinearFlowModel):
@@ -109,29 +108,21 @@ class WlsEstimator:
     def voltage_variance(self) -> np.ndarray:
         """Variance of the linearly reconstructed voltages G z_hat.
 
-        With the lemma form of the covariance, ``D^-1 - D^-1 U^T K^-1 U D^-1``
-        (D the pseudo weights, K = L L^T), entry i is ``sum_j G_ij^2 / w_j``
-        minus ``||L^-1 U D^-1 G^T e_i||^2``. The first term is
-        ``netmodel.diag_quad`` (O(N) on the tree). The second is the squared
-        norm of row i of ``G D^-1 G^T E L^-T`` (E scatters onto the sensor
-        nodes), taken ``GRAM_BLOCK`` columns at a time, so no N x N or
-        (N, ns) array is formed: O(N * ns) on the tree.
-
-        That cross term has a compressed form too, not taken here. Row i of
-        ``G D^-1 G^T E`` depends on i only through the path sums at i and
-        the chain of the sensors' virtual tree that i hangs from (its
-        entries are those of :func:`netmodel.sensor_gram` with
-        lca(s_a, i) = lca(s_a, p), p the deepest ancestor of i on a sensor's
-        path): an affine combination of six vectors per chain. So the term
-        is a 6 x 6 quadratic form per chain, but the forms need ``K^-1`` on
-        6 columns for each of up to 2 ns chains, O(ns^3), and their terms
-        cancel. On a 2-CPU x86 host with one BLAS thread, ``cho_solve`` on
-        12 ns columns alone took 3.6 s at 1800 sensors (50000 nodes),
-        against 8.0 s for the blocked term, and 0.37 s at 720 sensors
-        against 1.2 s.
+        On ``PathSum`` models it is :func:`netmodel.tree_variance`, the
+        exact two-pass smoother of the Gaussian model on the tree: O(N).
+        On dense ones it is the lemma form of the covariance, ``D^-1 - D^-1
+        U^T K^-1 U D^-1`` (D the pseudo weights, K = L L^T): entry i is
+        ``sum_j G_ij^2 / w_j`` minus the squared norm of row i of ``G D^-1
+        G^T E L^-T`` (E scatters onto the sensor nodes), taken
+        ``GRAM_BLOCK`` columns at a time.
         """
         d = 1.0 / self.w_pseudo
-        var = diag_quad(self.model.G, d)
+        G = self.model.G
+        if isinstance(G, PathSum):
+            ws = np.zeros(self.n)
+            ws[self.idx] = self.w_sensor
+            return tree_variance(G, d, ws)
+        var = (G * G) @ d
         if not self.ns:
             return var
         for _, g in self._gram_blocks(d, self._linv.T):

@@ -410,8 +410,9 @@ def path_sum(net: NetworkModel, weights: np.ndarray) -> np.ndarray | PathSum:
     """The common-path product of ``weights`` (of each row of a (k, N) stack,
     side by side) in the form faster for this network: dense up to
     ``DENSE_LIMIT`` non-slack nodes, a :class:`PathSum` above. Callers use
-    ``@``, ``.T @``, ``/`` by a scalar, :func:`diag_quad` and
-    :func:`path_gram` on both forms, :func:`sensor_gram` on a ``PathSum``."""
+    ``@``, ``.T @`` and ``/`` by a scalar on both forms, :func:`path_gram`
+    on the dense one, :func:`sensor_gram` and :func:`tree_variance` on a
+    ``PathSum``."""
     if net.n <= DENSE_LIMIT:
         return _freeze(np.hstack([path_sum_matrix(net, w) for w in np.atleast_2d(weights)]))
     return PathSum(net, weights)
@@ -462,18 +463,32 @@ class PathSum:
             out += self._block(ws[k], x[k * n : (k + 1) * n])
         return out
 
-    def diag_quad(self, d: np.ndarray) -> np.ndarray:
-        """``diag(G diag(d) G^T)`` in O(N).
+    @property
+    def _depth(self) -> np.ndarray:
+        """Depth per DFS slot, 1 for the substation's children: the path sum
+        of ones."""
+        return self._path(np.ones(len(self._pos))).astype(np.int64)
 
-        Entry i is ``sum_j P_ij^2 d_j`` over the blocks. Since P_ij is the
-        weight sum R(a) of the path to a = lca(i, j), it equals the path sum
-        over a in path(i) of ``Dsub(a) (R(a)^2 - R(parent a)^2)``, with Dsub
-        the subtree sum of d.
-        """
-        w = self._w.T
-        r = self._path(w)
-        dsub = self._subtree(np.reshape(d, self._w.shape)[:, self._order].T)
-        return self._path(dsub * w * (2.0 * r - w)).sum(axis=1)[self._pos]
+    @cached_property
+    def _levels(self) -> tuple:
+        """The depth-level schedule of :func:`tree_variance`, built on first
+        use: the slots in level order (by depth, then by parent slot, then by
+        slot, so that siblings are adjacent), each position's parent position
+        (n for the substation), the first position of each level and of the
+        next (a list), the index of each level's first sibling group (a
+        list), and per group its first position relative to its level and
+        its parent's position."""
+        n, depth = len(self._pos), self._depth
+        lvl = np.lexsort((self._up, depth))
+        rank = np.full(n + 1, n)
+        rank[lvl] = np.arange(n)
+        ppos = rank[self._up[lvl]]
+        dl = depth[lvl]
+        bounds = np.searchsorted(dl, np.arange(1, dl[-1] + 2))
+        first = np.flatnonzero(np.append(True, ppos[1:] != ppos[:-1]))
+        groups = np.searchsorted(first, bounds)
+        rel = first - bounds[dl[first] - 1]
+        return lvl, ppos, bounds.tolist(), groups.tolist(), rel, ppos[first]
 
     def _block(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``P @ x`` for one block's weights w per DFS slot."""
@@ -489,40 +504,17 @@ class PathSum:
         return _prefix(us)[1:] - _prefix(us[self._by_end])[self._closed]
 
 
-def diag_quad(G: np.ndarray | PathSum, d: np.ndarray) -> np.ndarray:
-    """``diag(G diag(d) G^T)`` of a dense or a path-sum operator."""
-    if isinstance(G, PathSum):
-        return G.diag_quad(d)
-    return (G * G) @ d
-
-
 def path_gram(
-    G: np.ndarray | PathSum,
+    G: np.ndarray,
     d: np.ndarray,
     x: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``G diag(d) G^T x`` at every node or only at the 0-based ``rows``.
-
-    The blocks of a path-sum G differ only in their branch weights, so the
-    subtree sums of ``x`` are shared, the outer path sum is taken once, and
-    the stages stay in DFS slot order: for two blocks, three subtree and
-    three path passes instead of four full products (each with its own
-    subtree pass and permutations).
-    """
+    """``G diag(d) G^T x`` for a dense G, at every node or only at the
+    0-based ``rows``."""
     x = np.asarray(x)
-    col = (slice(None),) + (None,) * (x.ndim - 1)
-    if not isinstance(G, PathSum):
-        at = slice(None) if rows is None else rows
-        return G[at] @ (np.asarray(d)[col] * (G.T @ x))
-    order, pos = G._order, G._pos
-    sub = G._subtree(x[order])
-    acc = 0.0
-    for w, dk in zip(G._w, np.reshape(d, G._w.shape)):
-        w = w[col]
-        inner = G._path(w * sub) * dk[order][col]
-        acc = acc + w * G._subtree(inner)
-    return G._path(acc)[pos if rows is None else pos[rows]]
+    at = slice(None) if rows is None else rows
+    return G[at] @ (np.asarray(d)[(slice(None),) + (None,) * (x.ndim - 1)] * (G.T @ x))
 
 
 # Sensor pairs per row block of sensor_gram: a block's temporaries are a few
@@ -537,7 +529,8 @@ def sensor_gram(G: PathSum, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ``(P diag(d) P)_ab`` is ``sum_k W(lca(a, k)) d_k W(lca(b, k))``, with W
     the path sum of the branch weights. With Dsub the subtree sums of d, S
     the path sums of ``w Dsub`` and Q those of ``Dsub w (2W - w)`` (the
-    diagonal, :meth:`PathSum.diag_quad`), an entry is
+    diagonal: ``sum_j P_ij^2 d_j`` is the path sum over a in path(i) of
+    ``Dsub(a) (W(a)^2 - W(parent a)^2)``), an entry is
     ``Q(c) + W(c) ((S(a) - S(c)) + (S(b) - S(c)))`` with c = lca(a, b): the
     k that branch off the path to a or b below c add ``W(c)`` times the
     path sums of ``w Dsub`` from c down to a or b. All three are 0 at the
@@ -563,7 +556,7 @@ def sensor_gram(G: PathSum, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Q = Q.sum(axis=1)
 
     # Sort key per slot: the depth first, the slot to tell equal depths apart.
-    depth = np.append(G._path(np.ones(n)), 0.0).astype(np.int64)
+    depth = np.append(G._depth, 0)
     key = depth * (n + 1) + np.arange(n + 1)
     slots = G._pos[rows]
     perm = np.argsort(slots)
@@ -590,6 +583,91 @@ def sensor_gram(G: PathSum, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
             val += W[c, col] * ((S[t[r], col][:, None] - s_c) + (S[t, col] - s_c))
         gram[np.ix_(perm[r], perm)] = val
     return gram
+
+
+def tree_variance(G: PathSum, d: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """``diag(G (diag(d)^-1 + G^T diag(ws) G)^-1 G^T)`` for a two-block
+    path-sum G = [P_1 P_2], d > 0 and ws >= 0 (one entry per node), by one
+    upward and one downward pass over the depth levels: O(N) work in O(depth)
+    numpy calls, and no BLAS call.
+
+    It is the posterior variance of u = G z for z = (p, q) with independent
+    priors of variances d and observations of u with weights ws: a Gaussian
+    model on the tree (Chou, Willsky and Benveniste, IEEE TAC 1994; Rauch,
+    Tung and Striebel, AIAA J. 1965). With F_i = (F, H)_i the subtree sums of
+    (p, q) and w_i the node's two branch weights, u_i = u_parent + w_i . F_i,
+    and F_i = z_i + sum of the children's F_c. Only second moments enter.
+
+    Upward, deepest level first, subtree i tells its parent how F_i is
+    distributed given the parent's voltage: F_i ~ N(b_i u_parent, C_i),
+    times an information lambda_i on u_parent. At node i the children's
+    messages add, and the node's own terms join them: C' = sum C_c +
+    diag(d_p, d_q), b = sum b_c and lam = sum lambda_c + wli. Reading u_i as
+    N(0, 1/lam) and F_i | u_i as N(b u_i, C'), u_parent = u_i - w . F_i gives
+    the message in closed form: with k = C' w, v = w . k, t = 1 - w . b and
+    s = t^2 + lam v, lambda_i = lam / s, b_i = (t b - lam k) / s and C_i = C'
+    + (b (v b + t k)^T + k (t b - lam k)^T) / s.
+
+    Downward, shallowest level first, the posterior covariance P of (u_i,
+    F_i) passes to each child c. Given (u_i, F_i), F_c is the Kalman update
+    of N(b_c u_i, C_c) on F_i = z_i + sum F_c: with K = C_c C'^-1, F_c =
+    (b_c - K b) u_i + K F_i plus an independent residual of covariance R =
+    C_c - K C_c. So Cov(F_c) = B P B^T + R with B = [b_c - K b, K], and u_c =
+    u_i + w_c . F_c. The substation's P is zero (u_0 = 0).
+    """
+    lvl, ppos, bounds, groups, rel, gpar = G._levels
+    n = len(lvl)
+    node = G._order[lvl]
+    w = G._w[:, lvl]
+    # Upward. Per level position: C (2 x 2, rows 0-3), b (rows 4-5) and the
+    # information (row 6); ``acc`` starts from the node's own terms.
+    acc = np.zeros((7, n))
+    acc[[0, 3]] = np.reshape(d, G._w.shape)[:, node]
+    acc[6] = ws[node]
+    msg = np.empty((7, n))
+    acc_c, msg_c = acc[:4].reshape(2, 2, n), msg[:4].reshape(2, 2, n)
+    for level in range(len(bounds) - 1, 0, -1):
+        s = slice(bounds[level - 1], bounds[level])
+        c, b, lam, wl = acc_c[:, :, s], acc[4:6, s], acc[6, s], w[:, s]
+        k = (c * wl).sum(axis=1)
+        v = (wl * k).sum(axis=0)
+        t = 1.0 - (wl * b).sum(axis=0)
+        sc = t * t + lam * v
+        e = t * b - lam * k
+        f = v * b + t * k
+        np.add(c, (b[:, None] * f + k[:, None] * e) / sc, out=msg_c[:, :, s])
+        np.divide(e, sc, out=msg[4:6, s])
+        np.divide(lam, sc, out=msg[6, s])
+        if level > 1:
+            g = slice(groups[level - 1], groups[level])
+            acc[:, gpar[g]] += np.add.reduceat(msg[:, s], rel[g], axis=1)
+    # The gains of every child at once: K = C_c C'^-1 of its parent, in
+    # closed form; zero below the substation.
+    (c11, c12), (c21, c22) = acc_c
+    inv = np.zeros((2, 2, n + 1))
+    inv[:, :, :n] = np.array([[c22, -c12], [-c21, c11]]) / (c11 * c22 - c12 * c21)
+    b_s = np.append(acc[4:6], np.zeros((2, 1)), axis=1)[:, ppos]
+    gain = (msg_c[:, :, None] * inv[None, :, :, ppos]).sum(axis=1)
+    coef = np.empty((2, 3, n))
+    coef[:, 0] = msg[4:6] - (gain * b_s).sum(axis=1)
+    coef[:, 1:] = gain
+    resid = msg_c - (gain[:, :, None] * msg_c[None]).sum(axis=1)
+    # Downward. P of (u, F) per level position, the substation's in column n.
+    post = np.zeros((3, 3, n + 1))
+    for level in range(1, len(bounds)):
+        s = slice(bounds[level - 1], bounds[level])
+        p, cs, wl = post[:, :, ppos[s]], coef[:, :, s], w[:, s]
+        pb = (p[:, None] * cs).sum(axis=2)
+        x = (cs[:, :, None] * pb).sum(axis=1) + resid[:, :, s]
+        y = pb[0]
+        cov = y + (x * wl).sum(axis=1)
+        post[0, 0, s] = p[0, 0] + (wl * (y + cov)).sum(axis=0)
+        post[0, 1:, s] = cov
+        post[1:, 0, s] = cov
+        post[1:, 1:, s] = x
+    var = np.empty(n)
+    var[node] = post[0, 0, :n]
+    return var
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:

@@ -372,7 +372,8 @@ def reference_loop(ctx, trial=0, newton_tol=1e-12):
         bits = np.random.Philox(counter=[0, 0, 0, k], key=[seed, lane])
         return np.random.Generator(bits).standard_normal(count)
 
-    p, q, mu_l, mu_u = net.p0.copy(), net.q0.copy(), np.zeros(n), np.zeros(n)
+    p, q = np.clip(net.p0, pmin, pmax), np.clip(net.q0, qmin, qmax)
+    mu_l, mu_u = np.zeros(n), np.zeros(n)
     rows = {name: [] for name in ("p", "q", "mu_lower", "mu_upper", "v_true", "r_hat")}
     for k in range(cfg.iterations):
         v = voltages(p, q, cfg.plant_model)

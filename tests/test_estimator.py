@@ -318,6 +318,42 @@ def test_solve_bits_do_not_depend_on_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+# Prints the sha256 of the voltage variance on a 12000-node feeder with
+# 3.6% sensors (432).
+_THREAD_VARIANCE = """
+import hashlib
+import numpy as np
+from gridloop.estimator import WlsEstimator
+from gridloop.feeders import synthetic_feeder
+from gridloop.linearizer import lindistflow
+from gridloop.sensing import make_plan
+net = synthetic_feeder(12000, seed=12)
+plan = make_plan(net.n, None, 0.036, 0, 0.01, 0.5, np.concatenate([net.p0, net.q0]), 0)
+est = WlsEstimator(plan, lindistflow(net))
+print(est.ns, hashlib.sha256(est.voltage_variance().tobytes()).hexdigest())
+"""
+
+
+def test_variance_bits_do_not_depend_on_blas_threads():
+    # The tree smoother makes no BLAS call, so the variance, and with it
+    # every voltage_ci_halfwidth_99, has the same bytes with one BLAS
+    # thread and with two, at a sensor count where K's factor does not.
+    src = str(Path(estimator_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _THREAD_VARIANCE],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0].split()[0] == "432"
+    assert outs[0] == outs[1]
+
+
 def test_operator_estimator_keeps_no_sensor_rows():
     # On the 4000-node feeder U = [A_S B_S] is 144 x 8000, 9.2 MB. The
     # estimator applies it through the tree kernel and keeps less than an

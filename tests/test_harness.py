@@ -291,8 +291,9 @@ def test_saddle_oracle_rejects_disk_sets(tmp_path):
 
 def test_loop_keeps_iterates_on_disk_capped_feeder():
     # Every node's apparent-power cap sits at 0.8 of its nominal |s0|, which
-    # the nominal start lies outside: each projected step lands in box and
-    # disk, and the disk binds where the box alone would not.
+    # the nominal point lies outside: the start is its projection, every
+    # row lands in box and disk, and the disk binds where the box alone would
+    # not.
     doc = network_document(synthetic_feeder(400, seed=12))
     for node in doc["nodes"][1:]:
         node["smax"] = 0.8 * math.hypot(node["p0"], node["q0"])
@@ -306,11 +307,12 @@ def test_loop_keeps_iterates_on_disk_capped_feeder():
     )
     trace = run_closed_loop(prepare(cfg, net))
     pmin, pmax, qmin, qmax, smax = net.box
-    p, q = trace.p[1:], trace.q[1:]
+    p, q = trace.p, trace.q
     assert (p >= pmin - 1e-12).all() and (p <= pmax + 1e-12).all()
     assert (q >= qmin - 1e-12).all() and (q <= qmax + 1e-12).all()
     assert (np.hypot(p, q) <= smax + 1e-12).all()
-    assert (np.hypot(trace.p[0], trace.q[0]) > smax).all()
+    assert (np.hypot(net.p0, net.q0) > smax).all()
+    assert (np.abs(np.hypot(p[0], q[0]) - smax) <= 1e-12).all()
     assert (np.abs(np.hypot(p[-1], q[-1]) - smax) <= 1e-12).any()
 
 

@@ -6,8 +6,7 @@ id order, lines in random order and direction, positive resistances and
 reactances of either sign, light loads and small shunts) and sensor sets on
 them (none, one, all, leaves only, one branch only). Then:
 
-- the tree kernel's products, ``diag_quad``, ``path_gram`` and
-  ``sensor_gram`` match ``path_sum_matrix`` products at 1e-12 relative to
+- the tree kernel's products and ``sensor_gram`` match ``path_sum_matrix`` products at 1e-12 relative to
   the magnitude of the summands, for one block and for the block row
   ``[R X]``;
 - LinDistFlow's sensitivity G, dense and as a ``PathSum``, keeps the
@@ -20,7 +19,12 @@ them (none, one, all, leaves only, one branch only). Then:
 - the sweep plant matches the Newton power flow within 1e-8;
 - the WLS estimate and the reconstructed voltages' variance match the
   lstsq WLS and the explicit inverse of the normal matrix, on dense and on
-  ``PathSum`` models.
+  ``PathSum`` models;
+- the tree smoother's variance (``netmodel.tree_variance``) matches that
+  inverse entry by entry, within the rounding bound of the inverse itself,
+  on the drawn feeders and on a 400-node chain, star and synthetic feeder
+  with sensors at every node, at none, and with exact pseudo or sensor
+  channels (``SIGMA_FLOOR``).
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from hypothesis import strategies as st
 
 from gridloop import netmodel
 from gridloop.estimator import WlsEstimator
+from gridloop.feeders import synthetic_feeder
 from gridloop.linearizer import lindistflow
 from gridloop.netmodel import (
     PathSum,
     build_network,
-    path_gram,
+    network_document,
     path_sum_matrix,
     sensor_gram,
 )
@@ -146,7 +151,6 @@ def test_model_parents_and_kernel_products_match_dense(case):
     assert np.array_equal(net.parent, parent)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2 * net.n, 3))
-    d = rng.uniform(0.5, 2.0, 2 * net.n)
     z = net.branch_z
     for weights in (z.real, z.imag, z, np.stack([z.real, z.imag])):
         dense, op = _dense(net, weights), PathSum(net, weights)
@@ -156,23 +160,6 @@ def test_model_parents_and_kernel_products_match_dense(case):
         _close(op @ cols, dense @ cols, scale)
         _close(op @ cols[:, 0], dense @ cols[:, 0], scale[:, 0])
         _close(op.T @ r, dense.T @ r, np.abs(dense).T @ np.abs(r))
-        if weights.dtype.kind == "f":
-            quad = (dense * dense) @ d[: dense.shape[1]]
-            _close(op.diag_quad(d[: dense.shape[1]]), quad, quad)
-
-
-@SETTINGS
-@given(sensed_feeders())
-def test_path_gram_matches_dense(case):
-    doc, rows = case
-    net = build_network(doc)
-    dense, op, d = _gram_operands(net, 5)
-    x = np.random.default_rng(4).normal(size=(net.n, 2))
-    want = dense @ (d[:, None] * (dense.T @ x))
-    scale = np.abs(dense) @ (d[:, None] * (np.abs(dense).T @ np.abs(x)))
-    for G in (dense, op):
-        _close(path_gram(G, d, x), want, scale)
-        _close(path_gram(G, d, x, rows), want[rows], scale[rows])
 
 
 @SETTINGS
@@ -186,9 +173,6 @@ def test_sensor_gram_matches_dense_and_path_gram(case):
     got = sensor_gram(op, d, rows)
     _close(got, want, scale)
     assert np.array_equal(got, got.T)
-    scatter = np.zeros((net.n, len(rows)))
-    scatter[rows, np.arange(len(rows))] = 1.0
-    _close(got, path_gram(op, d, scatter, rows), scale)
 
 
 @SETTINGS
@@ -272,3 +256,89 @@ def test_wls_solve_and_variance_match_dense_oracles(dense_limit, case):
     assert np.abs(est.solve(y) - want).max() <= 1e-12 * np.abs(want).max()
     var = state_variance(H, w, dense_sensitivities(model))
     assert np.abs(est.voltage_variance() - var).max() <= 1e-11 * var.max()
+
+
+def _smoothed_variance_and_oracle(net, plan):
+    """The ``PathSum`` estimator's voltage variance (the tree smoother), the
+    oracle's, and a bound on their entrywise difference.
+
+    The oracle inverts A = H^T W H, for N nodes and m channels, formed in
+    floating point. A's entries are dot products over the channels, so the
+    formed A is off by at most (m + 1) u |H|^T W |H| entrywise (u the unit
+    roundoff), and the inverse by LU is that of a matrix a further
+    2 (2N) u ||A|| away. Both perturb entry i of diag(G A^-1 G^T) by at most
+    ||dA||_2 ||A^-1 g_i||^2 to first order (g_i row i of G), with ||dA||_2
+    no larger than the infinity norm of (m + 1 + 4N) u |H|^T W |H|. The
+    quadratic form itself is a sum of (2N)^2 products, off by at most
+    (4 N^2 + 2) u (|g_i| |A^-1| |g_i|^T). The smoother makes a fixed number
+    of roundings per level on quantities no larger than the prior variance
+    sum_j G_ij^2 d_j: 64 per level and pass over the tree's depth is a
+    generous allowance.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netmodel, "DENSE_LIMIT", 0)
+        model = lindistflow(net)
+    assert isinstance(model.G, PathSum)
+    got = WlsEstimator(plan, model).voltage_variance()
+    H, w = linear_measurement_model(plan, model)
+    G = dense_sensitivities(model)
+    want = state_variance(H, w, G)
+    u, m, n = np.finfo(float).eps / 2, H.shape[0], net.n
+    cov = np.linalg.inv((H.T * w) @ H)
+    d_a = (m + 1 + 4 * n) * u * np.abs((np.abs(H).T * w) @ np.abs(H)).sum(axis=1).max()
+    inverse = d_a * ((G @ cov) ** 2).sum(axis=1)
+    form = (4 * n * n + 2) * u * ((np.abs(G) @ np.abs(cov)) * np.abs(G)).sum(axis=1)
+    depth = int(model.G._depth.max())
+    prior = (G * G) @ (1.0 / w[len(plan.sensor_nodes) :])
+    smoother = 2 * 64 * depth * u * prior
+    return got, want, inverse + form + smoother
+
+
+def _assert_within(got, want, bound):
+    assert got.shape == want.shape
+    worst = np.argmax(np.abs(got - want) - bound)
+    assert np.abs(got - want)[worst] <= bound[worst], (
+        f"node {worst}: relative error {abs(got[worst] / want[worst] - 1):.3g}, "
+        f"bound {bound[worst] / want[worst]:.3g}"
+    )
+
+
+@ORACLE_SETTINGS
+@given(sensed_feeders())
+def test_tree_variance_matches_dense_inverse_entrywise(case):
+    doc, rows = case
+    net = build_network(doc)
+    base = np.random.default_rng(8).uniform(-0.05, 0.05, 2 * net.n)
+    plan = make_plan(net.n, tuple(rows + 1), None, 0, 0.01, 0.5, base, 0)
+    _assert_within(*_smoothed_variance_and_oracle(net, plan))
+
+
+def _relinked(shape):
+    """``synthetic_feeder(400, 12)`` with its lines relinked into a chain
+    (400 levels) or a star (one level)."""
+    doc = network_document(synthetic_feeder(400, seed=12))
+    for k, line in enumerate(doc["lines"]):
+        line["from"], line["to"] = (0 if shape == "star" else k), k + 1
+    return build_network(doc)
+
+
+@pytest.mark.parametrize(
+    "shape, sensors, sensor_sigma, pseudo_sigma",
+    [
+        ("chain", 0.036, 0.01, 0.5),
+        ("star", 0.036, 0.01, 0.5),
+        ("synthetic", "all", 0.01, 0.5),
+        ("synthetic", "none", 0.01, 0.5),
+        ("synthetic", 0.036, 0.01, 0.0),
+        ("synthetic", 0.036, 0.0, 0.5),
+    ],
+    ids=["chain", "star", "all-sensors", "no-sensors", "exact-pseudo", "exact-sensors"],
+)
+def test_tree_variance_matches_dense_inverse_on_extremes(shape, sensors, sensor_sigma, pseudo_sigma):
+    net = synthetic_feeder(400, seed=12) if shape == "synthetic" else _relinked(shape)
+    nodes = {"all": tuple(range(1, net.n + 1)), "none": ()}.get(sensors)
+    fraction = None if nodes is not None else sensors
+    base = np.concatenate([net.p0, net.q0])
+    plan = make_plan(net.n, nodes, fraction, 0, sensor_sigma, pseudo_sigma, base, 0)
+    assert len(plan.sensor_nodes) == {"all": net.n, "none": 0}.get(sensors, 14)
+    _assert_within(*_smoothed_variance_and_oracle(net, plan))

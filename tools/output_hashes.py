@@ -32,10 +32,10 @@ Runs through ``gridloop.cli.main`` from this checkout's ``src``:
 - the same feeder run with ``verify_bound`` over 2 trials, so the bound
   audit on ``PathSum`` operators is checked too;
 - the same feeder run on its network with an apparent-power cap
-  ``smax = 0.8 * hypot(p0, q0)`` on every node, which the nominal start
+  ``smax = 0.8 * hypot(p0, q0)`` on every node, which the nominal point
   lies outside, so the projection's disk path (``_project_mixed_active``)
-  is checked too: it runs on every iteration, and by the last one every
-  node sits on its disk. No shipped scenario caps apparent power;
+  is checked too: it gives the start and every iteration, and every node
+  starts on its disk. No shipped scenario caps apparent power;
 - ``gridloop report`` on the finished ``ieee33_regulation.json`` run, which
   writes all four plot-ready series (its summary carries the confidence
   halfwidths, so ``ci_band_series.csv`` is among them).
