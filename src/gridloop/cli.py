@@ -143,7 +143,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_json(manifest_path, manifest)
 
     try:
-        names = _run_scenario(cfg, out)
+        names, phase_s = _run_scenario(cfg, out)
     except BaseException as exc:
         manifest.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         _write_json(manifest_path, manifest)
@@ -152,16 +152,23 @@ def cmd_run(args: argparse.Namespace) -> int:
         status="done",
         outputs={name: _sha256(out / name) for name in names},
         duration_s=time.time() - started,
+        phase_s=phase_s,
     )
     _write_json(manifest_path, manifest)
     return EXIT_OK
 
 
-def _run_scenario(cfg: ScenarioConfig, out: Path) -> list[str]:
+def _run_scenario(cfg: ScenarioConfig, out: Path) -> tuple[list[str], dict]:
     """Prepare the scenario once and go through its trials once, holding one
     trace: as each trial ends, write its trace into ``out``, keep its summary
-    and fold it into the configured audit. Return the names of the files written."""
+    and fold it into the configured audit. Return the names of the files
+    written and the seconds spent preparing, in the trials' loops, writing
+    CSVs and in the audit."""
+    clock = time.perf_counter
+    phase_s = dict.fromkeys(("prepare", "loop", "csv", "audit"), 0.0)
+    start = clock()
     ctx = prepare(cfg)
+    phase_s["prepare"] += clock() - start
     summary = {"config": cfg.to_dict(), "trials": []}
     cert = ctx.certificate  # before the audit, which may build a deferred one
     if cert is not None:
@@ -171,22 +178,36 @@ def _run_scenario(cfg: ScenarioConfig, out: Path) -> list[str]:
         summary["voltage_ci_halfwidth_99"] = (2.576 * np.sqrt(ctx.voltage_variance)).tolist()
     names = []
 
+    def looped(trials):
+        while True:
+            start = clock()
+            trace = next(trials, None)
+            phase_s["loop"] += clock() - start
+            if trace is None:
+                return
+            yield trace
+            del trace  # before the next trial runs
+
     def written(trace):
+        start = clock()
         names.append("trace.csv" if cfg.trials == 1 else f"trace_{len(names):03d}.csv")
         trace.to_csv(out / names[-1])
         summary["trials"].append(trace.summary)
+        phase_s["csv"] += clock() - start
         return trace
 
-    traces = map(written, run_trials(ctx))  # neither map nor the deque keeps a trace
+    traces = map(written, looped(run_trials(ctx)))  # neither map nor the deque keeps a trace
     if cfg.verify_bound:
+        start, inner = clock(), phase_s["loop"] + phase_s["csv"]
         summary["bound_report"] = verify_error_bound(ctx, traces).to_dict()
+        phase_s["audit"] += clock() - start - (phase_s["loop"] + phase_s["csv"] - inner)
     else:
         deque(traces, maxlen=0)
     if cfg.tighten_ci is not None:
         base = summary["trials"][0]
         summary["tightening"] = asdict(tightened_bound_experiment(ctx, cfg.tighten_ci, base))
     _write_json(out / "summary.json", summary)
-    return names + ["summary.json"]
+    return names + ["summary.json"], phase_s
 
 
 def cmd_certify(args: argparse.Namespace) -> int:

@@ -23,16 +23,24 @@ Grisu's certified fast path; Loitsch, PLDI 2010). Exact ties (f = 1/2 or a
 boundary exactly on an integer) occur only where V is exact, for integers
 near 2^53 and above and short binary fractions.
 
-Text is laid out in six 8-byte words per cell, NUL-padded, and one
-``bytes.translate`` drops the NULs:
+Text is laid out in four 8-byte words per cell, NUL-padded, and
+``bytes.translate`` drops the NULs. The 17 digits d1 ... d17 (zeros padded
+on the right) get a hole for the point after digit t: S = 10 d - 9 (d mod
+10^(17 - t)) spells d1 ... dt, 0, d(t+1) ... d17 in 18 digits. t is the
+point's place in fixed notation, and 1 elsewhere, where the hole is shown
+only in ``d.ddde±XX``. Then
 
-- word 0: the prefix (``-``, ``0.``, ``0.000``), the lead digit and the
-  point's slot after it;
-- words 1 to 4: four digits each, as ``d.d.d.d.`` from a table of the 10^4
-  chunks, ANDed with a mask that keeps the digits shown and the one point;
-- word 5: the exponent (``e-05``) or ``.0``, then the separator.
+- word A: the sign and prefix (``-``, ``0.``, ``-0.000``) ending at byte 5,
+  and S's first two digits at bytes 6 and 7;
+- words B and C: S's other 16 digits, eight to a word from a table of the
+  10^4 chunks.
 
-Tables are built from Python integers at import.
+A, B and C hold the digits as byte values, to which a layout word adds
+``0`` at each digit shown and ``.`` at the hole (digits not shown are
+zeros, so they stay NUL). Word D holds the exponent (``e-05``) at bytes 0
+to 4 and the separator at bytes 6 and 7. The longest ``repr``
+(``-1.7976931348623157e+308``) is 24 bytes. Tables are built from Python
+integers at import.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ import numpy as np
 
 # Decimal exponents k of the scaling 10^-k over all normal doubles.
 _K_MIN, _K_MAX = -324, 292
-# decpt (x = 0.d1d2... 10^decpt) is offset by this to index ``_EXP`` and
-# ``_DC``; normal doubles take indices 23 to 639. Below them, two slots each
+# decpt (x = 0.d1d2... 10^decpt) is offset by this to index the decpt
+# tables; normal doubles take indices 23 to 639. Below them, two slots each
 # for zeros, infinities and NaNs.
 _DECPT_OFF = 330
 _ZERO, _INF, _NAN = 0, 2, 4
@@ -62,8 +70,8 @@ MARGIN = 2.0**-44
 
 
 def _words(texts) -> np.ndarray:
-    """Each byte string NUL-padded to a whole number of 8-byte words, as uint64."""
-    return np.frombuffer(b"".join(t.ljust(-(-len(t) // 8) * 8 or 8, b"\0") for t in texts), np.uint64)
+    """Each byte string NUL-padded to a whole number of 8-byte words, as int64."""
+    return np.frombuffer(b"".join(t.ljust(-(-len(t) // 8) * 8 or 8, b"\0") for t in texts), np.int64)
 
 
 def _pow10():
@@ -89,11 +97,10 @@ def _pow10():
 
 def _scale_table() -> np.ndarray:
     """Per biased exponent e, plus 2048 when the significand is 2^52 (the
-    asymmetric interval; only for e > 1): the scaled 10^-k as ``m`` (= its
-    Veltkamp split ``m_hi + m_lo``) and ``ml``, the thresholds ``hl`` and
-    ``1 - h``, and k + 17 + _DECPT_OFF. The scale 2^(q + F) is folded in,
-    so V = c (m + ml). Subnormals get NaN thresholds, which no comparison
-    passes."""
+    asymmetric interval; only for e > 1): the scaled 10^-k as ``m`` and
+    ``ml``, the thresholds ``hl`` and ``1 - h``, and k + 17 + _DECPT_OFF.
+    The scale 2^(q + F) is folded in, so V = c (m + ml). Subnormals get NaN
+    thresholds, which no comparison passes."""
     his, los, exps = _pow10()
     e = np.arange(4096) % 2048
     asym = (np.arange(4096) >= 2048) & (e > 1)
@@ -101,118 +108,100 @@ def _scale_table() -> np.ndarray:
     # Schubfach's floor(log10 2^q) and floor(log10 (3/4) 2^q), exact for |q| < 5456721.
     k = (q * 661971961083 - asym * 274743187321) >> 41
     sc = exps[k - _K_MIN] + q
-    table = np.empty((7, 4096))
-    m, m_hi, m_lo, ml, hl, one_minus_h, dp = table
+    table = np.empty((5, 4096))
+    m, ml, hl, one_minus_h, dp = table
     np.ldexp(his[k - _K_MIN], sc, out=m)
-    np.multiply(m, 134217729.0, out=m_lo)
-    np.subtract(m_lo, m, out=m_hi)
-    np.subtract(m_lo, m_hi, out=m_hi)
-    np.subtract(m, m_hi, out=m_lo)
     np.ldexp(los[k - _K_MIN], sc, out=ml)
     np.ldexp(m, -1, out=one_minus_h)
     np.ldexp(one_minus_h, -asym.astype(int), out=hl)
     np.subtract(1.0, one_minus_h, out=one_minus_h)
     np.add(k, 17.0 + _DECPT_OFF, out=dp)
-    table[4:6, e == 0] = np.nan
+    table[2:4, e == 0] = np.nan
     # Zeros, infinities, NaNs: V = 0, every decision 1/2 or more from its
-    # threshold, and a decpt slot of their own (d = 1 is padded once).
+    # threshold and all digits 0 (s - r = 0 is in: hl = 1, 1 - h = -1),
+    # and a decpt slot of their own (d = 0 is padded once).
     for col, slot in ((2048, _ZERO), (4095, _INF), (2047, _NAN)):
-        table[:, col] = [0.0, 0.0, 0.0, 0.0, -1.0, -1.0, slot + 1]
+        table[:, col] = [0.0, 0.0, 1.0, -1.0, slot + 1]
     return table
 
 
 _SCALE = _scale_table()
 
 
-def _digit_words() -> np.ndarray:
-    """The four digits of each v < 10^4 at the even bytes of a word, '.'
-    at every odd byte; then the lead-digit words (the digit at byte 6, '.'
-    at byte 7), from index ``_LEAD``."""
-    v = np.arange(10**4, dtype=np.int16)[:, None]
-    chunks = np.full((10**4, 8), ord("."), np.uint8)
-    chunks[:, ::2] = v // np.array([1000, 100, 10, 1], np.int16) % 10
-    chunks[:, ::2] += ord("0")
-    leads = np.zeros((10, 8), np.uint8)
-    leads[:, 6] = ord("0") + np.arange(10)
-    leads[:, 7] = ord(".")
-    return np.concatenate([chunks, leads]).view(np.uint64).ravel()
-
-
-def _npos() -> np.ndarray:
-    """Per chunk position i (digits 2 + 4i .. 5 + 4i) and value v, at
-    i 10^4 + v: twice the index of its last nonzero digit (0 for v = 0), so
-    the maximum over a cell's chunks is 2 (n - 1), n its number of
-    significant digits."""
+def _chunk_tables():
+    """The four digits of each v < 10^4 as byte values, the first at the
+    lowest byte of a word; and per chunk i of S (its digits 4i + 3 to 4i +
+    6) and v: twice the position in S of its last nonzero digit (0 for v =
+    0)."""
     v = np.arange(10**4, dtype=np.int16)
-    kept = np.full(10**4, 4, np.uint8)
+    digits = np.zeros((10**4, 8), np.uint8)
+    digits[:, :4] = v[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+    last = np.full(10**4, 4, np.uint8)
     for j in range(1, 5):
-        kept -= v % 10**j == 0
-    return (2 * (4 * np.arange(4, dtype=np.uint8)[:, None] + kept) * (v > 0)).ravel()
+        last -= v % 10**j == 0
+    npos = 2 * (4 * np.arange(4, dtype=np.uint8)[:, None] + 2 + last) * (v > 0)
+    return digits.view(np.int64).ravel(), npos
 
 
-_DIGITS = _digit_words()
-_LEAD = 10**4
-_NPOS = _npos()
-_NPOS_AT = (np.arange(4) * 10**4)[:, None]
+_DIGITS, _NPOS = _chunk_tables()
+# S's first two digits as byte values at bytes 6 and 7 of word A.
+_TOP = np.arange(100) // 10 << 48 | np.arange(100) % 10 << 56
 
 # decpt is clipped to [_DC_LO, _DC_HI] for the layout: the ends stand for
 # exponent notation (decpt <= -4 or > 16), the rest are fixed. Each clipped
-# decpt has a layout column per digit count n (1 to 17) and sign.
+# decpt has a layout column per position j of S's last nonzero digit after
+# the second (0 for none, else 3 to 18) and sign.
 _DC_LO, _DC_HI = -4, 17
-_PER_DC = 2 * 17
+_PER_DC = 2 * 19
 
 
 def _layout() -> np.ndarray:
-    """Seven words per (clipped decpt, n, sign): word 0's prefix, the AND
-    masks of words 0 to 4 (digits shown, the one point kept) and the ``.0``
-    suffix. Column ``(dc - _DC_LO) _PER_DC + 2 (n - 1) + sign``; after them
-    the texts of zero, infinity and NaN, _PER_DC columns each."""
+    """Words A to C to add per (clipped decpt, j, sign), at column ``(dc -
+    _DC_LO) _PER_DC + 2 j + sign``: A's prefix, then at each of S's digits
+    ``0`` where shown and ``.`` at the hole where shown. After them the
+    texts of zero, infinity and NaN, two columns each."""
     cols = []
     for dc in range(_DC_LO, _DC_HI + 1):
         fixed = _DC_LO < dc < _DC_HI
-        for n in range(1, 18):
-            prefix, suffix, shown, point = b"", b"", n, 0
-            if fixed and dc <= 0:
-                prefix = b"0." + b"0" * -dc
-            elif fixed and dc < n:
-                point = dc
-            elif fixed:
-                shown, suffix = dc, b".0"
-            elif n > 1:
-                point = 1
-            mask = b"\xff" * 7 + (b"\xff" if point == 1 else b"\0")
-            for t in range(2, 18):
-                mask += (b"\xff" if t <= shown else b"\0") + (b"\xff" if point == t else b"\0")
+        hole = dc + 1 if fixed and dc >= 1 else 2
+        prefix = b"0." + b"0" * -dc if fixed and dc <= 0 else b""
+        for j in range(19):
+            # Up to the last nonzero digit; in fixed notation with digits
+            # before the point, at least one after it; "0.00d" drops the hole.
+            shown = max(j, hole + 1) if fixed and dc >= 1 else max(j, 1)
+            dot = 0 if fixed and dc <= 0 else 0x2E
+            adds = bytes((dot if t == hole else 0x30) * (t <= shown) for t in range(1, 19))
             for sign in (b"", b"-"):
-                cols.append((sign + prefix, mask, suffix))
+                cols.append((sign + prefix).rjust(6, b"\0") + adds)
     for texts in ((b"0.0", b"-0.0"), (b"inf", b"-inf"), (b"nan", b"nan")):
-        cols += [(text, b"\xff" * 6 + b"\0" * 34, b"") for _ in range(17) for text in texts]
-    return np.stack([_words(c[0] for c in cols), *_words(c[1] for c in cols).reshape(-1, 5).T,
-                     _words(c[2] for c in cols)])
+        cols += [text.ljust(24, b"\0") for text in texts]
+    return _words(cols).reshape(-1, 3).T.copy()
 
 
 _LAYOUT = _layout()
 
 
 def _decpt_tables():
-    """Per decpt + _DECPT_OFF: the exponent word (``e-05``; empty where
-    fixed) and the layout column of the clipped decpt, sign and n aside."""
+    """Per decpt + _DECPT_OFF: word D (the exponent, ``e-05``, none where
+    fixed, and a comma), 10^(17 - t) for the hole after digit t, and the
+    layout column of the clipped decpt, j and sign aside."""
     decpts = range(-_DECPT_OFF, _DECPT_OFF)
-    exp = _words(b"" if _DC_LO < d < _DC_HI else b"e%+03d" % (d - 1) for d in decpts).copy()
-    dc = np.array([(min(max(d, _DC_LO), _DC_HI) - _DC_LO) * _PER_DC for d in decpts])
+    exp = [b"" if _DC_LO < d < _DC_HI else b"e%+03d" % (d - 1) for d in decpts]
+    hole = [10 ** (17 - d) if 2 <= d < _DC_HI else 10**16 for d in decpts]
+    dc = [(min(max(d, _DC_LO), _DC_HI) - _DC_LO) * _PER_DC for d in decpts]
     for n, slot in enumerate((_ZERO, _INF, _NAN)):
-        exp[slot : slot + 2] = 0
-        dc[slot : slot + 2] = (_DC_HI - _DC_LO + 1 + n) * _PER_DC
-    return exp, dc
+        exp[slot : slot + 2] = b"", b""
+        dc[slot : slot + 2] = [(_DC_HI - _DC_LO + 1) * _PER_DC + 2 * n] * 2
+    exp = _words(text.ljust(_SEP_AT, b"\0") + b",\0" for text in exp)
+    return exp, np.array(hole), np.array(dc)
 
-
-_EXP, _DC = _decpt_tables()
 
 _SEP_AT = 6
+_EXP, _HOLE, _DC = _decpt_tables()
 
 
-def separator(text: bytes) -> np.uint64:
-    """A word 5 with ``text`` in its separator slot: one or two bytes, no
+def separator(text: bytes) -> np.int64:
+    """A word D with ``text`` in its separator slot: one or two bytes, no
     NUL (dropped with the padding) and none that a cell's text holds (rows
     are found by it)."""
     if not 1 <= len(text) <= 8 - _SEP_AT or any(byte in b"\0,.+-0123456789aefin" for byte in text):
@@ -223,142 +212,194 @@ def separator(text: bytes) -> np.uint64:
 _COMMA = _words([b"\0" * _SEP_AT + b","])[0]
 
 
-def format_cells(x: np.ndarray, ends: np.ndarray, end: np.uint64) -> bytes:
+def format_cells(x: np.ndarray, ends: np.ndarray, end: np.int64) -> bytes:
     """The ``repr`` of each cell of the float64 array ``x``, each followed
     by ``,``, or by ``end`` (a :func:`separator` word) at the indices
     ``ends``, in one bytes object."""
     bits = x.view(np.int64)
     d, decpt, unsure = _shortest(bits)
-    words = _words_of(d, decpt, bits < 0)
-    del d, decpt
-    # Each temporary is dropped once used: what is held is about 160 bytes a cell.
     odd = np.flatnonzero(~(unsure >= MARGIN))  # NaN (subnormals) included
     del unsure
+    words = _words_of(d, decpt, bits < 0)
+    del d, decpt
     if odd.size:
         _patch(words, x, odd)
-    words[5] |= _COMMA
-    words[5, ends] ^= _COMMA ^ end
-    text = words.T.tobytes()
+    words[3, ends] ^= _COMMA ^ end
+    # The NULs are dropped 2048 cells at a time: one 256 KB text and its
+    # translation took fresh pages from the allocator at every block.
+    pieces = [words[:, i : i + 2048].T.tobytes().translate(None, b"\0") for i in range(0, x.size, 2048)]
     del words
-    return text.translate(None, b"\0")
+    return b"".join(pieces)
 
 
 def _shortest(bits: np.ndarray):
     """Per cell: the shortest digits as a 17-digit integer d (zeros padded
     on the right), decpt + _DECPT_OFF, and the distance of the nearest
-    decision to its threshold (NaN for subnormals)."""
-    frac = bits & ((1 << 52) - 1)
-    idx = np.equal(frac, 0).view(np.int8).astype(np.int64)
-    idx <<= 11
-    idx += (bits >> 52) & 0x7FF
-    scale = _SCALE.take(idx, axis=1)
-    del idx
-    m, m_hi, m_lo, ml = scale[:4]
+    decision to its threshold (NaN for subnormals). It holds seven
+    cell-sized arrays at most: the scale rows are gathered as each step
+    reads them, m is split as the table used to be, and the scale index is
+    held as int16 while the product needs its buffer."""
+    # The scale index: the biased exponent, plus 2048 where the significand
+    # is 2^52 (its fraction, shifted out, is 0).
+    c, idx = np.empty(bits.size), np.right_shift(bits, 52)
+    idx &= 0x7FF
+    np.left_shift(bits, 12, out=c.view(np.int64))
+    np.add(idx, 2048, out=idx, where=c.view(np.int64) == 0)
+    held = idx.astype(np.int16)
+    m, ml, hl, one_minus_h, dp = _SCALE
+    np.bitwise_and(bits, (1 << 52) - 1, out=c.view(np.int64))
+    np.add(c.view(np.int64), 2.0**52, out=c)
+    m_lo, p, cml, c_hi, err = (np.empty(bits.size) for _ in range(5))
 
     # V = c (m + ml) = P + E: Dekker's exact product c m = P + err with
     # Veltkamp splits (c < 2^53, so no overflow), then err + c ml.
-    c = frac.astype(np.float64)
-    del frac
-    c += 2.0**52
-    c_hi = c * 134217729.0
-    c_lo = c_hi - c
-    c_hi -= c_lo
-    np.subtract(c, c_hi, out=c_lo)
-    P = c * m
-    E = c_hi * m_hi
-    E -= P
-    E += c_hi * m_lo
-    E += c_lo * m_hi
-    E += c_lo * m_lo
-    del c_hi, c_lo
-    E += c * ml
-    del c
+    m.take(idx, out=m_lo, mode="clip")
+    np.multiply(c, m_lo, out=p)
+    ml.take(idx, out=cml, mode="clip")
+    cml *= c
+    m_hi = idx.view(np.float64)
+    np.multiply(c, 134217729.0, out=c_hi)
+    np.subtract(c_hi, c, out=m_hi)
+    c_hi -= m_hi
+    c_lo = np.subtract(c, c_hi, out=c)
+    np.multiply(m_lo, 134217729.0, out=m_hi)
+    np.subtract(m_hi, m_lo, out=err)
+    m_hi -= err
+    m_lo -= m_hi
+    np.multiply(c_hi, m_hi, out=err)
+    err -= p
+    c_hi *= m_lo
+    err += c_hi
+    m_hi *= c_lo
+    err += m_hi
+    m_lo *= c_lo
+    err += m_lo
+    err += cml
     # s = floor(V) = P + floor(E) (P >= 2^52 is an integer); f = V - s.
-    s = np.floor(E)
-    E -= s
-    s = s.astype(np.int64)
-    s += P.astype(np.int64)
-    del P
-    sp10 = s // 10
+    np.floor(err, out=c_hi)
+    err -= c_hi
+    f = err
+    s = c.view(np.int64)
+    s[...] = c_hi
+    sp10 = m_lo.view(np.int64)
+    sp10[...] = p
+    s += sp10
+    np.floor_divide(s, 10, out=sp10)
     sp10 *= 10
     s -= sp10
-    r = s
+    r = p
+    np.copyto(r, s)
 
-    # Signs of f - hl (s in), f - (1 - h) (s + 1 in), f - 1/2 (s + 1 nearer),
-    # f + r - hl (s - r in), f + r - (10 - h) (s - r + 10 in).
-    D = np.empty((5, bits.size))
-    np.subtract(E, scale[4:6], out=D[:2])
-    np.subtract(E, 0.5, out=D[2])
-    del E
-    np.add(D[:2], r, out=D[3:])
-    D[4] -= 9.0
-    neg = np.signbit(D)
-    np.abs(D, out=D)
-    unsure = np.minimum.reduce(D, axis=0)
-    del D
+    # The five decisions: f - hl (s in), f - (1 - h) (s + 1 in), f - 1/2
+    # (s + 1 nearer), f + r - hl (s - r in), f + r - (10 - h) (s - r + 10
+    # in), and the distance of the nearest to its threshold. A decision at
+    # 0 (or NaN) is within MARGIN, so its cell goes to repr and "< 0"
+    # stands for the sign. Bools are cast by copyto, not inside a ufunc,
+    # which would take a buffer of its own.
+    idx = m_hi.view(np.int64)
+    np.copyto(idx, held)
+    del held
+    below, above, unsure = c_hi, cml, c
+    hl.take(idx, out=below, mode="clip")
+    np.subtract(f, below, out=below)
+    one_minus_h.take(idx, out=above, mode="clip")
+    np.subtract(f, above, out=above)
+    f -= 0.5
+    stay = below < 0
+    stay &= f < 0
+    stay |= above < 0
+    gap = f  # its sign is taken
+    np.abs(below, out=unsure)
+    for dist in (f, above):
+        np.abs(dist, out=gap)
+        np.minimum(unsure, gap, out=unsure)
+    below += r
+    above += r
+    above -= 9.0
+    for dist in (above, below):
+        np.abs(dist, out=gap)
+        np.minimum(unsure, gap, out=unsure)
     # u, the last digit's offset from s - r: s + 1 when it is in and s is
     # not or lies farther, else s; 0 or 10 when s - r or s - r + 10 is in.
-    up = neg[0] & neg[2]
-    up |= neg[1]
-    r += 1
-    r -= up
-    del up
-    r *= ~neg[3]
-    np.maximum(r, (~neg[4]) * np.int64(10), out=r)
-    del neg
-    sp10 += r
+    r += 1.0
+    np.copyto(gap, stay)
+    r -= gap
+    np.greater_equal(below, 0.0, out=stay)
+    np.copyto(gap, stay)
+    r *= gap
+    np.greater_equal(above, 0.0, out=stay)
+    np.copyto(gap, stay)
+    gap *= 10.0
+    np.maximum(r, gap, out=r)
+    u = gap.view(np.int64)
+    np.copyto(u, r, casting="unsafe")
+    sp10 += u
     d = sp10
-    del r
 
     # Pad to 17 digits.
-    short = d < 10**16
-    decpt = scale[6].astype(np.int64)
-    del scale, m, m_hi, m_lo, ml
-    decpt -= short
-    short = short * d
-    short *= 9
-    d += short
+    short = np.less(d, 10**16, out=stay)
+    dp.take(idx, out=below, mode="clip")
+    decpt = idx
+    np.copyto(decpt, below, casting="unsafe")
+    np.copyto(u, short)
+    decpt -= u
+    u *= d
+    u *= 9
+    d += u
     return d, decpt, unsure
 
 
 def _words_of(d: np.ndarray, decpt: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """The six words per cell (a (6, cells) array) of the text of ``d``
-    10^(decpt - 17), negative where ``negative``, without its separator."""
-    # d = a 10^16 + (c0 c1 c2 c3 in chunks of four digits) in rows 0 to 4;
-    # rows 5 and 6 hold the halves, then the layout.
-    work = np.empty((7, d.size), np.int64)
-    chunks, halves = work[:5], work[5:]
-    np.floor_divide(d, 10**16, out=chunks[0])
-    np.multiply(chunks[0], 10**16, out=halves[0])
-    d -= halves[0]
-    np.floor_divide(d, 10**8, out=halves[0])
-    np.multiply(halves[0], 10**8, out=halves[1])
-    np.subtract(d, halves[1], out=halves[1])
-    np.floor_divide(halves, 10**4, out=chunks[1::2])
-    np.multiply(chunks[1::2], 10**4, out=chunks[2::2])
-    np.subtract(halves, chunks[2::2], out=chunks[2::2])
-    chunks[0] += _LEAD
-    words = np.empty((6, d.size), np.uint64)
-    _DIGITS.take(chunks, out=words[:5], mode="clip")
-
-    # Layout column: clipped decpt, n and sign.
-    chunks[1:] += _NPOS_AT
-    lay = np.maximum.reduce(_NPOS.take(chunks[1:]), axis=0).astype(np.int64)
-    lay += _DC.take(decpt)
+    """Words A to D per cell (a (4, cells) array) of the text of ``d``
+    10^(decpt - 17), negative where ``negative``, each followed by a comma.
+    Its rows hold the steps' values until they hold the words."""
+    words = np.empty((4, d.size), np.int64)
+    a, b, c, scratch = words
+    # S = 10 d - 9 (d mod 10^(17 - t)), d's digits with a hole after the
+    # t-th; word A takes its first two digits, d the other sixteen.
+    _HOLE.take(decpt, out=scratch, mode="clip")
+    np.remainder(d, scratch, out=scratch)
+    d *= 10
+    scratch *= 9
+    d -= scratch
+    np.floor_divide(d, 10**16, out=a)
+    np.multiply(a, 10**16, out=scratch)
+    d -= scratch
+    _TOP.take(a, out=scratch, mode="clip")
+    a[...] = scratch
+    # Sixteen digits in four chunks k1, k2 of each half, gathered as byte
+    # values eight to a word; j, the position of the last nonzero one.
+    np.floor_divide(d, 10**8, out=b)
+    np.multiply(b, 10**8, out=scratch)
+    d -= scratch
+    j, last = np.zeros(d.size, np.uint8), np.empty(d.size, np.uint8)
+    k1 = scratch
+    for i, (half, word, k2) in enumerate(((b, b, c), (d, c, d))):
+        np.floor_divide(half, 10**4, out=k1)
+        np.multiply(k1, 10**4, out=c)
+        np.subtract(half, c, out=k2)
+        for chunk, npos in ((k1, _NPOS[2 * i]), (k2, _NPOS[2 * i + 1])):
+            npos.take(chunk, out=last, mode="clip")
+            np.maximum(j, last, out=j)
+        _DIGITS.take(k1, out=word, mode="clip")
+        _DIGITS.take(k2, out=scratch, mode="clip")
+        scratch <<= 32
+        word |= scratch
+    del last
+    lay = _DC.take(decpt, out=d, mode="clip")
+    lay += j
     lay += negative
-    layout = work.view(np.uint64)
-    _LAYOUT.take(lay, axis=1, out=layout, mode="clip")
-    del lay
-    words[:5] &= layout[1:6]
-    words[0] |= layout[0]
-    _EXP.take(decpt, out=words[5], mode="clip")
-    words[5] |= layout[6]
+    del j
+    for i in range(3):
+        _LAYOUT[i].take(lay, out=scratch, mode="clip")
+        words[i] += scratch
+    _EXP.take(decpt, out=words[3], mode="clip")
     return words
 
 
 def _patch(words: np.ndarray, x: np.ndarray, odd: np.ndarray) -> None:
     """Rewrite the cells ``odd`` (subnormals, decisions within ``MARGIN``)
     by ``repr``."""
-    words[5, odd] = 0
+    words[3, odd] = _COMMA
     for i in odd.tolist():
-        words[:5, i] = _words([repr(float(x[i])).encode().ljust(40, b"\0")])
+        words[:3, i] = _words([repr(float(x[i])).encode().ljust(24, b"\0")])

@@ -376,14 +376,16 @@ class SimulationTrace:
     def to_csv(self, path: str | Path) -> None:
         """Write the trace with :func:`write_rows`, one row per iteration."""
         n = self.v_true.shape[1]
-        header = ["iter"]
-        header += [f"{label}_{i}" for label, _ in _CSV_VECTORS for i in range(1, n + 1)]
+        # One comma-joined group of labels per vector: 16,000 f-strings took
+        # 4.6 ms of writing a 4000-node trace.
+        nodes = list(map(str, range(1, n + 1)))
+        header = ["iter", *(f"{label}_" + f",{label}_".join(nodes) for label, _ in _CSV_VECTORS)]
         header += _CSV_SCALARS
         blocks = [getattr(self, name) for _, name in _CSV_VECTORS]
         blocks.append(np.column_stack([getattr(self, name) for name in _CSV_SCALARS]))
         rows = (
             row
-            for part in _row_blocks(self.iterations, len(header) - 1)
+            for part in _row_blocks(self.iterations, len(_CSV_VECTORS) * n + len(_CSV_SCALARS))
             for row in np.concatenate([block[part] for block in blocks], axis=1)
         )
         write_rows(path, header, enumerate(rows))
@@ -395,51 +397,64 @@ def write_rows(path: str | Path, header: list[str], rows: Iterable, end: str = "
     shortest round-trip ``repr`` values, each line ended by ``end``.
 
     The cells are formatted by :func:`floatfmt.format_cells`, the bytes of
-    ``repr`` from numpy blocks of ``_BLOCK_CELLS`` cells: short rows share a
-    block, and a longer row is split over several. ``rows`` may be a
-    generator; what is held is one row and one block."""
+    ``repr`` from numpy blocks of at most ``_BLOCK_CELLS`` cells: short rows
+    are gathered into one block, their ``k,`` heads written together, and a
+    longer row is split over several. ``rows`` may be a generator; what is
+    held is one block of rows and one block of text."""
     endb = end.encode()
     sep = floatfmt.separator(endb)
-    block = np.empty(_BLOCK_CELLS)
     with open(path, "wb") as fh:
         fh.write(f"{','.join(header)}{end}".encode())
-        fill, ends, heads, inside = 0, [], [], False
+        keys, parts, fill, limit = [], [], 0, _BLOCK_CELLS
         for k, cells in rows:
-            if not cells.size:
-                _write_block(fh, block[:fill], ends, heads, inside, endb, sep)
-                fill, ends, heads, inside = 0, [], [], False
-                fh.write(f"{k},{end}".encode())
-                continue
-            heads.append(f"{k},".encode())
-            start = 0
-            while start < cells.size:
-                take = min(cells.size - start, _BLOCK_CELLS - fill)
-                block[fill : fill + take] = cells[start : start + take]
-                fill += take
-                start += take
-                if start == cells.size:
-                    ends.append(fill - 1)
-                if fill == _BLOCK_CELLS:
-                    _write_block(fh, block, ends, heads, inside, endb, sep)
-                    fill, ends, heads, inside = 0, [], [], start < cells.size
-        _write_block(fh, block[:fill], ends, heads, inside, endb, sep)
+            fill += cells.size
+            if fill > limit and parts:
+                _write_block(fh, keys, parts, endb, sep)
+                keys, parts, fill = [], [], cells.size
+            keys.append(k)
+            parts.append(cells)
+        if parts:
+            _write_block(fh, keys, parts, endb, sep)
 
 
-# Cells per block: per floatfmt.format_cells call (about 75 numpy calls,
-# and temporaries of about 160 bytes a cell) and per block of rows in the
-# trace reductions (_row_blocks). At 4096 a bound-audit run held more than
-# 0.8 MB above its trace (tests/test_cli.py); at 1024 a block was 20% slower.
-_BLOCK_CELLS = 2048
+# Cells per floatfmt.format_cells call: about 95 numpy calls a block, and
+# temporaries of about 63 bytes a cell (0.52 MB at 8192 cells; at 16384
+# tests/test_harness.py's 0.6 MB cap on writing a long row fails). 4096
+# cells a block wrote a trace about 10% slower.
+_BLOCK_CELLS = 8192
+# Cells per block of rows in the trace reductions (_row_blocks). At 4096 a
+# bound-audit run held more than 0.8 MB above its trace (tests/test_cli.py).
+_ROW_BLOCK_CELLS = 2048
 
 
-def _write_block(fh, cells, ends, heads, inside, endb, sep) -> None:
-    """Write ``cells`` formatted; ``heads`` are the ``k,`` of the rows that
-    start in the block (the first at its start unless it begins ``inside`` a
-    row), and ``ends`` index the cells that end a row."""
-    segments = floatfmt.format_cells(cells, np.array(ends, dtype=np.intp), sep).split(endb)
-    for i, head in enumerate(heads, start=int(inside)):
-        segments[i] = head + segments[i]
-    fh.write(endb.join(segments))
+def _write_block(fh, keys, parts, endb, sep) -> None:
+    """Write the rows ``parts`` headed by ``keys``: several rows of at most
+    ``_BLOCK_CELLS`` cells in all by one ``format_cells`` call, one longer
+    row a block at a time."""
+    if len(parts) == 1 and parts[0].size > _BLOCK_CELLS:
+        (row,) = parts
+        fh.write(b"%d," % keys[0])
+        for start in range(0, row.size, _BLOCK_CELLS):
+            cells = row[start : start + _BLOCK_CELLS]
+            ends = [cells.size - 1] if start + _BLOCK_CELLS >= row.size else []
+            fh.write(floatfmt.format_cells(cells, np.array(ends, np.intp), sep))
+        return
+    sizes = np.fromiter(map(len, parts), np.intp, len(parts))
+    ends = np.cumsum(sizes)
+    ends -= 1
+    cells = np.concatenate(parts)
+    parts.clear()  # the rows' own blocks go before the formatting peaks
+    text = floatfmt.format_cells(cells, ends[sizes > 0], sep)
+    del cells
+    segments = text.split(endb)
+    del text
+    if not sizes.all():
+        it = iter(segments)
+        segments = [next(it) if size else b"" for size in sizes.tolist()]
+    lines = [None] * (2 * len(keys))
+    lines[::2] = keys
+    lines[1::2] = segments[: len(keys)]
+    fh.write((b"%d,%b" + endb) * len(keys) % tuple(lines))
 
 
 # Trace CSV columns after "iter": (header label, field) per node, then scalars.
@@ -583,8 +598,8 @@ def _saddle_dist_sq(z, mu_l, mu_u, x_star_vec: np.ndarray) -> np.ndarray:
 
 def _row_blocks(k_rows: int, width: int) -> Iterator[slice]:
     """Slices of ``k_rows`` rows of ``width`` cells, each of one row or of
-    as many as fit in ``_BLOCK_CELLS`` cells."""
-    step = max(1, _BLOCK_CELLS // width)
+    as many as fit in ``_ROW_BLOCK_CELLS`` cells."""
+    step = max(1, _ROW_BLOCK_CELLS // width)
     return (slice(k, k + step) for k in range(0, k_rows, step))
 
 

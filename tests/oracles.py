@@ -7,7 +7,8 @@ shares no code with the implementations under test. The references:
 - ``full_ybus`` and ``newton_power_flow``: the bus admittance matrix and a
   polar Newton-Raphson power flow, for the sweep plant (the package builds
   no admittance matrix: its plant takes the power mismatch from the sweep
-  itself, and only the slack row for the substation's power);
+  itself, and only the slack row for the substation's power); Newton's
+  stop is relative to ``mismatch_scale``;
 - ``one_branch_voltage``: the exact two-bus voltage;
 - ``scalar_lagrangian``: the controller's Lagrangian written out longhand;
 - ``dense_sensitivities``: the explicit N x 2N sensitivity matrix G of a
@@ -56,9 +57,13 @@ def full_ybus(net) -> np.ndarray:
     return Y
 
 
-def newton_power_flow(net, p, q, tol=1e-12, max_iter=60):
+def newton_power_flow(net, p, q, tol=1e-14, max_iter=60):
     """Polar Newton-Raphson solve of the PQ network; returns complex voltages
-    of the non-slack nodes. Raises if Newton stalls."""
+    of the non-slack nodes. It stops when the real and imaginary parts of
+    every mismatch lie within ``tol`` times their row's scale
+    :func:`mismatch_scale`, the size of the terms the mismatch sums: an
+    absolute stop is below the rounding of those terms where line
+    admittances are large. Raises if Newton stalls."""
     nb = net.n + 1
     Y = full_ybus(net)
     s_spec = np.concatenate(([0.0], np.asarray(p) + 1j * np.asarray(q)))
@@ -70,7 +75,7 @@ def newton_power_flow(net, p, q, tol=1e-12, max_iter=60):
         Ibus = Y @ V
         mis = V * np.conj(Ibus) - s_spec
         f = np.concatenate([mis[pq].real, mis[pq].imag])
-        if np.abs(f).max() < tol:
+        if (np.abs(f) <= tol * np.tile(mismatch_scale(Y, vm)[pq], 2)).all():
             return V[1:]
         # The products with diagonal matrices as row and column scalings.
         Vn = np.exp(1j * va)
@@ -86,6 +91,13 @@ def newton_power_flow(net, p, q, tol=1e-12, max_iter=60):
         va[pq] += dx[: len(pq)]
         vm[pq] += dx[len(pq) :]
     raise RuntimeError("Newton power flow did not converge")
+
+
+def mismatch_scale(Y: np.ndarray, v_mag: np.ndarray) -> np.ndarray:
+    """Per bus i, |V_i| sum_j |Y_ij| |V_j|: the largest the terms of its
+    power mismatch V_i conj(sum_j Y_ij V_j) can be, and so the scale of
+    their rounding."""
+    return v_mag * (np.abs(Y) @ v_mag)
 
 
 def one_branch_voltage(v0: float, z: complex, p: float, q: float) -> float:
@@ -336,7 +348,7 @@ REFERENCE_RULES = {
 }
 
 
-def reference_loop(ctx, trial=0, newton_tol=1e-12):
+def reference_loop(ctx, trial=0, newton_tol=1e-14):
     """Trial ``trial`` of the closed loop on a prepared run context, composed
     from the references alone: the plant and the nonlinear reconstruction by
     :func:`newton_power_flow`, the linear ones by the dense G of
@@ -347,7 +359,8 @@ def reference_loop(ctx, trial=0, newton_tol=1e-12):
     on :func:`linear_measurement_model`; and the gradient, the box clip and
     the regularized dual ascent written out. The context supplies the
     network, the linear model, the scenario and the mode's sensor nodes.
-    Newton stops at a mismatch of ``newton_tol``. Returns the per-iteration
+    Newton stops at a mismatch of ``newton_tol`` relative to its row's
+    :func:`mismatch_scale`. Returns the per-iteration
     rows of ``p``, ``q``, ``mu_lower``, ``mu_upper``, ``v_true`` and ``r_hat``
     keyed by those names."""
     cfg, net, model = ctx.cfg, ctx.net, ctx.model

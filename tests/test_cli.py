@@ -42,6 +42,20 @@ def test_run_twobus_success(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_manifest_times_each_phase(tmp_path):
+    # perf_counter totals of the run's phases, next to duration_s, in the
+    # manifest only: summary.json is hashed, so it carries no timing.
+    extra = ["--set", "trials=2", "--set", "iterations=30", "--set", "verify_bound=true"]
+    assert main(_twobus_args(tmp_path, extra=extra)) == 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    phases = manifest["phase_s"]
+    assert sorted(phases) == ["audit", "csv", "loop", "prepare"]
+    assert all(seconds >= 0.0 for seconds in phases.values())
+    assert sum(phases.values()) <= manifest["duration_s"]
+    assert "phase_s" not in (out / "summary.json").read_text()
+
+
 def test_run_bound_audit_solves_plant_once_per_iteration(tmp_path, monkeypatch):
     # The bound audit reads the run's traces instead of re-running the trials.
     solves = []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gridloop import floatfmt
 
 _LF = floatfmt.separator(b"\n")
+_CRLF = floatfmt.separator(b"\r\n")
 
 
 def _format(cells) -> bytes:
@@ -96,13 +97,53 @@ def test_cells_match_repr_in_bulk():
 def test_tables_hold_the_decimal_exponents():
     # k = floor(log10 2^q), or floor(log10 (3/4) 2^q) for the asymmetric
     # interval, checked in rationals over every normal exponent.
-    k = floatfmt._SCALE[6] - 17 - floatfmt._DECPT_OFF
+    k = floatfmt._SCALE[4] - 17 - floatfmt._DECPT_OFF
     for col in range(4096):
         e = col % 2048
         if e in (0, 2047):
             continue
         width = Fraction(3 if col >= 2048 and e > 1 else 4, 4) * Fraction(2) ** (e - 1075)
         assert Fraction(10) ** int(k[col]) <= width < Fraction(10) ** int(k[col] + 1), col
+
+
+def _seventeen_digits(lo: float, hi: float, count: int, rng) -> list[float]:
+    """``count`` doubles drawn from [lo, hi) whose repr has 17 significant digits."""
+    out = []
+    while len(out) < count:
+        x = float(rng.uniform(lo, hi))
+        if len(repr(x).split("e")[0].replace(".", "").lstrip("0")) == 17:
+            out.append(x)
+    return out
+
+
+def test_longest_texts_match_repr_and_end_rows_with_crlf():
+    # The texts that fill a cell's four words: 17 significant digits in
+    # every decade of the normal doubles, the three-digit exponents at both
+    # ends (24 bytes with the sign), the "0.000" prefix and 16 digits before
+    # the point; each sign, each cell ending a row with the two-byte
+    # "\r\n" as well as with a comma.
+    rng = np.random.default_rng(33)
+    cells = [1.7976931348623157e308, 2.2250738585072014e-308, 0.00012345678901234567,
+             1234567890123456.0, 1234567890123456.8]
+    for e in range(-308, 308):
+        cells += _seventeen_digits(max(10.0**e, 2.3e-308), 10.0 ** (e + 1), 3, rng)
+    x = np.array(cells + [-c for c in cells])
+    assert max(len(repr(c)) for c in x.tolist()) == 24
+    _assert_repr(x)
+    got = floatfmt.format_cells(x, np.arange(x.size), _CRLF)
+    assert got == "".join(f"{c!r}\r\n" for c in x.tolist()).encode()
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-5, 1e-4), (1e-4, 1e-3), (1e15, 1e16), (1e16, 1e17)])
+def test_seventeen_digits_at_the_notation_switches_match_repr(lo, hi):
+    # Each side of the fixed/exponent switches at 1e-4 and 1e16, 17
+    # significant digits, with the doubles next to the switch itself.
+    x = np.array(_seventeen_digits(lo, hi, 2000, np.random.default_rng(abs(int(np.log10(lo))))))
+    x = np.concatenate([x, np.nextafter([lo, hi], [0.0, np.inf]), [lo, np.nextafter(hi, 0.0)]])
+    _assert_repr(np.concatenate([x, -x]))
+    got = floatfmt.format_cells(x, np.arange(1, x.size, 2), _CRLF)
+    want = "".join(f"{c!r}" + ("\r\n" if i % 2 else ",") for i, c in enumerate(x.tolist()))
+    assert got == want.encode()
 
 
 @pytest.mark.parametrize("text", [b"", b"\r\n\r\n", b"\0", b";e"])

@@ -27,6 +27,7 @@ from oracles import (
     dense_sensitivities,
     full_ybus,
     linear_measurement_model,
+    newton_power_flow,
     reference_loop,
     wls_gain,
 )
@@ -34,6 +35,9 @@ from oracles import (
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 # The sweep's stopping rule: the worst complex power mismatch |ds_i|.
 SWEEP_TOL = 1e-10
+# Newton's, relative to each row's mismatch_scale: 45 ulps, where its
+# rounding leaves about one on these feeders.
+NEWTON_TOL = 1e-14
 # A unit voltage's rounding, 1000 ulps: the two WLS solves (least squares
 # against the lemma update) and the sensitivity products round differently.
 ROUNDING = 1e3 * 2.0**-52
@@ -49,19 +53,33 @@ def _row_sum(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=1).max())
 
 
+def _power_flow_gap(net, v_lo: float, v_hi: float, newton_tol: float) -> float:
+    """e_pf, how far apart two solves of one operating point put the
+    voltage magnitudes, where they lie in [v_lo, v_hi].
+
+    The sweep stops at a worst complex mismatch of ``SWEEP_TOL``; Newton
+    where the real and imaginary parts of each mismatch lie within
+    ``newton_tol`` times the row's ``mismatch_scale`` |V_i| sum_j |Y_ij|
+    |V_j| <= v_hi^2 y_i, y_i = sum_j |Y_ij|, so |ds_i| <= sqrt(2)
+    newton_tol v_hi^2 y_i there. To first order a mismatch ds moves the
+    voltages by Z conj(ds / v), Z the inverse of the reduced bus admittance
+    matrix, so
+
+        e_pf = (||Z||_inf SWEEP_TOL + sqrt(2) newton_tol v_hi^2 || |Z| y ||_inf) / v_lo,
+
+    ||.||_inf the max absolute row sum or entry.
+    """
+    Y = full_ybus(net)
+    Z = np.abs(np.linalg.inv(Y[1:, 1:]))
+    newton = math.sqrt(2.0) * newton_tol * v_hi**2 * float((Z @ np.abs(Y[1:]).sum(axis=1)).max())
+    return (_row_sum(Z) * SWEEP_TOL + newton) / v_lo
+
+
 def _tolerances(ctx, ref: dict, newton_tol: float) -> dict:
     """Worst gap per trace field between the package's loop and the reference.
 
-    One power flow. The sweep stops at a worst complex mismatch of
-    ``SWEEP_TOL``, Newton at a worst real or imaginary part of
-    ``newton_tol``, so |ds_i| <= sqrt(2) newton_tol there. To first order a
-    mismatch ds moves the voltages by Z conj(ds / v), Z the inverse of the
-    reduced bus admittance matrix, so two solves of one operating point
-    give voltage magnitudes within
-
-        e_pf = ||Z||_inf (SWEEP_TOL + sqrt(2) newton_tol) / v_lo,
-
-    ||.||_inf the max absolute row sum and v_lo the lowest voltage.
+    One power flow, :func:`_power_flow_gap`: two solves of one operating
+    point give voltage magnitudes within e_pf.
 
     The feedback. The voltage vector the dual step reads then differs by
     delta_r = gamma e_pf + ROUNDING: gamma = 1 for the truth, 1 + 6 sigma
@@ -85,8 +103,8 @@ def _tolerances(ctx, ref: dict, newton_tol: float) -> dict:
     """
     cfg, net, model = ctx.cfg, ctx.net, ctx.model
     sigma = cfg.plan.sensor_sigma
-    z_abs = _row_sum(np.linalg.inv(full_ybus(net)[1:, 1:]))
-    e_pf = z_abs * (SWEEP_TOL + math.sqrt(2.0) * newton_tol) / float(ref["v_true"].min())
+    v_true = ref["v_true"]
+    e_pf = _power_flow_gap(net, float(v_true.min()), max(net.v0, float(v_true.max())), newton_tol)
     G = dense_sensitivities(model)
     g = _row_sum(G)
     rule = REFERENCE_RULES[cfg.feedback_mode]
@@ -129,14 +147,13 @@ def test_loop_matches_reference_on_ieee33(mode, pseudo_fixed):
     # the duals steer the injections within a few iterations.
     cfg = load_scenario(SCEN / "ieee33_regulation.json")
     plan = replace(cfg.plan, pseudo_fixed=pseudo_fixed)
-    _check(prepare(replace(cfg, feedback_mode=mode, plan=plan, iterations=150)), 1, 1e-12)
+    _check(prepare(replace(cfg, feedback_mode=mode, plan=plan, iterations=150)), 1, NEWTON_TOL)
 
 
 def test_loop_matches_reference_on_path_sum_feeder():
-    # 400 nodes put the model and the estimator on PathSum operators. Line
-    # admittances reach 1.8e4 here, so the rounding of Newton's mismatch
-    # sum(Y v) alone approaches 1e-12; it stops at 1e-11. The band sits
-    # 0.002 pu above the nominal minimum voltage, so it binds at once.
+    # 400 nodes put the model and the estimator on PathSum operators. The
+    # band sits 0.002 pu above the nominal minimum voltage, so it binds at
+    # once.
     net = synthetic_feeder(400, seed=12)
     v_min = round(float(solve_power_flow(net, net.p0, net.q0).v_mag.min()) + 0.002, 4)
     cfg = ScenarioConfig(
@@ -146,4 +163,16 @@ def test_loop_matches_reference_on_path_sum_feeder():
         estimation_mode="linear",
         iterations=6,
     )
-    _check(prepare(cfg, net), 0, 1e-11)
+    _check(prepare(cfg, net), 0, NEWTON_TOL)
+
+
+def test_newton_oracle_converges_on_path_sum_feeder():
+    # Line admittances reach 1.8e4 here, so the rounding of Newton's
+    # mismatch sum(Y v) lies between 1e-12 and 3e-12: an absolute 1e-12
+    # stop was never met. The stop relative to each row's scale is, and the
+    # oracle and the sweep agree within the first-order bound.
+    net = synthetic_feeder(400, seed=12)
+    sol = solve_power_flow(net, net.p0, net.q0)
+    v = np.abs(newton_power_flow(net, net.p0, net.q0, tol=NEWTON_TOL))
+    bound = _power_flow_gap(net, float(v.min()), max(net.v0, float(v.max())), NEWTON_TOL)
+    assert np.abs(sol.v_mag - v).max() <= SAFETY * bound
